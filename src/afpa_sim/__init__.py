@@ -11,6 +11,7 @@ from .pouch import (
     cross_section,
     free_height,
     volume,
+    volume_curvature,
     volume_gradient,
 )
 from .rig import (

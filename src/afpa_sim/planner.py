@@ -1,9 +1,11 @@
 """Inverse rendering: map a (height, stiffness) target to a pressure pair.
 
 The forward map (p1, p2) -> (equilibrium height, probe stiffness at a
-reference depth) is smooth away from the slack/taut boundary; the
-planner seeds from a coarse grid and refines with a damped Newton
-iteration on a finite-difference Jacobian.
+reference depth) takes one equilibrium solve, whose closed-form slope
+gives the stiffness.  It is smooth away from the slack/taut boundary; the
+planner seeds from the height ratio and stiffness scale (or a coarse
+grid) and refines with a damped Newton iteration on a finite-difference
+Jacobian.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .pouch import free_height
-from .rig import RigDomainError, RigSpec, solve_equilibrium, stiffness
+from .rig import PRESSURE_MAX_KPA, RigDomainError, RigSpec, contact_stiffness, solve_equilibrium
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
@@ -66,9 +68,8 @@ class StateDef:
 def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float) -> tuple[float, float]:
     """(equilibrium h2, stiffness at h2 - probe_depth); stiffness 0 if out of range."""
     eq = solve_equilibrium(rig, p1, p2)
-    h_probe = eq.h2 - probe_depth
     try:
-        k = stiffness(rig, p1, p2, h_probe)
+        k = contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
     except RigDomainError:
         k = 0.0
     return eq.h2, k
@@ -76,9 +77,10 @@ def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float) -> tuple
 
 def _check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    ok = 0.0 <= p1_lo < p1_hi <= 150.0 and 0.0 <= p2_lo < p2_hi <= 150.0
+    ok = 0.0 <= p1_lo < p1_hi <= PRESSURE_MAX_KPA and 0.0 <= p2_lo < p2_hi <= PRESSURE_MAX_KPA
     if not ok:
-        raise PlannerDomainError(f"bounds {bounds} must be ordered boxes within [0, 150] kPa")
+        raise PlannerDomainError(f"bounds {bounds} must be ordered boxes within "
+                                 f"[0, {PRESSURE_MAX_KPA:g}] kPa")
     return bounds
 
 
@@ -95,7 +97,7 @@ def _validate_target(rig: RigSpec, target: HapticTarget) -> None:
 def plan_state(
     rig: RigSpec,
     target: HapticTarget,
-    bounds: tuple[float, float, float, float] = (0.0, 150.0, 0.0, 150.0),
+    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
     grid_n: int = 20,
 ) -> PlanResult:
     """Solve for (p1, p2) realizing the target; best-effort result if infeasible.
@@ -311,7 +313,7 @@ def constant_stiffness_path(
     rig: RigSpec,
     k_star: float,
     heights: Sequence[float],
-    bounds: tuple[float, float, float, float] = (0.0, 150.0, 0.0, 150.0),
+    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[PlanResult]:
     """Per-height plans holding the stiffness constant along the path."""
@@ -336,7 +338,7 @@ def state_table(
     rig: RigSpec,
     sizes: Sequence[float],
     stiffnesses: Sequence[float],
-    bounds: tuple[float, float, float, float] = (0.0, 150.0, 0.0, 150.0),
+    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[StateDef]:
     """3x3 grid of planned states, ids 1..9 row-major (size-major)."""

@@ -6,20 +6,23 @@ lag on the command).  The gas is isothermal and the mechanics are
 quasi-static: every step the chamber heights and pressures are solved
 jointly from the current gas masses -- a slack pouch expands at zero
 gauge pressure until its enclosed volume holds the gas, and a taut belt
-couples the two heights through the force balance.
+couples the two heights through the rig's force balance
+(``rig.belt_balance``), belt compliance included, so a settled step
+lands on the static equilibrium.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .pouch import PouchStackSpec, free_height, volume, volume_gradient, KPA_MM2_TO_N
-from .rig import RigSpec, solve_equilibrium
+from .rig import RigSpec, belt_balance, solve_equilibrium
 
 R_AIR = 287.05  # J/(kg K)
 T_AMBIENT = 293.15  # K
@@ -128,33 +131,20 @@ def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> f
 
 
 def _solve_heights(rig: RigSpec, m1: float, m2: float) -> tuple[float, float]:
-    """Quasi-static heights (h1, h2) for the given gas masses."""
-    h1_free = _free_expansion_height(rig.modulating, m1)
-    h2_free = _free_expansion_height(rig.morphing, m2)
-    c = rig.belt_span
-    if h1_free + h2_free <= c:
-        return h1_free, h2_free
+    """Quasi-static heights (h1, h2) for the given gas masses.
 
-    x1 = free_height(rig.modulating)
-    x2 = free_height(rig.morphing)
-
-    def g(h2: float) -> float:
-        h1 = c - h2
-        return _side_force_from_mass(rig.modulating, m1, h1) - _side_force_from_mass(
-            rig.morphing, m2, h2
-        )
-
-    lo = max(MIN_HEIGHT_MM, c - x1, c - h1_free)
-    hi = min(x2, c - MIN_HEIGHT_MM, h2_free)
-    if lo >= hi:
-        h2 = min(max(h2_free, lo), hi) if hi > 0 else MIN_HEIGHT_MM
-        return c - h2, h2
-    if g(hi) <= 0.0:
-        return c - hi, hi
-    if g(lo) >= 0.0:
-        return c - lo, lo
-    h2 = brentq(g, lo, hi, xtol=1e-7)
-    return c - h2, h2
+    Each side's force vanishes at its free-expansion height; a chamber never
+    drops below its residue height, so neither can take the whole span.
+    """
+    cap = rig.belt_span - MIN_HEIGHT_MM
+    h1, h2, _ = belt_balance(
+        partial(_side_force_from_mass, rig.modulating, m1),
+        partial(_side_force_from_mass, rig.morphing, m2),
+        min(_free_expansion_height(rig.modulating, m1), cap),
+        min(_free_expansion_height(rig.morphing, m2), cap),
+        rig.belt_span, rig.belt_compliance,
+    )
+    return h1, h2
 
 
 def _command_at(schedule: Sequence[tuple[float, float, float]], t: float) -> tuple[float, float]:

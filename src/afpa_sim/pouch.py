@@ -6,7 +6,8 @@ contact, each pouch keeps a flat central contact strip and two tangent
 semicircular side bulges; the fabric is inextensible, so the contact
 width shrinks as the stack grows and vanishes at the free height
 2*n*W/pi.  Plate force follows from virtual work: F = P * dV/dH at
-constant pressure.
+constant pressure, and its slope from the closed-form curvature
+d2V/dH2, which the rig uses for analytic probe stiffness.
 
 Units: mm, kPa, N (1 kPa * 1 mm^2 = 1e-3 N).
 """
@@ -123,6 +124,17 @@ def volume_gradient(spec: PouchStackSpec, height: float) -> float:
     if not spec.end_cap_correction:
         return _area_slope_flat(spec, height)
     return _area_slope_ecap(spec, height)
+
+
+def volume_curvature(spec: PouchStackSpec, height: float) -> float:
+    """d2V/dH2 at the given height, mm (analytic in both modes, never positive)."""
+    height = _check_height(spec, height)
+    slope, x_free, lam = _ecap_params(spec)
+    if not spec.end_cap_correction:
+        # L * contact_width falls at a constant rate until the contact vanishes
+        return -slope if height < x_free else 0.0
+    return -slope * (ECAP_QUADRATIC_FRACTION * (x_free - height) / x_free
+                     + math.exp(-height / lam))
 
 
 def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:

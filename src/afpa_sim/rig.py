@@ -1,18 +1,18 @@
 """Coupled equilibrium of two opposed pouch stacks under a crossing-belt tie.
 
-The belt constrains h1 + h2 <= belt_span (plus elastic stretch when a
-compliance is set) and can only pull.  The taut equilibrium solves the
-force balance F_mod(p1, h1) = F_morph(p2, h2) with a bracketed root
-finder; the residual is strictly monotone in h2, so the root is unique.
-Probe operations re-equilibrate the modulating side while the morphing
-side is held at a forced height.
+The belt constrains h1 + h2 <= belt_span + belt_compliance * tension and
+can only pull.  One force balance, ``belt_balance``, with belt stretch on
+every path, serves the equilibrium, the Coulomb branches of the size
+sweeps, the probe (a stop holding the morphing side down) and the valve
+dynamics.  Probe stiffness is its closed-form implicit derivative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from scipy.optimize import brentq, least_squares
 
@@ -22,11 +22,11 @@ from .pouch import (
     PouchStackSpec,
     contact_force,
     free_height,
+    volume_curvature,
 )
 
 PRESSURE_MAX_KPA = 150.0
-STIFFNESS_EPS_MM = 0.05
-ROOT_XTOL_MM = 1e-7
+ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
 
 
 class RigDomainError(ValueError):
@@ -87,46 +87,72 @@ def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> float:
     return contact_force(spec, pressure, height)
 
 
+def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    try:
+        return brentq(f, lo, hi, xtol=ROOT_XTOL_MM)
+    except (ValueError, RuntimeError) as exc:  # pragma: no cover - guarded by the brackets
+        raise EquilibriumError(f"equilibrium root finding failed: {exc}") from exc
+
+
+def belt_balance(f1: Callable[[float], float], f2: Callable[[float], float], x1: float,
+                 x2: float, span: float, compliance: float,
+                 offset: float = 0.0) -> tuple[float, float, float]:
+    """Heights (h1, h2) in mm and belt tension in N of two sides tied by the belt.
+
+    f1 and f2 give each side's contact force at its height; x1 and x2 are
+    the heights the sides cannot pass (zero force, or a stop such as a
+    probe holding side 2 down).  ``offset`` is a Coulomb force on side 2,
+    positive while h2 falls.  With the tension taken as f2(h2), the residual
+    f1(span + compliance * tension - h2) - tension - offset rises with h2,
+    so a bracketed root is unique.  Without a sign change side 2 is pinned
+    at the end of its range and side 1 alone stretches the belt.
+    """
+    if x1 + x2 < span:
+        return x1, x2, 0.0
+
+    def residual(h2: float) -> float:
+        tension = f2(h2)
+        return f1(span + compliance * tension - h2) - tension - offset
+
+    lo = max(1e-9, span - x1)
+    hi = min(x2, span)
+    if residual(hi) <= 0.0:
+        h2 = hi  # side 2 rides its stop or the belt
+    elif residual(lo) >= 0.0:
+        h2 = lo  # side 1 squashes side 2 to the bracket floor
+    else:
+        h2 = _root(residual, lo, hi)
+        tension = f2(h2)
+        return span + compliance * tension - h2, h2, tension
+    h1 = span - h2
+    tension = f1(h1)
+    if compliance > 0.0 and tension > 0.0:
+        def stretch(t: float) -> float:
+            return f1(h1 + compliance * t) - t
+
+        if stretch(tension) < 0.0:  # else the stretch is below rounding
+            tension = _root(stretch, 0.0, tension)
+        h1 += compliance * tension
+    return min(x1, h1), h2, tension
+
+
+def _balance(
+    rig: RigSpec, p1: float, p2: float, h2_stop: float = math.inf, offset: float = 0.0
+) -> tuple[float, float, float]:
+    """``belt_balance`` of the rig's stacks, the morphing side held below h2_stop."""
+    return belt_balance(
+        partial(_side_force, rig.modulating, p1),
+        partial(_side_force, rig.morphing, p2),
+        free_height(rig.modulating),
+        min(free_height(rig.morphing), h2_stop),
+        rig.belt_span, rig.belt_compliance, offset,
+    )
+
+
 def solve_equilibrium(rig: RigSpec, p1: float, p2: float) -> EquilibriumState:
     """Equilibrium heights and belt tension at the given gauge pressures."""
-    p1 = _check_pressure(p1, "p1")
-    p2 = _check_pressure(p2, "p2")
-    x1 = free_height(rig.modulating)
-    x2 = free_height(rig.morphing)
-    c = rig.belt_span
-    if x1 + x2 <= c:
-        return EquilibriumState(h1=x1, h2=x2, belt_tension=0.0, taut=False)
-
-    def g(h2: float) -> float:
-        # taut residual; with compliance the belt stretches under the
-        # morphing-side force (equal to the tension at equilibrium)
-        t_est = _side_force(rig.morphing, p2, h2)
-        h1 = c + rig.belt_compliance * t_est - h2
-        return _side_force(rig.modulating, p1, h1) - t_est
-
-    lo = max(1e-9, c - x1)
-    hi = min(x2, c)
-    g_lo, g_hi = g(lo), g(hi)
-    if g_hi <= 0.0:
-        # morphing side dominates everywhere: ride the belt (or free height)
-        h2 = hi
-        tension = _side_force(rig.morphing, p2, h2) if h2 < x2 else 0.0
-        h1 = min(x1, c + rig.belt_compliance * tension - h2)
-        taut = h1 + h2 >= c - 1e-9
-        return EquilibriumState(h1=h1, h2=h2, belt_tension=tension if taut else 0.0, taut=taut)
-    if g_lo >= 0.0:
-        # modulating side dominates: morphing side squashed to the bracket floor
-        h2 = lo
-        h1 = c - h2
-        tension = _side_force(rig.modulating, p1, h1)
-        return EquilibriumState(h1=h1, h2=h2, belt_tension=tension, taut=True)
-    try:
-        h2 = brentq(g, lo, hi, xtol=ROOT_XTOL_MM)
-    except Exception as exc:  # pragma: no cover - guarded by the bracket check
-        raise EquilibriumError(f"equilibrium root finding failed: {exc}") from exc
-    tension = _side_force(rig.morphing, p2, h2)
-    h1 = c + rig.belt_compliance * tension - h2
-    return EquilibriumState(h1=h1, h2=h2, belt_tension=tension, taut=True)
+    h1, h2, tension = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"))
+    return EquilibriumState(h1, h2, tension, taut=h1 + h2 >= rig.belt_span - 1e-9)
 
 
 def probe_force(
@@ -135,11 +161,9 @@ def probe_force(
     """Force on a probe holding the morphing side at ``h2_forced``.
 
     Returns (force N, belt_tension N, h1 mm).  The modulating side
-    re-equilibrates against the belt; the belt goes slack once the
-    modulating side reaches its free height.
+    re-equilibrates against the belt, stretching it by the compliance; the
+    belt goes slack once the modulating side reaches its free height.
     """
-    p1 = _check_pressure(p1, "p1")
-    p2 = _check_pressure(p2, "p2")
     eq = solve_equilibrium(rig, p1, p2)
     if h2_forced > eq.h2 + 1e-9:
         raise RigDomainError(
@@ -147,17 +171,7 @@ def probe_force(
         )
     if h2_forced <= 0.0:
         raise RigDomainError("h2_forced must be positive")
-    x1 = free_height(rig.modulating)
-    c = rig.belt_span
-    tension = 0.0
-    for _ in range(8):  # fixed point on belt stretch; exact when compliance = 0
-        h1 = min(x1, c + rig.belt_compliance * tension - h2_forced)
-        new_tension = _side_force(rig.modulating, p1, h1) if h1 + h2_forced >= c - 1e-9 else 0.0
-        if abs(new_tension - tension) < 1e-10:
-            tension = new_tension
-            break
-        tension = new_tension
-    h1 = min(x1, c + rig.belt_compliance * tension - h2_forced)
+    h1, _, tension = _balance(rig, p1, p2, h2_stop=h2_forced)
     force = max(0.0, _side_force(rig.morphing, p2, h2_forced) - tension)
     return force, tension, h1
 
@@ -179,56 +193,33 @@ def force_displacement_curve(
     n = int(round(max_depth / step))
     depths = [i * step for i in range(n + 1)]
     f = rig.friction_force if with_friction else 0.0
-    samples: list[tuple[float, float]] = []
-    for d in depths:
-        base, _, _ = probe_force(rig, p1, p2, eq.h2 - d)
-        samples.append((d, max(0.0, base + f)))
-    for d in reversed(depths):
-        base, _, _ = probe_force(rig, p1, p2, eq.h2 - d)
-        samples.append((d, max(0.0, base - f)))
-    return samples
+    curve = [(d, probe_force(rig, p1, p2, eq.h2 - d)[0]) for d in depths]
+    return ([(d, max(0.0, base + f)) for d, base in curve]
+            + [(d, max(0.0, base - f)) for d, base in reversed(curve)])
 
 
 def stiffness(rig: RigSpec, p1: float, p2: float, h2: float) -> float:
-    """Probe stiffness dF/d(depth) at height h2, by central difference (N/mm)."""
-    eps = STIFFNESS_EPS_MM
-    eq = solve_equilibrium(rig, p1, p2)
-    if h2 + eps > eq.h2 + 1e-9 or h2 - eps <= 0.0:
-        raise RigDomainError(
-            f"h2 {h2} mm not interior to the probe range (0, {eq.h2:.6g} - {eps}] mm"
-        )
-    f_lo, _, _ = probe_force(rig, p1, p2, h2 - eps)
-    f_hi, _, _ = probe_force(rig, p1, p2, h2 + eps)
-    return max(0.0, (f_lo - f_hi) / (2.0 * eps))
+    """Probe stiffness dF/d(depth) at height h2 (N/mm), in closed form."""
+    return contact_stiffness(rig, p1, p2, solve_equilibrium(rig, p1, p2), h2)
 
 
-def _friction_equilibrium(rig: RigSpec, p1: float, p2: float, direction: float) -> float:
-    """Equilibrium h2 with the Coulomb offset applied for the given motion sign.
+def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
+                      h2: float) -> float:
+    """``stiffness`` below an equilibrium already solved at (p1, p2).
 
-    direction < 0: h2 moving down (friction holds it high); > 0: moving up.
+    F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
+    implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
+    d = -f1'(h1) while the belt is taut and 0 once the modulating side is
+    slack; each f' is the pressure times the volume curvature.
     """
-    f = rig.friction_force
-    if f == 0.0 or direction == 0.0:
-        return solve_equilibrium(rig, p1, p2).h2
-    offset = f if direction < 0 else -f
-
-    def g(h2: float) -> float:
-        t_est = _side_force(rig.morphing, p2, h2)
-        h1 = rig.belt_span + rig.belt_compliance * t_est - h2
-        return _side_force(rig.modulating, p1, h1) - t_est - offset
-
-    x1 = free_height(rig.modulating)
-    x2 = free_height(rig.morphing)
-    c = rig.belt_span
-    if x1 + x2 <= c:
-        return x2
-    lo = max(1e-9, c - x1)
-    hi = min(x2, c)
-    if g(hi) <= 0.0:
-        return hi
-    if g(lo) >= 0.0:
-        return lo
-    return brentq(g, lo, hi, xtol=ROOT_XTOL_MM)
+    if not 0.0 < h2 < eq.h2:
+        raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
+    h1, _, _ = _balance(rig, p1, p2, h2_stop=h2)
+    d = 0.0
+    if h1 < free_height(rig.modulating):
+        d = -p1 * volume_curvature(rig.modulating, h1) * KPA_MM2_TO_N
+    k2 = -p2 * volume_curvature(rig.morphing, h2) * KPA_MM2_TO_N
+    return k2 + d / (1.0 + rig.belt_compliance * d)
 
 
 def size_pressure_sweep(
@@ -243,7 +234,8 @@ def size_pressure_sweep(
             direction = 0.0
         else:
             direction = math.copysign(1.0, h2_free - prev_h2) if h2_free != prev_h2 else 0.0
-        h2 = _friction_equilibrium(rig, p1, p2_fixed, direction)
+        # Coulomb friction holds the height back against the motion
+        _, h2, _ = _balance(rig, p1, p2_fixed, offset=-direction * rig.friction_force)
         samples.append((float(p1), h2))
         prev_h2 = h2
     return samples

@@ -1,5 +1,6 @@
 """Valve flow law and chamber time-stepping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,24 @@ def test_step_heights_respect_belt_span():
         rig, make_valves(), [(0.0, 0.0, 0.0), (0.5, 30.0, 60.0)], 1e-3, 4.0
     )
     assert np.all(series[:, 3] + series[:, 4] <= rig.belt_span + 1e-6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    compliance=st.floats(0.0, 0.5),
+    start=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+    step=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+)
+def test_step_heights_match_static_equilibrium(compliance, start, step):
+    # quasi-static mechanics: while both chambers are pressurized, the heights
+    # are the static equilibrium at the pressures of that instant.  A pouch
+    # still filling from flat sits at ambient pressure, which reads as a
+    # gauge of about 1e-10 kPa from rounding; it has no static counterpart.
+    rig = dataclasses.replace(make_rig(), belt_compliance=compliance)
+    series = step_simulate(rig, make_valves(), [(0.0, *start), (0.5, *step)], 1e-3, 2.0)
+    for _, p1, p2, _, h2 in series[::50]:
+        if min(p1, p2) > 1e-6 and h2 > rig.deflated_floor:
+            assert h2 == pytest.approx(solve_equilibrium(rig, p1, p2).h2, abs=0.1)
 
 
 def test_halving_dt_changes_little():

@@ -15,6 +15,7 @@ from afpa_sim.pouch import (
     cross_section,
     free_height,
     volume,
+    volume_curvature,
     volume_gradient,
 )
 
@@ -79,6 +80,15 @@ def test_force_is_virtual_work_slope(spec, frac, p):
     eps = 1e-3
     dv = (volume(spec, h + eps) - volume(spec, h - eps)) / (2 * eps)
     assert contact_force(spec, p, h) == pytest.approx(p * dv * KPA_MM2_TO_N, rel=1e-4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=spec_strategy(), frac=st.floats(0.02, 0.98))
+def test_curvature_is_gradient_slope(spec, frac):
+    h = frac * free_height(spec)
+    eps = 1e-3
+    dg = (volume_gradient(spec, h + eps) - volume_gradient(spec, h - eps)) / (2 * eps)
+    assert volume_curvature(spec, h) == pytest.approx(dg, rel=1e-4)
 
 
 @settings(max_examples=150, deadline=None)

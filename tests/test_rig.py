@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from afpa_sim.pouch import PouchStackSpec, contact_force, free_height
 from afpa_sim.rig import (
@@ -19,10 +19,10 @@ from afpa_sim.rig import (
 )
 
 
-def make_rig(w1=40.0, l1=300.0, w2=55.0, l2=120.0, c=90.0, **kw) -> RigSpec:
+def make_rig(w1=40.0, l1=300.0, w2=55.0, l2=120.0, c=90.0, end_caps=True, **kw) -> RigSpec:
     return RigSpec(
-        modulating=PouchStackSpec(flat_width=w1, flat_length=l1),
-        morphing=PouchStackSpec(flat_width=w2, flat_length=l2),
+        modulating=PouchStackSpec(flat_width=w1, flat_length=l1, end_cap_correction=end_caps),
+        morphing=PouchStackSpec(flat_width=w2, flat_length=l2, end_cap_correction=end_caps),
         belt_span=c,
         **kw,
     )
@@ -97,11 +97,22 @@ def test_invalid_pressures_rejected():
             solve_equilibrium(rig, p1, p2)
 
 
-def test_probe_force_balances_at_equilibrium():
-    rig = make_rig()
-    eq = solve_equilibrium(rig, 40.0, 60.0)
-    force, _, _ = probe_force(rig, 40.0, 60.0, eq.h2)
+@settings(max_examples=60, deadline=None)
+@given(
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.0, 150.0),
+    compliance=st.floats(0.0, 0.5),
+)
+def test_probe_force_balances_at_equilibrium(p1, p2, compliance):
+    rig = make_rig(belt_compliance=compliance)
+    eq = solve_equilibrium(rig, p1, p2)
+    # riding the belt span, the morphing side rests on the flattened
+    # modulating stack, and a probe at that height takes the stack's share
+    assume(eq.h2 < rig.belt_span)
+    force, tension, h1 = probe_force(rig, p1, p2, eq.h2)
     assert force == pytest.approx(0.0, abs=1e-6)
+    assert tension == pytest.approx(eq.belt_tension, abs=1e-6)
+    assert h1 == pytest.approx(eq.h1, abs=1e-6)
 
 
 def test_probe_force_increases_with_depth():
@@ -118,15 +129,28 @@ def test_probe_above_equilibrium_rejected():
         probe_force(rig, 40.0, 60.0, eq.h2 + 1.0)
 
 
-def test_stiffness_matches_probe_force_slope():
-    rig = make_rig()
-    eq = solve_equilibrium(rig, 20.0, 60.0)
-    h = eq.h2 - 5.0
-    k = stiffness(rig, 20.0, 60.0, h)
-    d = 0.5
-    f_lo, _, _ = probe_force(rig, 20.0, 60.0, h - d)
-    f_hi, _, _ = probe_force(rig, 20.0, 60.0, h + d)
-    assert k == pytest.approx((f_lo - f_hi) / (2 * d), rel=0.05)
+@settings(max_examples=100, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.5, 150.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_stiffness_matches_probe_force_slope(w1, w2, c, compliance, end_caps, p1, p2, frac):
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    eq = solve_equilibrium(rig, p1, p2)
+    # depths at least 0.5 mm from the contact edge and from the height at
+    # which the modulating side goes slack; both are kinks of the force curve
+    h = 0.5 + frac * (eq.h2 - 1.0)
+    assume(eq.h2 > 1.0 and abs(h - (c - free_height(rig.modulating))) >= 0.5)
+    e = 1e-3
+    f_lo, _, _ = probe_force(rig, p1, p2, h - e)
+    f_hi, _, _ = probe_force(rig, p1, p2, h + e)
+    assert stiffness(rig, p1, p2, h) == pytest.approx((f_lo - f_hi) / (2 * e), rel=1e-4)
 
 
 def test_stiffness_scales_with_pressure_level():
