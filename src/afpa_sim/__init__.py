@@ -3,6 +3,7 @@ actuator (AFPA) haptic rig: pouch-stack force model, coupled equilibrium,
 valve/chamber dynamics, inverse planning, and a synthetic perception study.
 """
 
+from .errors import AfpaSimError
 from .pouch import (
     CrossSection,
     PouchDomainError,

@@ -2,7 +2,9 @@
 
 All subcommands share the same contract: a JSON config, a seed, and an
 output directory.  Given identical config and seed, every subcommand
-writes byte-identical files.
+writes byte-identical files.  A user error (any ``AfpaSimError``, such as
+a bad config or an unreachable study state) prints one ``error:`` line
+and exits 2.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, default_config_path, load_config
+from .config import default_config_path, load_config
+from .errors import AfpaSimError
 from . import drivers
 
 _SUBCOMMANDS = {
@@ -52,13 +55,11 @@ def main(argv: list[str] | None = None) -> int:
     config_path = args.config if args.config is not None else default_config_path()
     try:
         config = load_config(config_path)
-    except ConfigError as exc:
+        args.out.mkdir(parents=True, exist_ok=True)
+        paths = _SUBCOMMANDS[args.command](config, args.seed, args.out)
+    except AfpaSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        paths = _SUBCOMMANDS[args.command](config, args.seed, out)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

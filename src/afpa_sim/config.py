@@ -1,27 +1,38 @@
-"""Strict JSON run configuration.
+"""Strict JSON run configuration, read and written by walking the dataclasses.
 
-The file declares its pressure/length units up front; pressures may be
-given in Pa and are normalized to kPa on load.  Unknown keys anywhere
-in the document are rejected so a typo cannot silently fall back to a
-default calibration.
+The document mirrors ``RunConfig``: each dataclass field is a key of the
+same name, a nested dataclass is an object, a tuple of numbers is an array
+and the valve pair is an object keyed ``modulating``/``morphing``.  The
+three planner fields of ``RunConfig`` (``PLANNER_FIELDS``) sit in a
+``planner`` object.  Field defaults and the checks on field values live on
+the dataclasses (``__post_init__``); a failed check is reported as a
+``ConfigError`` that names the object, or for the planner fields the field.
+
+The file declares its pressure/length units up front.  The pressure fields
+(``PRESSURE_FIELDS``: the valves' supply_pressure and exhaust_pressure,
+planner bounds and max_characterized_p2, sweep p2_levels, p1_max and
+p1_step) may be given in Pa and are normalized to kPa on load.  Every
+number must be finite, and unknown keys anywhere in the document are
+rejected so a typo cannot silently fall back to a default calibration.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
-from .planner import DEFAULT_PROBE_DEPTH_MM
-from .pneumatics import ValveSpec
-from .pouch import PouchStackSpec
+from .errors import AfpaSimError
+from .planner import DEFAULT_PROBE_DEPTH_MM, PlannerDomainError, check_bounds
+from .pneumatics import DT_MAX_S, ValveSpec
 from .rig import RigSpec
 from .study import ResponderModel
 
 
-class ConfigError(ValueError):
+class ConfigError(AfpaSimError, ValueError):
     """Malformed or invalid configuration; message carries the field path."""
 
 
@@ -34,38 +45,89 @@ class SweepSettings:
     p1_step: float  # kPa
     compression_depth: float  # mm, probe travel for stiffness curves
     probe_rate: float  # mm/s
-    sample_rate: float  # Hz
+    sample_rate: float = 16.0  # Hz
+
+    def __post_init__(self) -> None:
+        if not self.p2_levels or any(p < 0 for p in self.p2_levels):
+            raise ValueError("p2_levels needs at least one non-negative level")
+        if self.p1_step <= 0 or self.p1_max <= 0:
+            raise ValueError("p1_step and p1_max must be positive")
+        if self.compression_depth <= 0 or self.probe_rate <= 0 or self.sample_rate <= 0:
+            raise ValueError("probe settings must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StepSettings:
-    dt: float  # s
+    dt: float = 1e-3  # s
     t_end: float  # s
     step_time: float  # s, command switch instant
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.dt <= DT_MAX_S:
+            raise ValueError(f"dt must be in (0, {DT_MAX_S:g}] s, got {self.dt}")
+        if not 0.0 <= self.step_time < self.t_end:
+            raise ValueError("step_time must lie within [0, t_end)")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class StudySettings:
     sizes: tuple[float, float, float]  # mm
     stiffnesses: tuple[float, float, float]  # N/mm
-    reps: int
-    sessions: int
+    reps: int = 10
+    sessions: int = 10
     responder: ResponderModel
 
+    def __post_init__(self) -> None:
+        if self.reps < 1 or self.sessions < 1:
+            raise ValueError("reps and sessions must be >= 1")
 
-@dataclass(frozen=True)
+
+# RunConfig fields that the document keeps in its ``planner`` object
+PLANNER_FIELDS = ("bounds", "probe_depth", "max_characterized_p2")
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     rig: RigSpec
     valves: tuple[ValveSpec, ValveSpec]  # (modulating, morphing)
     bounds: tuple[float, float, float, float]  # kPa pressure box
-    probe_depth: float  # mm
+    probe_depth: float = DEFAULT_PROBE_DEPTH_MM  # mm
     max_characterized_p2: float  # kPa
     sweep: SweepSettings
     step: StepSettings
     study: StudySettings
 
+    def __post_init__(self) -> None:
+        try:
+            check_bounds(self.bounds)
+        except PlannerDomainError as exc:
+            raise ValueError(f"planner.bounds: {exc}") from None
+        if self.probe_depth <= 0:
+            raise ValueError("planner.probe_depth: must be positive")
+        if not self.bounds[2] < self.max_characterized_p2 <= self.bounds[3]:
+            raise ValueError("planner.max_characterized_p2: must lie inside the p2 bounds")
 
+
+PRESSURE_FIELDS = frozenset({
+    "supply_pressure", "exhaust_pressure",  # valves, absolute
+    "bounds", "max_characterized_p2",  # planner
+    "p2_levels", "p1_max", "p1_step",  # sweep
+})
+_PAIR_KEYS = ("modulating", "morphing")  # object keys of the valve pair
 _PRESSURE_SCALE = {"kPa": 1.0, "Pa": 1e-3}
+_TYPE_NAMES = {int: "an integer", bool: "a boolean"}
+
+
+def _finite(v: Any, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return x
 
 
 class _Section:
@@ -84,43 +146,29 @@ class _Section:
     def child(self, key: str) -> "_Section":
         return _Section(self.take(key), self._at(key))
 
-    def take(self, key: str, default: Any = ...) -> Any:
+    def take(self, key: str) -> Any:
         self.seen.add(key)
         if key not in self.data:
-            if default is ...:
-                raise ConfigError(f"missing required field {self._at(key)}")
-            return default
+            raise ConfigError(f"missing required field {self._at(key)}")
         return self.data[key]
 
-    def number(self, key: str, default: Any = ..., scale: float = 1.0) -> float:
-        v = self.take(key, default)
-        if v is default and default is not ...:
-            return v
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{self._at(key)}: expected a number, got {v!r}")
-        return float(v) * scale
+    def number(self, key: str, scale: float = 1.0) -> float:
+        return _finite(self.take(key), self._at(key)) * scale
 
-    def integer(self, key: str, default: Any = ...) -> int:
-        v = self.take(key, default)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{self._at(key)}: expected an integer, got {v!r}")
-        return v
-
-    def boolean(self, key: str, default: Any = ...) -> bool:
-        v = self.take(key, default)
-        if not isinstance(v, bool):
-            raise ConfigError(f"{self._at(key)}: expected a boolean, got {v!r}")
+    def exact(self, key: str, tp: type) -> Any:
+        """A JSON integer (not a boolean) for ``int``, a boolean for ``bool``."""
+        v = self.take(key)
+        if type(v) is not tp:
+            raise ConfigError(f"{self._at(key)}: expected {_TYPE_NAMES[tp]}, got {v!r}")
         return v
 
     def numbers(self, key: str, scale: float = 1.0, length: int | None = None) -> tuple[float, ...]:
         v = self.take(key)
-        if not isinstance(v, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
-        ):
+        if not isinstance(v, list):
             raise ConfigError(f"{self._at(key)}: expected an array of numbers, got {v!r}")
         if length is not None and len(v) != length:
             raise ConfigError(f"{self._at(key)}: expected {length} values, got {len(v)}")
-        return tuple(float(x) * scale for x in v)
+        return tuple(_finite(x, f"{self._at(key)}[{i}]") * scale for i, x in enumerate(v))
 
     def finish(self) -> None:
         unknown = sorted(set(self.data) - self.seen)
@@ -129,146 +177,56 @@ class _Section:
             raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def _build(section: _Section, builder, path_hint: str):
+def _value(tp: Any, sec: _Section, key: str, unit: float) -> Any:
+    """Field ``key`` of type ``tp`` from ``sec``; ``unit`` scales pressures to kPa."""
+    if is_dataclass(tp):
+        return _parse(tp, sec.child(key), unit)
+    scale = unit if key in PRESSURE_FIELDS else 1.0
+    if tp is float:
+        return sec.number(key, scale)
+    if tp in _TYPE_NAMES:
+        return sec.exact(key, tp)
+    args = get_args(tp)
+    if args[-1] is Ellipsis:
+        return sec.numbers(key, scale)
+    if is_dataclass(args[0]):
+        pair = sec.child(key)
+        value = tuple(_parse(a, pair.child(k), unit) for a, k in zip(args, _PAIR_KEYS))
+        pair.finish()
+        return value
+    return sec.numbers(key, scale, len(args))
+
+
+def _parse(cls: type, sec: _Section, unit: float) -> Any:
+    """Build dataclass ``cls`` from its JSON object; absent fields take their defaults."""
+    planner = sec.child("planner") if cls is RunConfig else None
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        src = planner if planner is not None and f.name in PLANNER_FIELDS else sec
+        if f.name in src.data or f.default is MISSING:
+            values[f.name] = _value(hints[f.name], src, f.name, unit)
+    sec.finish()
+    if planner is not None:
+        planner.finish()
     try:
-        return builder()
+        return cls(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path_hint}: {exc}") from exc
-
-
-def _parse_stack(sec: _Section) -> PouchStackSpec:
-    spec = _build(sec, lambda: PouchStackSpec(
-        flat_width=sec.number("flat_width"),
-        flat_length=sec.number("flat_length"),
-        pouch_count=sec.integer("pouch_count", 3),
-        end_cap_correction=sec.boolean("end_cap_correction", True),
-    ), sec.path)
-    sec.finish()
-    return spec
-
-
-def _parse_valve(sec: _Section, p_scale: float) -> ValveSpec:
-    spec = _build(sec, lambda: ValveSpec(
-        sonic_conductance=sec.number("sonic_conductance"),
-        critical_ratio=sec.number("critical_ratio", 0.3),
-        supply_pressure=sec.number("supply_pressure", scale=p_scale),
-        exhaust_pressure=sec.number("exhaust_pressure", scale=p_scale),
-        command_lag=sec.number("command_lag", 0.05),
-    ), sec.path)
-    sec.finish()
-    return spec
-
-
-def _parse_responder(sec: _Section) -> ResponderModel:
-    model = _build(sec, lambda: ResponderModel(
-        size_noise=sec.number("size_noise"),
-        stiffness_noise=sec.number("stiffness_noise"),
-        lapse_rate=sec.number("lapse_rate", 0.0),
-        base_time=sec.number("base_time", 2.0),
-        time_per_confusability=sec.number("time_per_confusability", 2.0),
-        time_noise=sec.number("time_noise", 0.1),
-        lapse_drift=sec.number("lapse_drift", 0.0),
-    ), sec.path)
-    sec.finish()
-    return model
+        raise ConfigError(f"{sec.path}: {exc}" if sec.path else str(exc)) from exc
 
 
 def parse_config(doc: Any) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     root = _Section(doc, "")
-
     units = root.child("units")
     p_unit = units.take("pressure")
-    if p_unit not in _PRESSURE_SCALE:
+    if not isinstance(p_unit, str) or p_unit not in _PRESSURE_SCALE:
         raise ConfigError(f"units.pressure: expected one of {sorted(_PRESSURE_SCALE)}, got {p_unit!r}")
     l_unit = units.take("length")
     if l_unit != "mm":
         raise ConfigError(f"units.length: only 'mm' is supported, got {l_unit!r}")
     units.finish()
-    ps = _PRESSURE_SCALE[p_unit]
-
-    rig_sec = root.child("rig")
-    rig = _build(rig_sec, lambda: RigSpec(
-        modulating=_parse_stack(rig_sec.child("modulating")),
-        morphing=_parse_stack(rig_sec.child("morphing")),
-        belt_span=rig_sec.number("belt_span"),
-        belt_compliance=rig_sec.number("belt_compliance", 0.0),
-        friction_force=rig_sec.number("friction_force", 0.0),
-        deflated_floor=rig_sec.number("deflated_floor", 10.0),
-    ), "rig")
-    rig_sec.finish()
-
-    valves_sec = root.child("valves")
-    valves = (
-        _parse_valve(valves_sec.child("modulating"), ps),
-        _parse_valve(valves_sec.child("morphing"), ps),
-    )
-    valves_sec.finish()
-
-    planner_sec = root.child("planner")
-    bounds = planner_sec.numbers("bounds", scale=ps, length=4)
-    probe_depth = planner_sec.number("probe_depth", DEFAULT_PROBE_DEPTH_MM)
-    max_p2 = planner_sec.number("max_characterized_p2", scale=ps)
-    planner_sec.finish()
-    p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    if not (0.0 <= p1_lo < p1_hi and 0.0 <= p2_lo < p2_hi):
-        raise ConfigError(f"planner.bounds: expected ordered (p1_lo, p1_hi, p2_lo, p2_hi), got {bounds}")
-    if probe_depth <= 0:
-        raise ConfigError("planner.probe_depth: must be positive")
-    if not (p2_lo < max_p2 <= p2_hi):
-        raise ConfigError("planner.max_characterized_p2: must lie inside the p2 bounds")
-
-    sweep_sec = root.child("sweep")
-    sweep = SweepSettings(
-        p2_levels=sweep_sec.numbers("p2_levels", scale=ps),
-        p1_max=sweep_sec.number("p1_max", scale=ps),
-        p1_step=sweep_sec.number("p1_step", scale=ps),
-        compression_depth=sweep_sec.number("compression_depth"),
-        probe_rate=sweep_sec.number("probe_rate"),
-        sample_rate=sweep_sec.number("sample_rate", 16.0),
-    )
-    sweep_sec.finish()
-    if not sweep.p2_levels or any(p < 0 for p in sweep.p2_levels):
-        raise ConfigError("sweep.p2_levels: need at least one non-negative level")
-    if sweep.p1_step <= 0 or sweep.p1_max <= 0:
-        raise ConfigError("sweep.p1_step and sweep.p1_max must be positive")
-    if sweep.compression_depth <= 0 or sweep.probe_rate <= 0 or sweep.sample_rate <= 0:
-        raise ConfigError("sweep probe settings must be positive")
-
-    step_sec = root.child("step")
-    step = StepSettings(
-        dt=step_sec.number("dt", 1e-3),
-        t_end=step_sec.number("t_end"),
-        step_time=step_sec.number("step_time"),
-    )
-    step_sec.finish()
-    if not (0.0 <= step.step_time < step.t_end):
-        raise ConfigError("step.step_time must lie within [0, step.t_end)")
-
-    study_sec = root.child("study")
-    study = StudySettings(
-        sizes=study_sec.numbers("sizes", length=3),
-        stiffnesses=study_sec.numbers("stiffnesses", length=3),
-        reps=study_sec.integer("reps", 10),
-        sessions=study_sec.integer("sessions", 10),
-        responder=_parse_responder(study_sec.child("responder")),
-    )
-    study_sec.finish()
-    if study.reps < 1 or study.sessions < 1:
-        raise ConfigError("study.reps and study.sessions must be >= 1")
-
-    return RunConfig(
-        rig=rig,
-        valves=valves,
-        bounds=(p1_lo, p1_hi, p2_lo, p2_hi),
-        probe_depth=probe_depth,
-        max_characterized_p2=max_p2,
-        sweep=sweep,
-        step=step,
-        study=study,
-    )
+    return _parse(RunConfig, root, _PRESSURE_SCALE[p_unit])
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -287,74 +245,23 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc)
 
 
+def _render(obj: Any) -> dict:
+    """The JSON object of a dataclass instance: the inverse of ``_parse``."""
+    doc: dict = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            v = _render(v)
+        elif isinstance(v, tuple):
+            v = dict(zip(_PAIR_KEYS, map(_render, v))) if is_dataclass(v[0]) else list(v)
+        in_planner = isinstance(obj, RunConfig) and f.name in PLANNER_FIELDS
+        (doc.setdefault("planner", {}) if in_planner else doc)[f.name] = v
+    return doc
+
+
 def canonical_form(config: RunConfig) -> dict:
     """Normalized (kPa/mm) dictionary rendering of a RunConfig."""
-    def stack(s: PouchStackSpec) -> dict:
-        return {
-            "flat_width": s.flat_width,
-            "flat_length": s.flat_length,
-            "pouch_count": s.pouch_count,
-            "end_cap_correction": s.end_cap_correction,
-        }
-
-    def valve(v: ValveSpec) -> dict:
-        return {
-            "sonic_conductance": v.sonic_conductance,
-            "critical_ratio": v.critical_ratio,
-            "supply_pressure": v.supply_pressure,
-            "exhaust_pressure": v.exhaust_pressure,
-            "command_lag": v.command_lag,
-        }
-
-    r = config.study.responder
-    return {
-        "units": {"pressure": "kPa", "length": "mm"},
-        "rig": {
-            "modulating": stack(config.rig.modulating),
-            "morphing": stack(config.rig.morphing),
-            "belt_span": config.rig.belt_span,
-            "belt_compliance": config.rig.belt_compliance,
-            "friction_force": config.rig.friction_force,
-            "deflated_floor": config.rig.deflated_floor,
-        },
-        "valves": {
-            "modulating": valve(config.valves[0]),
-            "morphing": valve(config.valves[1]),
-        },
-        "planner": {
-            "bounds": list(config.bounds),
-            "probe_depth": config.probe_depth,
-            "max_characterized_p2": config.max_characterized_p2,
-        },
-        "sweep": {
-            "p2_levels": list(config.sweep.p2_levels),
-            "p1_max": config.sweep.p1_max,
-            "p1_step": config.sweep.p1_step,
-            "compression_depth": config.sweep.compression_depth,
-            "probe_rate": config.sweep.probe_rate,
-            "sample_rate": config.sweep.sample_rate,
-        },
-        "step": {
-            "dt": config.step.dt,
-            "t_end": config.step.t_end,
-            "step_time": config.step.step_time,
-        },
-        "study": {
-            "sizes": list(config.study.sizes),
-            "stiffnesses": list(config.study.stiffnesses),
-            "reps": config.study.reps,
-            "sessions": config.study.sessions,
-            "responder": {
-                "size_noise": r.size_noise,
-                "stiffness_noise": r.stiffness_noise,
-                "lapse_rate": r.lapse_rate,
-                "base_time": r.base_time,
-                "time_per_confusability": r.time_per_confusability,
-                "time_noise": r.time_noise,
-                "lapse_drift": r.lapse_drift,
-            },
-        },
-    }
+    return {"units": {"pressure": "kPa", "length": "mm"}, **_render(config)}
 
 
 def default_config_path() -> Path:

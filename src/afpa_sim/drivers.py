@@ -204,7 +204,7 @@ def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
     return paths
 
 
-def _load_records(path: Path) -> list[TrialRecord]:
+def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -217,6 +217,7 @@ def _load_records(path: Path) -> list[TrialRecord]:
                 responded=doc["responded"],
                 response_time=doc["response_time_s"],
                 segment=doc["segment"],
+                segment_size=segment_size,
             ))
     return records
 
@@ -226,9 +227,9 @@ def run_study_analyze(config: RunConfig, out: Path) -> list[Path]:
     logs = sorted(out.glob("trials_s*.jsonl"))
     if not logs:
         raise FileNotFoundError(f"no trial logs (trials_s*.jsonl) in {out}")
-    per_session = [_load_records(p) for p in logs]
-    pooled = [r for recs in per_session for r in recs]
     segment_size = config.study.reps  # 9 x reps trials -> 9 segments
+    per_session = [_load_records(p, segment_size) for p in logs]
+    pooled = [r for recs in per_session for r in recs]
     stats = [study_stats(recs, segment_size) for recs in per_session]
 
     confusion = np.mean([s.confusion for s in stats], axis=0)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from .errors import AfpaSimError
 from .pouch import free_height
 from .rig import PRESSURE_MAX_KPA, RigDomainError, RigSpec, contact_stiffness, solve_equilibrium
 
@@ -26,11 +27,11 @@ NEWTON_MAX_ITER = 40
 JACOBIAN_STEP_KPA = 0.25
 
 
-class PlannerDomainError(ValueError):
+class PlannerDomainError(AfpaSimError, ValueError):
     """Invalid target or pressure bounds."""
 
 
-class InfeasibleTargetError(RuntimeError):
+class InfeasibleTargetError(AfpaSimError, RuntimeError):
     """A required waypoint could not be planned."""
 
 
@@ -75,7 +76,8 @@ def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float) -> tuple
     return eq.h2, k
 
 
-def _check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """The pressure box (p1_lo, p1_hi, p2_lo, p2_hi) if ordered within the rig's limit."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     ok = 0.0 <= p1_lo < p1_hi <= PRESSURE_MAX_KPA and 0.0 <= p2_lo < p2_hi <= PRESSURE_MAX_KPA
     if not ok:
@@ -104,7 +106,7 @@ def plan_state(
 
     bounds is (p1_lo, p1_hi, p2_lo, p2_hi) in kPa.
     """
-    _check_bounds(bounds)
+    check_bounds(bounds)
     _validate_target(rig, target)
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     h_star = target.target_height

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from .errors import AfpaSimError
 from .pouch import PouchStackSpec, free_height, volume, volume_gradient, KPA_MM2_TO_N
 from .rig import RigSpec, belt_balance, solve_equilibrium
 
@@ -30,9 +31,10 @@ P_ATM_KPA = 101.325
 RHO_REF = 1.185  # kg/m^3, ISO 6358 reference density
 DEAD_VOLUME_M3 = 8.0e-6  # tubing + fittings per chamber
 OPENING_BAND_KPA = 20.0  # pressure error that fully opens the valve
+DT_MAX_S = 5e-3  # s, largest step of the explicit gas-mass update
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(AfpaSimError, RuntimeError):
     """Non-finite state during time stepping."""
 
 
@@ -171,8 +173,8 @@ def step_simulate(
     is zero starts deflated (flat pouch, only dead volume); otherwise it
     starts at the quasi-static equilibrium for the initial commands.
     """
-    if dt <= 0 or dt > 5e-3:
-        raise ValueError(f"dt must be in (0, 0.005] s, got {dt}")
+    if not 0.0 < dt <= DT_MAX_S:
+        raise ValueError(f"dt must be in (0, {DT_MAX_S:g}] s, got {dt}")
     if not schedule:
         raise ValueError("schedule must not be empty")
     times = [s[0] for s in schedule]

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import AfpaSimError
+
 KPA_MM2_TO_N = 1e-3
 
 # End-cap rounding profile: with the correction on, the effective
@@ -30,7 +32,7 @@ ECAP_QUADRATIC_FRACTION = 0.1
 ECAP_DECAY_FRACTION = 0.15
 
 
-class PouchDomainError(ValueError):
+class PouchDomainError(AfpaSimError, ValueError):
     """Height or pressure outside the model's validity range."""
 
 

@@ -10,12 +10,13 @@ dynamics.  Probe stiffness is its closed-form implicit derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
 from scipy.optimize import brentq, least_squares
 
+from .errors import AfpaSimError
 from .pouch import (
     KPA_MM2_TO_N,
     PouchDomainError,
@@ -29,15 +30,15 @@ PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
 
 
-class RigDomainError(ValueError):
+class RigDomainError(AfpaSimError, ValueError):
     """Invalid pressures or probe heights."""
 
 
-class EquilibriumError(RuntimeError):
+class EquilibriumError(AfpaSimError, RuntimeError):
     """Root finder failed; should not happen for valid inputs."""
 
 
-class CalibrationError(ValueError):
+class CalibrationError(AfpaSimError, ValueError):
     """Anchor set cannot determine the rig parameters."""
 
 
@@ -272,21 +273,11 @@ _FIT_PARAMS = ("modulating.flat_width", "modulating.flat_length",
 
 def _rig_from_vector(x: Sequence[float], template: RigSpec) -> RigSpec:
     w1, l1, w2, l2, c = x
-    return RigSpec(
-        modulating=PouchStackSpec(
-            flat_width=w1, flat_length=l1,
-            pouch_count=template.modulating.pouch_count,
-            end_cap_correction=template.modulating.end_cap_correction,
-        ),
-        morphing=PouchStackSpec(
-            flat_width=w2, flat_length=l2,
-            pouch_count=template.morphing.pouch_count,
-            end_cap_correction=template.morphing.end_cap_correction,
-        ),
+    return replace(
+        template,
+        modulating=replace(template.modulating, flat_width=w1, flat_length=l1),
+        morphing=replace(template.morphing, flat_width=w2, flat_length=l2),
         belt_span=c,
-        belt_compliance=template.belt_compliance,
-        friction_force=template.friction_force,
-        deflated_floor=template.deflated_floor,
     )
 
 

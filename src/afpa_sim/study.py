@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+from .errors import AfpaSimError
 from .planner import StateDef, forward_map
 from .rig import RigSpec
 
@@ -26,11 +27,11 @@ from .rig import RigSpec
 TRANSITION_TIME_S = 2.0
 
 
-class StudyDomainError(ValueError):
+class StudyDomainError(AfpaSimError, ValueError):
     """Invalid protocol parameters or records."""
 
 
-class StatisticsError(ValueError):
+class StatisticsError(AfpaSimError, ValueError):
     """Degenerate input to a statistical routine."""
 
 
@@ -69,13 +70,15 @@ class TrialRecord:
     presented: int  # state id
     responded: int  # state id
     response_time: float  # s, includes the transition term
-    segment: int  # 1-based block of 10 trials
+    segment: int  # 1-based block of segment_size trials
+    segment_size: int = 10  # trials per segment, the study's reps
 
     def __post_init__(self) -> None:
         if self.response_time <= 0:
-            raise ValueError("response_time must be positive")
-        if self.segment != math.ceil(self.trial_index / 10):
-            raise ValueError("segment inconsistent with trial_index")
+            raise StudyDomainError("response_time must be positive")
+        if self.segment != math.ceil(self.trial_index / self.segment_size):
+            raise StudyDomainError(f"trial {self.trial_index}: segment {self.segment} "
+                                   f"inconsistent with segments of {self.segment_size}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,8 @@ def simulate_session(
         crowd = logs / np.maximum(noise * np.array([sh, sk]), 1e-12)
     conf = [_confusability(crowd, i) for i in range(len(states))]
 
+    # a schedule presents each state reps times, and a segment is reps trials
+    segment_size = max(1, len(schedule) // len(states))
     rng = np.random.default_rng(seed)
     records: list[TrialRecord] = []
     for t_idx, sid in enumerate(schedule, start=1):
@@ -210,7 +215,8 @@ def simulate_session(
                 presented=sid,
                 responded=answer,
                 response_time=latency,
-                segment=math.ceil(t_idx / 10),
+                segment=math.ceil(t_idx / segment_size),
+                segment_size=segment_size,
             )
         )
     return records

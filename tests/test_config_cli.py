@@ -1,18 +1,23 @@
 """Config validation and CLI determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afpa_sim.cli import main
 from afpa_sim.config import (
     ConfigError,
+    RunConfig,
     canonical_form,
     default_config_path,
     load_config,
     parse_config,
 )
+from afpa_sim.pneumatics import DT_MAX_S
+from afpa_sim.rig import PRESSURE_MAX_KPA
 
 
 @pytest.fixture()
@@ -92,6 +97,80 @@ def test_invalid_bounds_rejected(default_doc):
         parse_config(default_doc)
 
 
+def test_packaged_config_is_canonical(default_doc):
+    assert canonical_form(load_config(default_config_path())) == default_doc
+
+
+def test_planner_key_at_root_rejected(default_doc):
+    default_doc["probe_depth"] = default_doc["planner"].pop("probe_depth")
+    with pytest.raises(ConfigError, match=r"unknown keys in <root>: probe_depth"):
+        parse_config(default_doc)
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("planner", "bounds", [0.0, PRESSURE_MAX_KPA + 1.0, 0.0, 100.0], r"planner\.bounds"),
+    ("step", "dt", 2.0 * DT_MAX_S, r"step: dt"),
+])
+def test_physical_limit_rejected(default_doc, section, key, value, path):
+    default_doc[section][key] = value
+    with pytest.raises(ConfigError, match=path):
+        parse_config(default_doc)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+def _dotted(path) -> str:
+    """The field path as a ConfigError names it, e.g. planner.bounds[1]."""
+    out = ""
+    for p in path:
+        out += f"[{p}]" if isinstance(p, int) else (f".{p}" if out else p)
+    return out
+
+
+PACKAGED_LEAVES = list(_leaf_paths(json.loads(default_config_path().read_text())))
+ODD_VALUES = [math.nan, math.inf, -math.inf, "x", None, True, False, [1.0], {},
+              -1.0, 0, -1e308, 1e308, 10**400, -(10**400)]
+
+
+def assert_fails_closed(path, value) -> None:
+    """parse_config with one leaf replaced returns a RunConfig or raises ConfigError."""
+    doc = json.loads(default_config_path().read_text())
+    node = doc
+    for p in path[:-1]:
+        node = node[p]
+    node[path[-1]] = value
+    non_finite = isinstance(value, float) and not math.isfinite(value)
+    try:
+        config = parse_config(doc)
+    except ConfigError as exc:
+        assert not non_finite or _dotted(path) in str(exc)
+    else:
+        assert isinstance(config, RunConfig)
+        assert not non_finite
+
+
+def test_parse_config_fails_closed_on_odd_leaves():
+    for path in PACKAGED_LEAVES:
+        for value in ODD_VALUES:
+            assert_fails_closed(path, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(PACKAGED_LEAVES),
+       value=st.one_of(st.floats(), st.integers(), st.text(), st.booleans(), st.none(),
+                       st.lists(st.floats(), max_size=4)))
+def test_parse_config_fuzz_fails_closed(path, value):
+    assert_fails_closed(path, value)
+
 # --- CLI -------------------------------------------------------------------
 
 def run_cli(args, capsys) -> list[Path]:
@@ -166,3 +245,32 @@ def test_cli_zero_pressure_stiffness_forces_zero(tmp_path, capsys):
         _, _, f_load, f_unload = row.split(",")
         assert float(f_load) == 0.0
         assert float(f_unload) == 0.0
+
+
+def write_config(tmp_path, **sections) -> Path:
+    """The packaged config with the given sections' keys replaced."""
+    doc = json.loads(default_config_path().read_text())
+    for section, edits in sections.items():
+        doc[section].update(edits)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_user_error(args, capsys) -> None:
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["plan", "study-run"])
+def test_cli_unreachable_sizes_exit_2(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, study={"sizes": [20.0, 75.0, 140.0]})
+    assert_user_error([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+
+
+def test_cli_study_analyze_reps_mismatch_exit_2(tmp_path, capsys):
+    run_cli(["study-run", "--config", str(write_config(tmp_path, study={"sessions": 1})),
+             "--out", str(tmp_path)], capsys)
+    cfg = write_config(tmp_path, study={"sessions": 1, "reps": 7})  # 90 trials, 7 per segment
+    assert_user_error(["study-analyze", "--config", str(cfg), "--out", str(tmp_path)], capsys)

@@ -164,6 +164,15 @@ def test_segment_boundaries():
     assert records[10].segment == 2  # trial 11
 
 
+def test_logged_segment_is_analysis_block(setup):
+    rig, states = setup
+    config = load_config(default_config_path())
+    records = simulate_session(rig, states, schedule_trials(states, 5, seed=4),
+                               config.study.responder, seed=4)
+    logged = [[r for r in records if r.segment == s] for s in range(1, 10)]
+    assert segment_analysis(records, 5) == [segment_analysis(block, 5)[0] for block in logged]
+
+
 def test_segment_requires_divisible_count():
     pairs = [(1, 1)] * 85
     with pytest.raises(StudyDomainError):
