@@ -27,7 +27,7 @@ from typing import Any, get_args, get_type_hints
 
 from .errors import AfpaSimError
 from .planner import DEFAULT_PROBE_DEPTH_MM, PlannerDomainError, check_bounds
-from .pneumatics import DT_MAX_S, ValveSpec
+from .pneumatics import ValveSpec, check_step
 from .rig import RigSpec
 from .study import ResponderModel
 
@@ -63,8 +63,7 @@ class StepSettings:
     step_time: float  # s, command switch instant
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt <= DT_MAX_S:
-            raise ValueError(f"dt must be in (0, {DT_MAX_S:g}] s, got {self.dt}")
+        check_step(self.dt, self.t_end)
         if not 0.0 <= self.step_time < self.t_end:
             raise ValueError("step_time must lie within [0, t_end)")
 

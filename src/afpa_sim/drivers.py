@@ -27,6 +27,7 @@ from .rig import (
     stiffness,
 )
 from .study import (
+    StudyDomainError,
     TrialRecord,
     box_stats,
     schedule_trials,
@@ -207,18 +208,21 @@ def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
 def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            records.append(TrialRecord(
-                trial_index=doc["trial_index"],
-                presented=doc["presented"],
-                responded=doc["responded"],
-                response_time=doc["response_time_s"],
-                segment=doc["segment"],
-                segment_size=segment_size,
-            ))
+            try:
+                doc = json.loads(line)
+                records.append(TrialRecord(
+                    trial_index=doc["trial_index"],
+                    presented=doc["presented"],
+                    responded=doc["responded"],
+                    response_time=doc["response_time_s"],
+                    segment=doc["segment"],
+                    segment_size=segment_size,
+                ))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StudyDomainError(f"{path}:{number}: bad trial record: {exc!r}") from None
     return records
 
 

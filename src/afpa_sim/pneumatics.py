@@ -5,10 +5,12 @@ opening tracks the pressure error of a commanded setpoint (first-order
 lag on the command).  The gas is isothermal and the mechanics are
 quasi-static: every step the chamber heights and pressures are solved
 jointly from the current gas masses -- a slack pouch expands at zero
-gauge pressure until its enclosed volume holds the gas, and a taut belt
-couples the two heights through the rig's force balance
-(``rig.belt_balance``), belt compliance included, so a settled step
-lands on the static equilibrium.
+gauge pressure until its enclosed volume holds the gas, and reads a gauge
+of exactly 0 there; a taut belt couples the two heights through the rig's
+force balance (``rig.belt_balance``), belt compliance included, so a
+settled step lands on the static equilibrium.  The balance is solved by
+Newton steps on the side forces' analytic slopes (the gas law's and the
+stack's), warm-started from the previous step's h2.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AfpaSimError
-from .pouch import PouchStackSpec, free_height, volume, volume_gradient, KPA_MM2_TO_N
-from .rig import RigSpec, belt_balance, solve_equilibrium
+from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms, free_height
+from .rig import RigSpec, _root, belt_balance, solve_equilibrium
 
 R_AIR = 287.05  # J/(kg K)
 T_AMBIENT = 293.15  # K
@@ -32,6 +33,7 @@ RHO_REF = 1.185  # kg/m^3, ISO 6358 reference density
 DEAD_VOLUME_M3 = 8.0e-6  # tubing + fittings per chamber
 OPENING_BAND_KPA = 20.0  # pressure error that fully opens the valve
 DT_MAX_S = 5e-3  # s, largest step of the explicit gas-mass update
+STEPS_MAX = 1_000_000  # largest t_end / dt: 40 MB of result rows
 
 
 class IntegrationError(AfpaSimError, RuntimeError):
@@ -93,15 +95,15 @@ def valve_mass_flow(
 MIN_HEIGHT_MM = 1e-6
 
 
-def _gas_volume(spec: PouchStackSpec, height: float) -> float:
-    """Chamber gas volume in m^3 at the given height (mm)."""
-    height = max(MIN_HEIGHT_MM, min(height, free_height(spec)))
-    return volume(spec, height) * 1e-9 + DEAD_VOLUME_M3
+def _gas_volume(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
+    """Chamber gas volume (m^3) at a height (mm), with the stack's dV/dH (mm^2) and d2V/dH2 (mm)."""
+    v, area, curvature = _volume_terms(spec, max(MIN_HEIGHT_MM, min(height, free_height(spec))))
+    return v * 1e-9 + DEAD_VOLUME_M3, area, curvature
 
 
-def _abs_pressure(spec: PouchStackSpec, mass: float, height: float) -> float:
-    """Isothermal absolute pressure (kPa) of the chamber gas."""
-    return mass * R_AIR * T_AMBIENT / _gas_volume(spec, height) * 1e-3
+def _abs_pressure(mass: float, gas: float) -> float:
+    """Isothermal absolute pressure (kPa) of a gas mass (kg) in a volume (m^3)."""
+    return mass * R_AIR * T_AMBIENT / gas * 1e-3
 
 
 def _free_expansion_height(spec: PouchStackSpec, mass: float) -> float:
@@ -111,42 +113,66 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float) -> float:
     pressure until its volume holds the gas, capped at the free height.
     """
     hf = free_height(spec)
-    if _abs_pressure(spec, mass, hf) >= P_ATM_KPA:
-        return hf
     target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)  # m^3
-    if target <= _gas_volume(spec, MIN_HEIGHT_MM):
+
+    def excess(h: float) -> tuple[float, float]:
+        gas, area, _ = _gas_volume(spec, h)
+        return gas - target, area * 1e-9
+
+    if (at_free := excess(hf))[0] <= 0.0:
+        return hf
+    if (at_floor := excess(MIN_HEIGHT_MM))[0] >= 0.0:
         return MIN_HEIGHT_MM
-    return brentq(
-        lambda h: _gas_volume(spec, h) - target, MIN_HEIGHT_MM, hf, xtol=1e-7
-    )
+    return _root(excess, MIN_HEIGHT_MM, at_floor, hf, at_free)
 
 
-def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> float:
-    """Contact force of one side at fixed gas mass (gauge pressure from gas law)."""
-    hf = free_height(spec)
-    if height >= hf:
-        return 0.0
-    gauge = _abs_pressure(spec, mass, height) - P_ATM_KPA
-    if gauge <= 0.0:
-        return 0.0
-    return gauge * volume_gradient(spec, max(MIN_HEIGHT_MM, height)) * KPA_MM2_TO_N
+def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> tuple[float, float]:
+    """Contact force (N) of one side at fixed gas mass, and its slope (N/mm).
 
-
-def _solve_heights(rig: RigSpec, m1: float, m2: float) -> tuple[float, float]:
-    """Quasi-static heights (h1, h2) for the given gas masses.
-
-    Each side's force vanishes at its free-expansion height; a chamber never
-    drops below its residue height, so neither can take the whole span.
+    Isothermal gas: the pressure changes by dp/dH = -p * dV/dH / V_gas.
     """
+    if height >= free_height(spec):
+        return 0.0, 0.0
+    gas, area, curvature = _gas_volume(spec, height)
+    p_abs = _abs_pressure(mass, gas)
+    gauge = p_abs - P_ATM_KPA
+    if gauge <= 0.0:
+        return 0.0, 0.0
+    return (gauge * area * KPA_MM2_TO_N,
+            (gauge * curvature - p_abs * area * area * 1e-9 / gas) * KPA_MM2_TO_N)
+
+
+def _solve_heights(rig: RigSpec, m1: float, m2: float,
+                   guess: float | None = None) -> tuple[float, float, list[float]]:
+    """Quasi-static heights (h1, h2) in mm and gauges (kPa) for the gas masses.
+
+    Each side's force vanishes at its free-expansion height, where its gas
+    is at ambient pressure and its gauge reads exactly 0; a chamber never
+    drops below its residue height, so neither can take the whole span.
+    ``guess`` is an h2 to start from, such as the previous step's.
+    """
+    specs, masses = (rig.modulating, rig.morphing), (m1, m2)
+    free = [_free_expansion_height(spec, m) for spec, m in zip(specs, masses)]
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _ = belt_balance(
         partial(_side_force_from_mass, rig.modulating, m1),
         partial(_side_force_from_mass, rig.morphing, m2),
-        min(_free_expansion_height(rig.modulating, m1), cap),
-        min(_free_expansion_height(rig.morphing, m2), cap),
-        rig.belt_span, rig.belt_compliance,
+        min(free[0], cap), min(free[1], cap),
+        rig.belt_span, rig.belt_compliance, guess=guess,
     )
-    return h1, h2
+    return h1, h2, [
+        0.0 if h == x < free_height(spec) else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+        for spec, m, h, x in zip(specs, masses, (h1, h2), free)
+    ]
+
+
+def check_step(dt: float, t_end: float) -> int:
+    """Number of time steps of a run to t_end; ValueError if dt or that number is out of range."""
+    if not 0.0 < dt <= DT_MAX_S:
+        raise ValueError(f"dt must be in (0, {DT_MAX_S:g}] s, got {dt}")
+    if not 0.0 <= t_end <= STEPS_MAX * dt:
+        raise ValueError(f"t_end must be in [0, {STEPS_MAX} * dt] s, got {t_end}")
+    return int(round(t_end / dt))
 
 
 def _command_at(schedule: Sequence[tuple[float, float, float]], t: float) -> tuple[float, float]:
@@ -173,8 +199,7 @@ def step_simulate(
     is zero starts deflated (flat pouch, only dead volume); otherwise it
     starts at the quasi-static equilibrium for the initial commands.
     """
-    if not 0.0 < dt <= DT_MAX_S:
-        raise ValueError(f"dt must be in (0, {DT_MAX_S:g}] s, got {dt}")
+    n_steps = check_step(dt, t_end)
     if not schedule:
         raise ValueError("schedule must not be empty")
     times = [s[0] for s in schedule]
@@ -190,18 +215,10 @@ def step_simulate(
     for j, cmd in enumerate((p1c0, p2c0)):
         if cmd <= 0.0:
             heights[j] = MIN_HEIGHT_MM  # deflated residue
-            masses[j] = P_ATM_KPA * 1e3 * _gas_volume(specs[j], heights[j]) / (R_AIR * T_AMBIENT)
-        else:
-            masses[j] = (cmd + P_ATM_KPA) * 1e3 * _gas_volume(specs[j], heights[j]) / (
-                R_AIR * T_AMBIENT
-            )
-    h1, h2 = _solve_heights(rig, masses[0], masses[1])
-    pressures = [
-        _abs_pressure(specs[0], masses[0], h1) - P_ATM_KPA,
-        _abs_pressure(specs[1], masses[1], h2) - P_ATM_KPA,
-    ]
+        gas = _gas_volume(specs[j], heights[j])[0]
+        masses[j] = (cmd + P_ATM_KPA) * 1e3 * gas / (R_AIR * T_AMBIENT)
+    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1])
 
-    n_steps = int(round(t_end / dt))
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
 
@@ -221,11 +238,7 @@ def step_simulate(
             else:
                 mdot = 0.0
             masses[j] += mdot * dt
-        h1, h2 = _solve_heights(rig, masses[0], masses[1])
-        pressures = [
-            _abs_pressure(specs[0], masses[0], h1) - P_ATM_KPA,
-            _abs_pressure(specs[1], masses[1], h2) - P_ATM_KPA,
-        ]
+        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], guess=h2)
         if not all(math.isfinite(v) for v in (*pressures, *masses, h1, h2)):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))

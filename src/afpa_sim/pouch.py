@@ -30,6 +30,7 @@ KPA_MM2_TO_N = 1e-3
 # curves and are part of the model definition, not per-rig calibration.
 ECAP_QUADRATIC_FRACTION = 0.1
 ECAP_DECAY_FRACTION = 0.15
+_ECAP_FREE_DECAY = math.exp(-1.0 / ECAP_DECAY_FRACTION)  # exp(-X / lam) at every X
 
 
 class PouchDomainError(AfpaSimError, ValueError):
@@ -69,80 +70,51 @@ def free_height(spec: PouchStackSpec) -> float:
     return 2.0 * spec.pouch_count * spec.flat_width / math.pi
 
 
-def _check_height(spec: PouchStackSpec, height: float) -> float:
-    hf = free_height(spec)
-    if not math.isfinite(height) or height <= 0.0 or height > hf * (1.0 + 1e-12):
-        raise PouchDomainError(
-            f"height {height} mm outside (0, {hf:.6g}] mm for this spec"
-        )
-    return min(height, hf)
-
-
-def _area_slope_flat(spec: PouchStackSpec, height: float) -> float:
-    """dV/dH without the end-cap correction: L * contact_width."""
-    n = spec.pouch_count
-    cw = spec.flat_width - math.pi * height / (2.0 * n)
-    return spec.flat_length * max(0.0, cw)
-
-
-def _ecap_params(spec: PouchStackSpec) -> tuple[float, float, float]:
-    """(slope scale S, free height X, decay length lam) for the correction."""
+def _volume_terms(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
+    """(V mm^3, dV/dH mm^2, d2V/dH2 mm) at the given height, closed form in both modes."""
     x_free = free_height(spec)
-    slope = math.pi * spec.flat_length / (2.0 * spec.pouch_count)  # = L*cw per mm of compression
+    if not math.isfinite(height) or height <= 0.0 or height > x_free * (1.0 + 1e-12):
+        raise PouchDomainError(
+            f"height {height} mm outside (0, {x_free:.6g}] mm for this spec"
+        )
+    height = min(height, x_free)
+    n, length = spec.pouch_count, spec.flat_length
+    slope = math.pi * length / (2.0 * n)  # = L*cw per mm of compression
+    if not spec.end_cap_correction:
+        # L * contact_width falls at a constant rate until the contact vanishes
+        return (length * (spec.flat_width * height - math.pi * height * height / (4.0 * n)),
+                length * max(0.0, spec.flat_width - math.pi * height / (2.0 * n)),
+                -slope if height < x_free else 0.0)
+    q = ECAP_QUADRATIC_FRACTION
     lam = ECAP_DECAY_FRACTION * x_free
-    return slope, x_free, lam
-
-
-def _area_slope_ecap(spec: PouchStackSpec, height: float) -> float:
-    """dV/dH with the end-cap correction on."""
-    slope, x_free, lam = _ecap_params(spec)
-    x = x_free - height  # compression from the free height
-    return slope * (
-        ECAP_QUADRATIC_FRACTION * x * x / (2.0 * x_free)
-        + lam * (math.exp((x - x_free) / lam) - math.exp(-x_free / lam))
-    )
+    x0 = x_free - height  # compression from the free height
+    decay = math.exp(-height / lam)
+    # V integrates the effective area V' from x0 to x_free; V'' is its slope
+    return (slope * (q * (x_free ** 3 - x0 ** 3) / (6.0 * x_free)
+                     + lam * lam * (1.0 - decay) - lam * _ECAP_FREE_DECAY * height),
+            slope * (q * x0 * x0 / (2.0 * x_free) + lam * (decay - _ECAP_FREE_DECAY)),
+            -slope * (q * x0 / x_free + decay))
 
 
 def volume(spec: PouchStackSpec, height: float) -> float:
     """Enclosed volume of the stack, mm^3 (closed form)."""
-    height = _check_height(spec, height)
-    n = spec.pouch_count
-    w, length = spec.flat_width, spec.flat_length
-    if not spec.end_cap_correction:
-        return length * (w * height - math.pi * height * height / (4.0 * n))
-    slope, x_free, lam = _ecap_params(spec)
-    x0 = x_free - height
-    # integral of the effective area from x0 to x_free
-    return slope * (
-        ECAP_QUADRATIC_FRACTION * (x_free ** 3 - x0 ** 3) / (6.0 * x_free)
-        + lam * lam * (1.0 - math.exp(-height / lam))
-        - lam * math.exp(-x_free / lam) * height
-    )
+    return _volume_terms(spec, height)[0]
 
 
 def volume_gradient(spec: PouchStackSpec, height: float) -> float:
     """dV/dH at the given height, mm^2 (analytic in both modes)."""
-    height = _check_height(spec, height)
-    if not spec.end_cap_correction:
-        return _area_slope_flat(spec, height)
-    return _area_slope_ecap(spec, height)
+    return _volume_terms(spec, height)[1]
 
 
 def volume_curvature(spec: PouchStackSpec, height: float) -> float:
     """d2V/dH2 at the given height, mm (analytic in both modes, never positive)."""
-    height = _check_height(spec, height)
-    slope, x_free, lam = _ecap_params(spec)
-    if not spec.end_cap_correction:
-        # L * contact_width falls at a constant rate until the contact vanishes
-        return -slope if height < x_free else 0.0
-    return -slope * (ECAP_QUADRATIC_FRACTION * (x_free - height) / x_free
-                     + math.exp(-height / lam))
+    return _volume_terms(spec, height)[2]
 
 
 def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:
     """Inflation geometry at the given stack height."""
-    height = _check_height(spec, height)
-    t = height / spec.pouch_count
+    v = volume(spec, height)
+    t = min(height, free_height(spec)) / spec.pouch_count
     cw = max(0.0, spec.flat_width - math.pi * t / 2.0)
     if spec.end_cap_correction:
         cl = max(0.0, spec.flat_length - math.pi * t / 2.0)
@@ -152,7 +124,7 @@ def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:
         thickness=t,
         contact_width=cw,
         contact_length=cl,
-        volume=volume(spec, height),
+        volume=v,
     )
 
 

@@ -4,7 +4,10 @@ The belt constrains h1 + h2 <= belt_span + belt_compliance * tension and
 can only pull.  One force balance, ``belt_balance``, with belt stretch on
 every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
-dynamics.  Probe stiffness is its closed-form implicit derivative.
+dynamics.  Its roots, and the valve model's free-expansion height, come
+from one bracketed, safeguarded Newton solver, ``_root``, on closed-form
+slopes.  Probe stiffness is the closed-form implicit derivative of the
+balance, from the same side-force slopes.
 """
 
 from __future__ import annotations
@@ -14,20 +17,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from .errors import AfpaSimError
-from .pouch import (
-    KPA_MM2_TO_N,
-    PouchDomainError,
-    PouchStackSpec,
-    contact_force,
-    free_height,
-    volume_curvature,
-)
+from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms, free_height
 
 PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
+ROOT_MAX_ITER = 100
 
 
 class RigDomainError(AfpaSimError, ValueError):
@@ -78,61 +75,102 @@ def _check_pressure(p: float, name: str) -> float:
     return float(p)
 
 
-def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> float:
-    """Contact force of one side, 0 outside the compressed range."""
-    hf = free_height(spec)
-    if height >= hf:
-        return 0.0
-    if height <= 0.0:
-        height = 1e-9
-    return contact_force(spec, pressure, height)
+def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> tuple[float, float]:
+    """Contact force (N) of one side and its slope (N/mm), 0 outside the compressed range."""
+    if height >= free_height(spec):
+        return 0.0, 0.0
+    _, area, curvature = _volume_terms(spec, max(height, 1e-9))
+    return pressure * area * KPA_MM2_TO_N, pressure * curvature * KPA_MM2_TO_N
 
 
-def _root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    try:
-        return brentq(f, lo, hi, xtol=ROOT_XTOL_MM)
-    except (ValueError, RuntimeError) as exc:  # pragma: no cover - guarded by the brackets
-        raise EquilibriumError(f"equilibrium root finding failed: {exc}") from exc
+def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, float],
+          b: float, fb: tuple[float, float]) -> float:
+    """Root of f, which returns (value, slope), between a and b, given fa = f(a), fb = f(b).
+
+    Safeguarded Newton from the end with the smaller value, stopping at a step
+    within ROOT_XTOL_MM: a step that leaves the shrinking bracket, or is not half
+    the one before, takes the Illinois false-position point, or bisection when
+    that is not inside, until the bracket is within ROOT_XTOL_MM.
+    """
+    if fa[0] > 0.0:
+        a, fa, b, fb = b, fb, a, fa  # f(a) < 0 < f(b) from here on
+    (ya, ka), (yb, kb) = fa, fb
+    x, y, k = (a, ya, ka) if -ya <= yb else (b, yb, kb)
+    last_step, side = abs(b - a), 0  # side: the end replaced last, -1 for a, +1 for b
+    for _ in range(ROOT_MAX_ITER):
+        x_new = x - y / k if k else math.inf
+        inside = (x_new - a) * (x_new - b)
+        if inside <= 0.0 and abs(x_new - x) <= ROOT_XTOL_MM:
+            return x_new
+        newton = inside < 0.0 and abs(x_new - x) < 0.5 * last_step
+        if not newton:
+            x_new = (a * yb - b * ya) / (yb - ya)
+            if not (x_new - a) * (x_new - b) < 0.0:
+                x_new = 0.5 * (a + b)
+            if abs(b - a) <= ROOT_XTOL_MM:
+                return x_new
+        last_step, x = abs(x_new - x), x_new
+        y, k = f(x)
+        if y == 0.0:
+            return x
+        if y < 0.0:
+            yb *= 0.5 if side < 0 and not newton else 1.0  # Illinois: b kept twice
+            a, ya, side = x, y, -1
+        else:
+            ya *= 0.5 if side > 0 and not newton else 1.0
+            b, yb, side = x, y, 1
+    raise EquilibriumError(f"root finding did not converge in {ROOT_MAX_ITER} steps")
 
 
-def belt_balance(f1: Callable[[float], float], f2: Callable[[float], float], x1: float,
-                 x2: float, span: float, compliance: float,
-                 offset: float = 0.0) -> tuple[float, float, float]:
+def belt_balance(f1: Callable[[float], tuple[float, float]],
+                 f2: Callable[[float], tuple[float, float]], x1: float, x2: float,
+                 span: float, compliance: float, offset: float = 0.0,
+                 guess: float | None = None) -> tuple[float, float, float]:
     """Heights (h1, h2) in mm and belt tension in N of two sides tied by the belt.
 
-    f1 and f2 give each side's contact force at its height; x1 and x2 are
-    the heights the sides cannot pass (zero force, or a stop such as a
-    probe holding side 2 down).  ``offset`` is a Coulomb force on side 2,
-    positive while h2 falls.  With the tension taken as f2(h2), the residual
-    f1(span + compliance * tension - h2) - tension - offset rises with h2,
-    so a bracketed root is unique.  Without a sign change side 2 is pinned
-    at the end of its range and side 1 alone stretches the belt.
+    f1 and f2 give each side's contact force and its slope at its height;
+    x1 and x2 are the heights the sides cannot pass (zero force, or a stop
+    such as a probe holding side 2 down).  ``offset`` is a Coulomb force on
+    side 2, positive while h2 falls.  With the tension taken as f2(h2), the
+    residual f1(span + compliance * tension - h2) - tension - offset rises
+    with h2, so a bracketed root is unique; its slope is analytic.  Without
+    a sign change side 2 is pinned at the end of its range and side 1 alone
+    stretches the belt.  ``guess``, an h2 such as the previous time step's,
+    replaces one end of the bracket when it lies inside.
     """
     if x1 + x2 < span:
         return x1, x2, 0.0
 
-    def residual(h2: float) -> float:
-        tension = f2(h2)
-        return f1(span + compliance * tension - h2) - tension - offset
+    def residual(h2: float) -> tuple[float, float]:
+        tension, k2 = f2(h2)
+        force, k1 = f1(span + compliance * tension - h2)
+        return force - tension - offset, k1 * (compliance * k2 - 1.0) - k2
 
-    lo = max(1e-9, span - x1)
-    hi = min(x2, span)
-    if residual(hi) <= 0.0:
+    lo, hi = max(1e-9, span - x1), min(x2, span)
+    r_lo = r_hi = None
+    if guess is not None and lo < guess < hi:
+        r = residual(guess)
+        if r[0] <= 0.0:  # a zero residual tests hi first, as a cold start does
+            lo, r_lo = guess, r
+        else:
+            hi, r_hi = guess, r
+    if r_hi is None and (r_hi := residual(hi))[0] <= 0.0:
         h2 = hi  # side 2 rides its stop or the belt
-    elif residual(lo) >= 0.0:
+    elif r_lo is None and (r_lo := residual(lo))[0] >= 0.0:
         h2 = lo  # side 1 squashes side 2 to the bracket floor
     else:
-        h2 = _root(residual, lo, hi)
-        tension = f2(h2)
+        h2 = _root(residual, lo, r_lo, hi, r_hi)
+        tension = f2(h2)[0]
         return span + compliance * tension - h2, h2, tension
     h1 = span - h2
-    tension = f1(h1)
+    tension, k1 = f1(h1)
     if compliance > 0.0 and tension > 0.0:
-        def stretch(t: float) -> float:
-            return f1(h1 + compliance * t) - t
+        def stretch(t: float) -> tuple[float, float]:
+            force, k = f1(h1 + compliance * t)
+            return force - t, compliance * k - 1.0
 
-        if stretch(tension) < 0.0:  # else the stretch is below rounding
-            tension = _root(stretch, 0.0, tension)
+        if (s_hi := stretch(tension))[0] < 0.0:  # else the stretch is below rounding
+            tension = _root(stretch, 0.0, (tension, compliance * k1 - 1.0), tension, s_hi)
         h1 += compliance * tension
     return min(x1, h1), h2, tension
 
@@ -173,7 +211,7 @@ def probe_force(
     if h2_forced <= 0.0:
         raise RigDomainError("h2_forced must be positive")
     h1, _, tension = _balance(rig, p1, p2, h2_stop=h2_forced)
-    force = max(0.0, _side_force(rig.morphing, p2, h2_forced) - tension)
+    force = max(0.0, _side_force(rig.morphing, p2, h2_forced)[0] - tension)
     return force, tension, h1
 
 
@@ -211,16 +249,13 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
     implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
     d = -f1'(h1) while the belt is taut and 0 once the modulating side is
-    slack; each f' is the pressure times the volume curvature.
+    slack, both slopes from the side forces.
     """
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
     h1, _, _ = _balance(rig, p1, p2, h2_stop=h2)
-    d = 0.0
-    if h1 < free_height(rig.modulating):
-        d = -p1 * volume_curvature(rig.modulating, h1) * KPA_MM2_TO_N
-    k2 = -p2 * volume_curvature(rig.morphing, h2) * KPA_MM2_TO_N
-    return k2 + d / (1.0 + rig.belt_compliance * d)
+    d = -_side_force(rig.modulating, p1, h1)[1]
+    return -_side_force(rig.morphing, p2, h2)[1] + d / (1.0 + rig.belt_compliance * d)
 
 
 def size_pressure_sweep(

@@ -110,6 +110,7 @@ def test_planner_key_at_root_rejected(default_doc):
 @pytest.mark.parametrize("section, key, value, path", [
     ("planner", "bounds", [0.0, PRESSURE_MAX_KPA + 1.0, 0.0, 100.0], r"planner\.bounds"),
     ("step", "dt", 2.0 * DT_MAX_S, r"step: dt"),
+    ("step", "t_end", 1e18, r"step: t_end"),
 ])
 def test_physical_limit_rejected(default_doc, section, key, value, path):
     default_doc[section][key] = value
@@ -257,10 +258,11 @@ def write_config(tmp_path, **sections) -> Path:
     return path
 
 
-def assert_user_error(args, capsys) -> None:
+def assert_user_error(args, capsys) -> str:
     assert main(args) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 @pytest.mark.parametrize("command", ["plan", "study-run"])
@@ -274,3 +276,10 @@ def test_cli_study_analyze_reps_mismatch_exit_2(tmp_path, capsys):
              "--out", str(tmp_path)], capsys)
     cfg = write_config(tmp_path, study={"sessions": 1, "reps": 7})  # 90 trials, 7 per segment
     assert_user_error(["study-analyze", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("line", ['{"trial_index": 1}', "not json"])
+def test_cli_study_analyze_malformed_log_exit_2(line, tmp_path, capsys):
+    (tmp_path / "trials_s00.jsonl").write_text(line + "\n", encoding="utf-8")
+    assert "trials_s00.jsonl:1" in assert_user_error(["study-analyze", "--out", str(tmp_path)],
+                                                     capsys)

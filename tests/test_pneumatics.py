@@ -5,18 +5,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from afpa_sim import pneumatics
 from afpa_sim.pneumatics import (
     P_ATM_KPA,
+    R_AIR,
     RHO_REF,
+    T_AMBIENT,
     ValveSpec,
+    _free_expansion_height,
+    _gas_volume,
+    _side_force_from_mass,
+    _solve_heights,
     resample_16hz,
     rise_time_90,
     step_simulate,
     valve_mass_flow,
 )
-from afpa_sim.pouch import PouchStackSpec
+from afpa_sim.pouch import PouchStackSpec, free_height
 from afpa_sim.rig import RigSpec, solve_equilibrium
 
 
@@ -152,6 +159,84 @@ def test_schedule_validation():
         step_simulate(rig, make_valves(), [(1.0, 0, 0), (0.5, 0, 0)], 1e-3, 2.0)
     with pytest.raises(ValueError):
         step_simulate(rig, make_valves(), [(0.0, 0, 0)], 0.1, 1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        step_simulate(rig, make_valves(), [(0.0, 0, 0)], 1e-3, 1e18)
+
+
+def test_slack_chamber_reads_zero_gauge():
+    # a chamber below its free height on a slack belt has expanded at ambient
+    # pressure until its volume holds the gas: its gauge is 0, not rounding
+    rig = make_rig()
+    series = step_simulate(rig, make_valves(), [(0.0, 0.0, 0.0), (0.5, 3.0, 11.0)], 1e-3, 4.0)
+    slack = series[series[:, 3] + series[:, 4] < rig.belt_span - 1e-6]
+    assert len(slack) > 100
+    for spec, p, h in ((rig.modulating, slack[:, 1], slack[:, 3]),
+                       (rig.morphing, slack[:, 2], slack[:, 4])):
+        assert np.all(p[h < free_height(spec)] == 0.0)
+
+
+def mass_at(spec: PouchStackSpec, gauge: float, height: float) -> float:
+    """Gas mass (kg) of a chamber holding the given gauge (kPa) at a height (mm)."""
+    return (gauge + P_ATM_KPA) * 1e3 * _gas_volume(spec, height)[0] / (R_AIR * T_AMBIENT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.floats(10.0, 80.0),
+    length=st.floats(20.0, 400.0),
+    n=st.integers(1, 5),
+    end_caps=st.booleans(),
+    gauge=st.floats(0.0, 150.0),
+    fill=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_mass_side_force_slope_matches_central_difference(w, length, n, end_caps, gauge,
+                                                          fill, frac):
+    spec = PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,
+                          end_cap_correction=end_caps)
+    hf = free_height(spec)
+    mass = mass_at(spec, gauge, 0.5 + fill * (hf - 1.0))
+    h = 0.5 + frac * (hf - 1.0)
+    # 0.5 mm from the free height, the floor and the free-expansion kink
+    assume(abs(h - _free_expansion_height(spec, mass)) >= 0.5)
+    e = 1e-3
+    slope = (_side_force_from_mass(spec, mass, h + e)[0]
+             - _side_force_from_mass(spec, mass, h - e)[0]) / (2 * e)
+    assert _side_force_from_mass(spec, mass, h)[1] == pytest.approx(slope, rel=1e-4, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    compliance=st.floats(0.0, 0.5),
+    gauges=st.tuples(st.floats(-1.0, 120.0), st.floats(-1.0, 120.0)),
+    fills=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    guess=st.floats(0.0, 100.0),
+)
+def test_warm_started_heights_match_cold_solve(compliance, gauges, fills, guess):
+    rig = dataclasses.replace(make_rig(), belt_compliance=compliance)
+    m1, m2 = (mass_at(spec, g, f * free_height(spec))
+              for spec, g, f in zip((rig.modulating, rig.morphing), gauges, fills))
+    warm = _solve_heights(rig, m1, m2, guess=guess)[:2]
+    assert warm == pytest.approx(_solve_heights(rig, m1, m2)[:2], abs=1e-6)
+
+
+def test_side_force_evaluations_per_step(monkeypatch):
+    # a fixed 3-command schedule; the derivative-free brentq balance needs
+    # 27.46 side-force evaluations per valve step here
+    calls = 0
+    side_force = pneumatics._side_force_from_mass
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(pneumatics, "_side_force_from_mass", counted)
+    sched = [(0.0, 10.0, 10.0), (1.0, 40.0, 60.0), (2.0, 80.0, 20.0)]
+    series = step_simulate(make_rig(), make_valves(), sched, 1e-3, 3.0)
+    per_step = calls / (len(series) - 1)
+    assert per_step <= 1.1 * 7.12
+    assert per_step < 27.46
 
 
 def test_deflated_start_reports_floor_height():

@@ -1,8 +1,11 @@
 """Coupled-rig equilibrium against a brute-force grid-scan oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from afpa_sim.pouch import PouchStackSpec, contact_force, free_height
 from afpa_sim.rig import (
@@ -10,6 +13,8 @@ from afpa_sim.rig import (
     CalibrationError,
     RigDomainError,
     RigSpec,
+    _side_force,
+    belt_balance,
     calibrate_rig,
     force_displacement_curve,
     probe_force,
@@ -151,6 +156,81 @@ def test_stiffness_matches_probe_force_slope(w1, w2, c, compliance, end_caps, p1
     f_lo, _, _ = probe_force(rig, p1, p2, h - e)
     f_hi, _, _ = probe_force(rig, p1, p2, h + e)
     assert stiffness(rig, p1, p2, h) == pytest.approx((f_lo - f_hi) / (2 * e), rel=1e-4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.floats(10.0, 80.0),
+    length=st.floats(20.0, 400.0),
+    n=st.integers(1, 5),
+    end_caps=st.booleans(),
+    p=st.floats(0.0, 150.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_side_force_slope_matches_central_difference(w, length, n, end_caps, p, frac):
+    spec = PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,
+                          end_cap_correction=end_caps)
+    h = 0.5 + frac * (free_height(spec) - 1.0)  # 0.5 mm from both ends of the range
+    e = 1e-3
+    slope = (_side_force(spec, p, h + e)[0] - _side_force(spec, p, h - e)[0]) / (2 * e)
+    assert _side_force(spec, p, h)[1] == pytest.approx(slope, rel=1e-4, abs=1e-12)
+
+
+def brentq_balance(rig: RigSpec, p1: float, p2: float, h2_stop: float, offset: float):
+    """(h1, h2) of the belt balance by scipy's derivative-free brentq."""
+    def f1(h):
+        return _side_force(rig.modulating, p1, h)[0]
+
+    def f2(h):
+        return _side_force(rig.morphing, p2, h)[0]
+
+    x1 = free_height(rig.modulating)
+    x2 = min(free_height(rig.morphing), h2_stop)
+    span, c = rig.belt_span, rig.belt_compliance
+    if x1 + x2 < span:
+        return x1, x2
+
+    def residual(h2):
+        return f1(span + c * f2(h2) - h2) - f2(h2) - offset
+
+    lo, hi = max(1e-9, span - x1), min(x2, span)
+    if residual(hi) <= 0.0 or residual(lo) >= 0.0:
+        h2 = hi if residual(hi) <= 0.0 else lo
+        h1 = span - h2
+        t = f1(h1)
+        if c > 0.0 and t > 0.0 and f1(h1 + c * t) - t < 0.0:
+            t = brentq(lambda t: f1(h1 + c * t) - t, 0.0, t, xtol=1e-12)
+        return min(x1, h1 + c * t), h2
+    h2 = brentq(residual, lo, hi, xtol=1e-12)
+    return span + c * f2(h2) - h2, h2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.0, 150.0),
+    offset=st.floats(-5.0, 5.0),
+    stop=st.floats(1.0, 120.0),
+    guess=st.none() | st.floats(0.0, 120.0),
+)
+@example(w1=40.0, w2=55.0, c=90.0, compliance=0.0, end_caps=True, p1=0.0, p2=0.0, offset=0.0,
+         stop=120.0, guess=30.0)  # no force anywhere: the warm start rides the belt too
+def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, offset, stop,
+                                     guess):
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    h1, h2, _ = belt_balance(
+        partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
+        free_height(rig.modulating), min(free_height(rig.morphing), stop), c, compliance,
+        offset, guess=guess,
+    )
+    want_h1, want_h2 = brentq_balance(rig, p1, p2, stop, offset)
+    assert h1 == pytest.approx(want_h1, abs=1e-6)
+    assert h2 == pytest.approx(want_h2, abs=1e-6)
 
 
 def test_stiffness_scales_with_pressure_level():
