@@ -31,7 +31,6 @@ from .rig import (
     stiffness,
 )
 from .pneumatics import (
-    ChamberState,
     IntegrationError,
     ValveSpec,
     resample_16hz,

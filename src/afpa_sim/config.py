@@ -28,8 +28,8 @@ from typing import Any, get_args, get_type_hints
 from .errors import AfpaSimError
 from .planner import DEFAULT_PROBE_DEPTH_MM, PlannerDomainError, check_bounds
 from .pneumatics import ValveSpec, check_step
-from .rig import RigSpec
-from .study import ResponderModel
+from .rig import PROBE_SAMPLES_MAX, SWEEP_POINTS_MAX, RigSpec
+from .study import TRIALS_MAX, ResponderModel
 
 
 class ConfigError(AfpaSimError, ValueError):
@@ -54,6 +54,11 @@ class SweepSettings:
             raise ValueError("p1_step and p1_max must be positive")
         if self.compression_depth <= 0 or self.probe_rate <= 0 or self.sample_rate <= 0:
             raise ValueError("probe settings must be positive")
+        if self.p1_max / self.p1_step > SWEEP_POINTS_MAX:
+            raise ValueError(f"p1_max / p1_step must be at most {SWEEP_POINTS_MAX} points")
+        if self.compression_depth * self.sample_rate / self.probe_rate > PROBE_SAMPLES_MAX:
+            raise ValueError("compression_depth * sample_rate / probe_rate must be at most "
+                             f"{PROBE_SAMPLES_MAX} samples")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -79,6 +84,8 @@ class StudySettings:
     def __post_init__(self) -> None:
         if self.reps < 1 or self.sessions < 1:
             raise ValueError("reps and sessions must be >= 1")
+        if 9 * self.reps * self.sessions > TRIALS_MAX:
+            raise ValueError(f"9 * reps * sessions must be at most {TRIALS_MAX} trials")
 
 
 # RunConfig fields that the document keeps in its ``planner`` object

@@ -35,11 +35,12 @@ from .study import (
     study_stats,
 )
 
-# canonical step protocols: (label, initial (p1, p2), stepped (p1, p2))
+# canonical step protocols, in the order they run: (label, initial (p1, p2), stepped (p1, p2))
 STEP_PROTOCOLS = {
-    "P2": ("fig2d", (0.0, 0.0), (0.0, 90.0)),
     "P1": ("fig2e", (10.0, 10.0), (90.0, 10.0)),
+    "P2": ("fig2d", (0.0, 0.0), (0.0, 90.0)),
 }
+FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
 def _fmt(x: float) -> str:
@@ -114,15 +115,11 @@ def run_characterize_stiffness(config: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def run_step(config: RunConfig, out: Path, which: str = "both") -> list[Path]:
+def run_step(config: RunConfig, out: Path) -> list[Path]:
     """Commanded pressure step responses, full rate and 16 Hz resampled."""
-    if which not in ("P1", "P2", "both"):
-        raise ValueError(f"which must be 'P1', 'P2' or 'both', got {which!r}")
-    labels = ("P1", "P2") if which == "both" else (which,)
     header = ("t_s", "p1_kPa", "p2_kPa", "h1_mm", "h2_mm")
     paths = []
-    for label in labels:
-        stem, (p1a, p2a), (p1b, p2b) = STEP_PROTOCOLS[label]
+    for stem, (p1a, p2a), (p1b, p2b) in STEP_PROTOCOLS.values():
         schedule = [(0.0, p1a, p2a), (config.step.step_time, p1b, p2b)]
         series = step_simulate(
             config.rig, config.valves, schedule, config.step.dt, config.step.t_end
@@ -145,7 +142,10 @@ def plan_states(config: RunConfig) -> list[StateDef]:
 
 def run_plan(config: RunConfig, out: Path) -> list[Path]:
     """Plan the study states; emit the state table and its summary CSV."""
-    states = plan_states(config)
+    return _write_plan(plan_states(config), out)
+
+
+def _write_plan(states: Sequence[StateDef], out: Path) -> list[Path]:
     rows = [
         (s.id, s.size_class, s.stiffness_class, s.p1, s.p2, s.height, s.stiffness)
         for s in states
@@ -161,11 +161,11 @@ def run_plan(config: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def run_feasibility(config: RunConfig, out: Path, grid_n: int = 25) -> list[Path]:
+def run_feasibility(config: RunConfig, out: Path) -> list[Path]:
     """Forward-model map over the pressure box."""
     p1_lo, p1_hi, p2_lo, p2_hi = config.bounds
-    p1s = np.linspace(p1_lo, p1_hi, grid_n)
-    p2s = np.linspace(p2_lo, p2_hi, grid_n)
+    p1s = np.linspace(p1_lo, p1_hi, FEASIBILITY_GRID_N)
+    p2s = np.linspace(p2_lo, p2_hi, FEASIBILITY_GRID_N)
     grid = feasibility_map(config.rig, p1s, p2s, config.probe_depth)
     return [
         _write_csv(out / "figs4b.csv", ("p1_kPa", "p2_kPa", "h2_mm", "k_N_per_mm"), grid)
@@ -189,7 +189,7 @@ def _records_to_lines(records: Sequence[TrialRecord], seed: int) -> list[str]:
 def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Simulate the configured sessions; one JSONL trial log per session."""
     states = plan_states(config)
-    paths = run_plan(config, out)
+    paths = _write_plan(states, out)
     for s in range(config.study.sessions):
         session_seed = seed + s
         schedule = schedule_trials(states, config.study.reps, session_seed)

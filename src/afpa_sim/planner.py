@@ -4,27 +4,34 @@ The forward map (p1, p2) -> (equilibrium height, probe stiffness at a
 reference depth) takes one equilibrium solve, whose closed-form slope
 gives the stiffness.  It is smooth away from the slack/taut boundary; the
 planner seeds from the height ratio and stiffness scale (or a coarse
-grid) and refines with a damped Newton iteration on a finite-difference
-Jacobian.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
+grid) and refines with a damped Newton iteration.  The seed's height
+roots run on the rig's one root solver, ``rig._root``, with the
+closed-form height slopes of ``rig.equilibrium_slopes``; the refinement
+keeps a finite-difference Jacobian, whose stiffness row would need the
+third volume derivative.  A target beyond the heights of the pressure
+box's corners is named by the seed itself.  Pressure bounds are capped
+by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AfpaSimError
 from .pouch import free_height
-from .rig import PRESSURE_MAX_KPA, RigDomainError, RigSpec, contact_stiffness, solve_equilibrium
+from .rig import (PRESSURE_MAX_KPA, RigDomainError, RigSpec, _root, contact_stiffness,
+                  equilibrium_slopes, solve_equilibrium)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
 NEWTON_MAX_ITER = 40
-JACOBIAN_STEP_KPA = 0.25
+JACOBIAN_STEP_KPA = 0.25  # the Jacobian's stiffness row would need V''' in closed form
+GRID_N = 20  # points per axis of the fallback seed grid
 
 
 class PlannerDomainError(AfpaSimError, ValueError):
@@ -100,7 +107,6 @@ def plan_state(
     rig: RigSpec,
     target: HapticTarget,
     bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
-    grid_n: int = 20,
 ) -> PlanResult:
     """Solve for (p1, p2) realizing the target; best-effort result if infeasible.
 
@@ -119,74 +125,38 @@ def plan_state(
         r2 = (k - k_star) / k_star
         return r1, r2, h, k
 
-    best: PlanResult | None = None
-
-    def consider(result: PlanResult) -> None:
-        nonlocal best
-        if result.feasible and (best is None or not best.feasible
-                                or result.p1 + result.p2 < best.p1 + best.p2 - 1e-9):
-            best = result
-        elif best is None or (not best.feasible and result.residual_norm < best.residual_norm):
-            best = result
-
     # ratio/scale seeding: pouch forces are proportional to pressure, so the
     # equilibrium height depends (without belt compliance) only on the ratio
     # p1/p2 while stiffness scales with the overall pressure level.  Match the
     # height with a 1-D root on the ratio, then rescale both pressures to
     # match the stiffness; a short Newton polish absorbs compliance effects.
-    seed = _ratio_scale_seed(rig, h_star, k_star, depth, bounds)
-    if seed is not None:
-        consider(_refine(residual, seed[0], seed[1], bounds))
-    if best is None or not best.feasible:
+    seed, reason = _ratio_scale_seed(rig, h_star, k_star, depth, bounds)
+    plans = [] if seed is None else [_refine(residual, *seed, bounds)]
+    if not any(p.feasible for p in plans):
         # coarse grid fallback for maps the ratio argument does not cover
-        p1s = np.linspace(p1_lo, p1_hi, grid_n)
-        p2s = np.linspace(p2_lo, p2_hi, grid_n)
         seeds: list[tuple[float, float, float]] = []  # (norm, p1, p2)
-        for p1 in p1s:
-            for p2 in p2s:
+        for p1 in np.linspace(p1_lo, p1_hi, GRID_N):
+            for p2 in np.linspace(p2_lo, p2_hi, GRID_N):
                 r1, r2, _, _ = residual(p1, p2)
                 seeds.append((math.hypot(r1, r2), float(p1), float(p2)))
         seeds.sort(key=lambda s: (s[0], s[1] + s[2]))
-        for _, p1, p2 in seeds[:3]:
-            consider(_refine(residual, p1, p2, bounds))
-    assert best is not None
+        plans += [_refine(residual, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
+    best = _best(plans)
     if not best.feasible:
-        reason = _diagnose_target(rig, h_star, k_star, depth, bounds)
+        if not reason and seed is not None:
+            k = forward_map(rig, *seed, depth)[1]
+            if not k_star * (1.0 - RESIDUAL_TOL) <= k <= k_star * (1.0 + RESIDUAL_TOL):
+                reason = _diagnose(0.0, k - k_star)
         best = replace(best, reason=reason or best.reason)
     return best
 
 
-def _diagnose_target(
-    rig: RigSpec,
-    h_star: float,
-    k_star: float,
-    depth: float,
-    bounds: tuple[float, float, float, float],
-) -> str | None:
-    """Name the binding constraint of an infeasible target, if identifiable."""
-    p1_lo, p1_hi, p2_lo, p2_hi = bounds
-
-    def height_at(p1: float, p2: float) -> float:
-        return solve_equilibrium(rig, p1, p2).h2
-
-    try:
-        h_max = height_at(p1_lo, p2_hi)
-        h_min = height_at(p1_hi, max(p2_lo, 1e-3))
-        if h_star > h_max:
-            return "height unreachable (achievable height too low)"
-        if h_star < h_min:
-            return "height unreachable (achievable height too high)"
-        seed = _ratio_scale_seed(rig, h_star, k_star, depth, bounds)
-        if seed is None:
-            return None
-        _, k = forward_map(rig, seed[0], seed[1], depth)
-        if k < k_star * (1.0 - RESIDUAL_TOL):
-            return "stiffness unreachable at height (achievable stiffness too low)"
-        if k > k_star * (1.0 + RESIDUAL_TOL):
-            return "stiffness unreachable at height (achievable stiffness too high)"
-        return None
-    except (RigDomainError, ValueError):
-        return None
+def _best(plans: list[PlanResult]) -> PlanResult:
+    """The feasible plan of least p1 + p2 (an earlier one within 1e-9), else the least residual."""
+    feasible = [p for p in plans if p.feasible]
+    if not feasible:
+        return min(plans, key=lambda p: p.residual_norm)
+    return reduce(lambda best, p: p if p.p1 + p.p2 < best.p1 + best.p2 - 1e-9 else best, feasible)
 
 
 def _ratio_scale_seed(
@@ -195,44 +165,48 @@ def _ratio_scale_seed(
     k_star: float,
     depth: float,
     bounds: tuple[float, float, float, float],
-) -> tuple[float, float] | None:
-    """Seed pressures from the height-ratio / stiffness-scale decomposition."""
+) -> tuple[tuple[float, float] | None, str]:
+    """Seed pressures from the height-ratio / stiffness-scale decomposition.
+
+    Returns (seed, ""), or (None, reason) when h_star lies beyond the heights
+    of the box's corners, or (None, "") when the seed has no stiffness.
+    """
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     p2_ref = min(max(10.0, p2_lo + 1e-6), p2_hi)
 
-    def height_at(p1: float, p2: float) -> float:
-        return solve_equilibrium(rig, p1, p2).h2
+    def gap(p1: float, p2: float) -> tuple[float, tuple[float, float]]:
+        """h2 - h_star at (p1, p2), with (dh2/dp1, dh2/dp2)."""
+        eq = solve_equilibrium(rig, p1, p2)
+        return eq.h2 - h_star, equilibrium_slopes(rig, p1, p2, eq)
 
-    try:
-        h_soft = height_at(p1_lo, p2_ref)  # tallest at this p2
-        h_firm = height_at(p1_hi, p2_ref)  # most squashed
-        if h_firm <= h_star <= h_soft:
-            p1 = brentq(lambda p: height_at(p, p2_ref) - h_star, p1_lo, p1_hi, xtol=1e-6)
-            p2 = p2_ref
-        elif h_star > h_soft:
-            # needs more morphing-side pressure than the reference level
-            if height_at(p1_lo, p2_hi) < h_star:
-                return None
-            p1 = p1_lo
-            p2 = brentq(lambda p: height_at(p1_lo, p) - h_star, p2_ref, p2_hi, xtol=1e-6)
-        else:
-            # squashed below the reference contour: raise the ratio by
-            # dropping the morphing-side pressure at full p1
-            p2_min = max(p2_lo, 1e-3)
-            if p2_min >= p2_ref or height_at(p1_hi, p2_min) > h_star:
-                return None
-            p1 = p1_hi
-            p2 = brentq(lambda p: height_at(p1_hi, p) - h_star, p2_min, p2_ref, xtol=1e-6)
-        h, k = forward_map(rig, p1, p2, depth)
-        if k <= 0.0:
-            return None
-        t = min(max(k_star / k, 1e-3), 1e3)
-        return (
-            min(max(p1 * t, p1_lo), p1_hi),
-            min(max(p2 * t, p2_lo), p2_hi),
-        )
-    except (RigDomainError, ValueError):
-        return None
+    def height_root(axis: int, fixed: float, lo: float, g_lo, hi: float, g_hi) -> float:
+        """The pressure on ``axis`` (0: p1, 1: p2) of height h_star, the other one ``fixed``."""
+        def f(p: float) -> tuple[float, float]:
+            g, slopes = gap(*((p, fixed) if axis == 0 else (fixed, p)))
+            return g, slopes[axis]
+
+        return _root(f, lo, (g_lo[0], g_lo[1][axis]), hi, (g_hi[0], g_hi[1][axis]))
+
+    soft, firm = gap(p1_lo, p2_ref), gap(p1_hi, p2_ref)  # tallest and most squashed at p2_ref
+    if firm[0] <= 0.0 <= soft[0]:
+        p1, p2 = height_root(0, p2_ref, p1_lo, soft, p1_hi, firm), p2_ref
+    elif soft[0] < 0.0:
+        # needs more morphing-side pressure than the reference level
+        if (tallest := gap(p1_lo, p2_hi))[0] < 0.0:
+            return None, "height unreachable (achievable height too low)"
+        p1, p2 = p1_lo, height_root(1, p1_lo, p2_ref, soft, p2_hi, tallest)
+    else:
+        # squashed below the reference contour: raise the ratio by
+        # dropping the morphing-side pressure at full p1
+        p2_min = max(p2_lo, 1e-3)
+        if p2_min >= p2_ref or (lowest := gap(p1_hi, p2_min))[0] > 0.0:
+            return None, "height unreachable (achievable height too high)"
+        p1, p2 = p1_hi, height_root(1, p1_hi, p2_min, lowest, p2_ref, firm)
+    _, k = forward_map(rig, p1, p2, depth)
+    if k <= 0.0:
+        return None, ""
+    t = min(max(k_star / k, 1e-3), 1e3)
+    return (min(max(p1 * t, p1_lo), p1_hi), min(max(p2 * t, p2_lo), p2_hi)), ""
 
 
 def _refine(residual, p1: float, p2: float, bounds) -> PlanResult:
@@ -311,6 +285,15 @@ def feasibility_map(
     return rows
 
 
+def _plan_or_raise(rig: RigSpec, h: float, k: float, bounds: tuple[float, float, float, float],
+                   probe_depth: float, name: str) -> PlanResult:
+    """``plan_state`` of one (h, k) target; InfeasibleTargetError naming it if infeasible."""
+    plan = plan_state(rig, HapticTarget(h, k, probe_depth), bounds)
+    if not plan.feasible:
+        raise InfeasibleTargetError(f"{name} infeasible: {plan.reason}")
+    return plan
+
+
 def constant_stiffness_path(
     rig: RigSpec,
     k_star: float,
@@ -319,17 +302,8 @@ def constant_stiffness_path(
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[PlanResult]:
     """Per-height plans holding the stiffness constant along the path."""
-    plans = []
-    for h in heights:
-        target = HapticTarget(target_height=h, target_stiffness=k_star,
-                              probe_depth_ref=probe_depth)
-        plan = plan_state(rig, target, bounds)
-        if not plan.feasible:
-            raise InfeasibleTargetError(
-                f"waypoint h2={h} mm, k={k_star} N/mm infeasible: {plan.reason}"
-            )
-        plans.append(plan)
-    return plans
+    return [_plan_or_raise(rig, h, k_star, bounds, probe_depth,
+                           f"waypoint h2={h} mm, k={k_star} N/mm") for h in heights]
 
 
 SIZE_CLASSES = ("small", "medium", "large")
@@ -348,19 +322,12 @@ def state_table(
         raise PlannerDomainError("sizes must be 3 distinct heights")
     if len(set(stiffnesses)) != 3:
         raise PlannerDomainError("stiffnesses must be 3 distinct values")
-    sizes = sorted(sizes)
-    stiffnesses = sorted(stiffnesses)
     states = []
-    for i, h in enumerate(sizes):
-        for j, k in enumerate(stiffnesses):
-            target = HapticTarget(target_height=h, target_stiffness=k,
-                                  probe_depth_ref=probe_depth)
-            plan = plan_state(rig, target, bounds)
-            if not plan.feasible:
-                raise InfeasibleTargetError(
-                    f"state (size={SIZE_CLASSES[i]}, stiffness={STIFFNESS_CLASSES[j]}) "
-                    f"infeasible: {plan.reason}"
-                )
+    for i, h in enumerate(sorted(sizes)):
+        for j, k in enumerate(sorted(stiffnesses)):
+            plan = _plan_or_raise(
+                rig, h, k, bounds, probe_depth,
+                f"state (size={SIZE_CLASSES[i]}, stiffness={STIFFNESS_CLASSES[j]})")
             states.append(StateDef(
                 id=3 * i + j + 1, p1=plan.p1, p2=plan.p2,
                 size_class=SIZE_CLASSES[i], stiffness_class=STIFFNESS_CLASSES[j],

@@ -61,13 +61,6 @@ class ValveSpec:
             raise ValueError("command_lag must be positive")
 
 
-@dataclass
-class ChamberState:
-    gauge_pressure: float  # kPa
-    gas_mass: float  # kg
-    volume: float  # m^3
-
-
 def valve_mass_flow(
     valve: ValveSpec, upstream: float, downstream: float, opening: float
 ) -> float:
@@ -97,7 +90,7 @@ MIN_HEIGHT_MM = 1e-6
 
 def _gas_volume(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
     """Chamber gas volume (m^3) at a height (mm), with the stack's dV/dH (mm^2) and d2V/dH2 (mm)."""
-    v, area, curvature = _volume_terms(spec, max(MIN_HEIGHT_MM, min(height, free_height(spec))))
+    v, area, curvature = _volume_terms(spec, max(MIN_HEIGHT_MM, height))
     return v * 1e-9 + DEAD_VOLUME_M3, area, curvature
 
 

@@ -4,20 +4,21 @@ The belt constrains h1 + h2 <= belt_span + belt_compliance * tension and
 can only pull.  One force balance, ``belt_balance``, with belt stretch on
 every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
-dynamics.  Its roots, and the valve model's free-expansion height, come
-from one bracketed, safeguarded Newton solver, ``_root``, on closed-form
-slopes.  Probe stiffness is the closed-form implicit derivative of the
-balance, from the same side-force slopes.
+dynamics.  Its roots, the valve model's free-expansion height and the
+planner's seed pressures come from the package's one root solver, the
+bracketed, safeguarded Newton ``_root``, on closed-form slopes.  Probe
+stiffness and the height slopes in pressure (``equilibrium_slopes``) are
+closed-form implicit derivatives of the balance, from the same side-force
+slopes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
-
-from scipy.optimize import least_squares
 
 from .errors import AfpaSimError
 from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms, free_height
@@ -25,6 +26,9 @@ from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms
 PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
 ROOT_MAX_ITER = 100
+_FORCE_MIN = sys.float_info.min  # N; a subnormal force no longer scales with pressure
+SWEEP_POINTS_MAX = 10_000  # largest p1 path of size_pressure_sweep (sweep.p1_max / p1_step)
+PROBE_SAMPLES_MAX = 10_000  # largest max_depth / step of force_displacement_curve
 
 
 class RigDomainError(AfpaSimError, ValueError):
@@ -80,18 +84,24 @@ def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> tuple[f
     if height >= free_height(spec):
         return 0.0, 0.0
     _, area, curvature = _volume_terms(spec, max(height, 1e-9))
-    return pressure * area * KPA_MM2_TO_N, pressure * curvature * KPA_MM2_TO_N
+    force = pressure * area * KPA_MM2_TO_N
+    if force < _FORCE_MIN and force:  # a subnormal force counts as none
+        return 0.0, 0.0
+    return force, pressure * curvature * KPA_MM2_TO_N
 
 
 def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, float],
           b: float, fb: tuple[float, float]) -> float:
     """Root of f, which returns (value, slope), between a and b, given fa = f(a), fb = f(b).
 
-    Safeguarded Newton from the end with the smaller value, stopping at a step
-    within ROOT_XTOL_MM: a step that leaves the shrinking bracket, or is not half
-    the one before, takes the Illinois false-position point, or bisection when
-    that is not inside, until the bracket is within ROOT_XTOL_MM.
+    An end where f is exactly 0 is the root.  Otherwise safeguarded Newton from
+    the end with the smaller value, stopping at a step within ROOT_XTOL_MM: a
+    step that leaves the shrinking bracket, or is not half the one before, takes
+    the Illinois false-position point, or bisection when that is not inside,
+    until the bracket is within ROOT_XTOL_MM.
     """
+    if fa[0] == 0.0 or fb[0] == 0.0:
+        return a if fa[0] == 0.0 else b
     if fa[0] > 0.0:
         a, fa, b, fb = b, fb, a, fa  # f(a) < 0 < f(b) from here on
     (ya, ka), (yb, kb) = fa, fb
@@ -161,7 +171,7 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
     else:
         h2 = _root(residual, lo, r_lo, hi, r_hi)
         tension = f2(h2)[0]
-        return span + compliance * tension - h2, h2, tension
+        return min(x1, span + compliance * tension - h2), h2, tension
     h1 = span - h2
     tension, k1 = f1(h1)
     if compliance > 0.0 and tension > 0.0:
@@ -192,6 +202,24 @@ def solve_equilibrium(rig: RigSpec, p1: float, p2: float) -> EquilibriumState:
     """Equilibrium heights and belt tension at the given gauge pressures."""
     h1, h2, tension = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"))
     return EquilibriumState(h1, h2, tension, taut=h1 + h2 >= rig.belt_span - 1e-9)
+
+
+def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
+                       eq: EquilibriumState) -> tuple[float, float]:
+    """(dh2/dp1, dh2/dp2) in mm/kPa of an equilibrium already solved at (p1, p2).
+
+    The implicit-function theorem on the ``belt_balance`` residual
+    p1*a1(h1) - p2*a2(h2), with h1 = C + c*p2*a2(h2) - h2 and a, k each side's
+    force and slope per kPa.  Both are 0 while h2 sits at an end of its bracket.
+    """
+    span, c = rig.belt_span, rig.belt_compliance
+    a1, k1 = _side_force(rig.modulating, 1.0, eq.h1)
+    a2, k2 = _side_force(rig.morphing, 1.0, eq.h2)
+    slope = p1 * k1 * (c * p2 * k2 - 1.0) - p2 * k2
+    lo, hi = max(1e-9, span - free_height(rig.modulating)), min(free_height(rig.morphing), span)
+    if not (lo < eq.h2 < hi and slope):
+        return 0.0, 0.0
+    return -a1 / slope, -a2 * (c * p1 * k1 - 1.0) / slope
 
 
 def probe_force(
@@ -373,6 +401,8 @@ def calibrate_rig(
                 pred = 0.0
             out.append(w * (pred - a.observed) / a.observed)
         return out
+
+    from scipy.optimize import least_squares  # scipy loads on the first calibration
 
     sol = least_squares(
         residuals, x0, method="trf",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import AfpaSimError
 from .planner import StateDef, forward_map
@@ -25,6 +24,7 @@ from .rig import RigSpec
 # fixed actuator transition time added to every trial's latency; the
 # rendered state needs about this long to settle after a pressure step
 TRANSITION_TIME_S = 2.0
+TRIALS_MAX = 100_000  # largest study size, 9 * reps * sessions trials: 10 MB of trial logs
 
 
 class StudyDomainError(AfpaSimError, ValueError):
@@ -334,6 +334,8 @@ def t_test_independent(
             sx * sx / (x.size - 1) + sy * sy / (y.size - 1)
         )
     t = (mx - my) / se
+    from scipy import special  # scipy loads on the first t-test
+
     # two-sided p from the regularized incomplete beta form of the t CDF
     p = float(special.betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
     return TTestResult(t=t, dof=dof, p_two_sided=min(1.0, max(0.0, p)))

@@ -1,12 +1,16 @@
-"""Config validation and CLI determinism."""
+"""Config validation, CLI determinism and the import path."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afpa_sim import planner
 from afpa_sim.cli import main
 from afpa_sim.config import (
     ConfigError,
@@ -111,6 +115,9 @@ def test_planner_key_at_root_rejected(default_doc):
     ("planner", "bounds", [0.0, PRESSURE_MAX_KPA + 1.0, 0.0, 100.0], r"planner\.bounds"),
     ("step", "dt", 2.0 * DT_MAX_S, r"step: dt"),
     ("step", "t_end", 1e18, r"step: t_end"),
+    ("sweep", "p1_step", 1e-6, r"sweep: p1_max / p1_step"),
+    ("sweep", "probe_rate", 1e-9, r"sweep: compression_depth \* sample_rate / probe_rate"),
+    ("study", "reps", 10**15, r"study: 9 \* reps \* sessions"),
 ])
 def test_physical_limit_rejected(default_doc, section, key, value, path):
     default_doc[section][key] = value
@@ -200,6 +207,25 @@ def test_cli_study_pipeline_byte_identical(tmp_path, capsys):
     assert [p.name for p in files_a] == [p.name for p in files_b]
     for pa, pb in zip(files_a, files_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_cli_study_run_plans_each_state_once(tmp_path, capsys, monkeypatch):
+    plan_state, calls = planner.plan_state, []
+    monkeypatch.setattr(planner, "plan_state", lambda *a: calls.append(a) or plan_state(*a))
+    study = read_all(run_cli(["study-run", "--out", str(tmp_path / "study")], capsys))
+    assert len(calls) == 9
+    plan = read_all(run_cli(["plan", "--out", str(tmp_path / "plan")], capsys))
+    assert plan == {name: study[name] for name in plan}
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported on first use, by calibrate_rig and t_test_independent
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, afpa_sim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_headers_unit_suffixed(tmp_path, capsys):

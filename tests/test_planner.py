@@ -46,6 +46,27 @@ def test_unreachable_stiffness_reported(rig):
     assert "stiffness unreachable" in plan.reason
 
 
+@pytest.mark.parametrize("height, side", [(110.0, "low"), (20.0, "high")])
+def test_unreachable_height_reported(rig, height, side):
+    # above the belt span with p1 = 0, or below the floor at p1 = 150 kPa
+    plan = plan_state(rig, HapticTarget(target_height=height, target_stiffness=0.2))
+    assert not plan.feasible
+    assert plan.reason == f"height unreachable (achievable height too {side})"
+
+
+def test_belt_span_plateau_target_feasible():
+    # the target height is the belt span, where h2 is flat in p1 up to some
+    # pressure: the seed's root starts on an end where the height gap is 0
+    rig = RigSpec(PouchStackSpec(53.7, 1373.0, 2, True), PouchStackSpec(77.8, 258.0, 3, False),
+                  belt_span=43.1, belt_compliance=0.1)
+    h, k = forward_map(rig, 78.0, 30.0, 8.0)
+    assert h == rig.belt_span
+    plan = plan_state(rig, HapticTarget(target_height=h, target_stiffness=k, probe_depth_ref=8.0))
+    assert plan.feasible
+    assert plan.p1 == 0.0
+    assert plan.p2 == pytest.approx(70.316, abs=1e-3)
+
+
 def test_invalid_target_rejected(rig):
     with pytest.raises(PlannerDomainError):
         plan_state(rig, HapticTarget(target_height=-5.0, target_stiffness=0.1))

@@ -143,6 +143,14 @@ def test_step_heights_match_static_equilibrium(compliance, start, step):
             assert h2 == pytest.approx(solve_equilibrium(rig, p1, p2).h2, abs=0.1)
 
 
+def test_compliant_step_keeps_h1_below_free_height():
+    # the interior branch of the balance caps h1 as its pinned branch does;
+    # uncapped, the belt stretch put h1 above the free height by the root tolerance
+    rig = dataclasses.replace(make_rig(), belt_compliance=0.5)
+    series = step_simulate(rig, make_valves(), [(0.0, 3.0, 3.8e-99)], 1e-3, 2.0)
+    assert np.all(series[:, 3] <= free_height(rig.modulating))
+
+
 def test_halving_dt_changes_little():
     rig = make_rig()
     sched = [(0.0, 0.0, 0.0), (0.5, 0.0, 60.0)]

@@ -16,6 +16,7 @@ from afpa_sim.rig import (
     _side_force,
     belt_balance,
     calibrate_rig,
+    equilibrium_slopes,
     force_displacement_curve,
     probe_force,
     size_pressure_sweep,
@@ -220,6 +221,8 @@ def brentq_balance(rig: RigSpec, p1: float, p2: float, h2_stop: float, offset: f
 )
 @example(w1=40.0, w2=55.0, c=90.0, compliance=0.0, end_caps=True, p1=0.0, p2=0.0, offset=0.0,
          stop=120.0, guess=30.0)  # no force anywhere: the warm start rides the belt too
+@example(w1=20.0, w2=40.0, c=60.0, compliance=0.0, end_caps=False, p1=5e-324, p2=5e-324,
+         offset=0.0, stop=49.0, guess=None)  # subnormal forces: a residual of 0 over wide spans
 def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, offset, stop,
                                      guess):
     rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
@@ -231,6 +234,36 @@ def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, of
     want_h1, want_h2 = brentq_balance(rig, p1, p2, stop, offset)
     assert h1 == pytest.approx(want_h1, abs=1e-6)
     assert h2 == pytest.approx(want_h2, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(1.0, 149.0),
+    p2=st.floats(1.0, 149.0),
+)
+def test_equilibrium_slopes_match_central_difference(w1, w2, c, compliance, end_caps, p1, p2):
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    lo = max(1e-9, c - free_height(rig.modulating))
+    hi = min(free_height(rig.morphing), c)
+    e = 1e-3
+    h2 = [solve_equilibrium(rig, q1, q2).h2
+          for q1, q2 in ((p1 + e, p2), (p1 - e, p2), (p1, p2 + e), (p1, p2 - e))]
+    assume(all(lo < h < hi for h in h2))  # the branches are kinks of h2(p1, p2)
+    slopes = equilibrium_slopes(rig, p1, p2, solve_equilibrium(rig, p1, p2))
+    assert slopes[0] == pytest.approx((h2[0] - h2[1]) / (2 * e), rel=1e-5, abs=1e-9)
+    assert slopes[1] == pytest.approx((h2[2] - h2[3]) / (2 * e), rel=1e-5, abs=1e-9)
+
+
+def test_equilibrium_slopes_vanish_at_the_belt_span():
+    rig = make_rig()
+    eq = solve_equilibrium(rig, 0.0, 30.0)  # no p1: the morphing side rides the belt
+    assert eq.h2 == rig.belt_span
+    assert equilibrium_slopes(rig, 0.0, 30.0, eq) == (0.0, 0.0)
 
 
 def test_stiffness_scales_with_pressure_level():
