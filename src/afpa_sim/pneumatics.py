@@ -6,11 +6,13 @@ lag on the command).  The gas is isothermal and the mechanics are
 quasi-static: every step the chamber heights and pressures are solved
 jointly from the current gas masses -- a slack pouch expands at zero
 gauge pressure until its enclosed volume holds the gas, and reads a gauge
-of exactly 0 there; a taut belt couples the two heights through the rig's
-force balance (``rig.belt_balance``), belt compliance included, so a
-settled step lands on the static equilibrium.  The balance is solved by
-Newton steps on the side forces' analytic slopes (the gas law's and the
-stack's), warm-started from the previous step's h2.
+of exactly 0 there.  A chamber holding its fill mass, the gas that fills
+it at ambient pressure to the most the belt allows, rests taut instead.  A
+taut belt couples the two heights through the rig's force balance
+(``rig.belt_balance``), belt compliance included, so a settled step lands
+on the static equilibrium.  The balance is solved by Newton steps on the
+side forces' analytic slopes (the gas law's and the stack's), warm-started
+from the previous step's h2, whose Newton point usually closes the bracket.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AfpaSimError
-from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms, free_height
-from .rig import RigSpec, _root, belt_balance, solve_equilibrium
+from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms
+from .rig import RigSpec, _check_pressure, _root, belt_balance, solve_equilibrium
 
 R_AIR = 287.05  # J/(kg K)
 T_AMBIENT = 293.15  # K
@@ -105,7 +107,7 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float) -> float:
     The membrane offers no resistance, so the pouch expands at ambient
     pressure until its volume holds the gas, capped at the free height.
     """
-    hf = free_height(spec)
+    hf = spec.free_height
     target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)  # m^3
 
     def excess(h: float) -> tuple[float, float]:
@@ -124,7 +126,7 @@ def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> t
 
     Isothermal gas: the pressure changes by dp/dH = -p * dV/dH / V_gas.
     """
-    if height >= free_height(spec):
+    if height >= spec.free_height:
         return 0.0, 0.0
     gas, area, curvature = _gas_volume(spec, height)
     p_abs = _abs_pressure(mass, gas)
@@ -135,17 +137,24 @@ def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> t
             (gauge * curvature - p_abs * area * area * 1e-9 / gas) * KPA_MM2_TO_N)
 
 
-def _solve_heights(rig: RigSpec, m1: float, m2: float,
+def _fill_masses(rig: RigSpec) -> list[float]:
+    """Gas (kg) that fills each chamber to min(free height, span - MIN_HEIGHT_MM) at 1 atm."""
+    return [P_ATM_KPA * 1e3 * _gas_volume(s, min(s.free_height, rig.belt_span - MIN_HEIGHT_MM))[0]
+            / (R_AIR * T_AMBIENT) for s in (rig.modulating, rig.morphing)]
+
+
+def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
                    guess: float | None = None) -> tuple[float, float, list[float]]:
     """Quasi-static heights (h1, h2) in mm and gauges (kPa) for the gas masses.
 
     Each side's force vanishes at its free-expansion height, where its gas
     is at ambient pressure and its gauge reads exactly 0; a chamber never
     drops below its residue height, so neither can take the whole span.
-    ``guess`` is an h2 to start from, such as the previous step's.
+    ``fills`` are the rig's ``_fill_masses``; ``guess`` is an h2 to start from.
     """
     specs, masses = (rig.modulating, rig.morphing), (m1, m2)
-    free = [_free_expansion_height(spec, m) for spec, m in zip(specs, masses)]
+    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m)
+            for spec, m, fill in zip(specs, masses, fills)]
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _ = belt_balance(
         partial(_side_force_from_mass, rig.modulating, m1),
@@ -154,7 +163,7 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float,
         rig.belt_span, rig.belt_compliance, guess=guess,
     )
     return h1, h2, [
-        0.0 if h == x < free_height(spec) else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+        0.0 if h == x < spec.free_height else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
         for spec, m, h, x in zip(specs, masses, (h1, h2), free)
     ]
 
@@ -193,24 +202,20 @@ def step_simulate(
     starts at the quasi-static equilibrium for the initial commands.
     """
     n_steps = check_step(dt, t_end)
-    if not schedule:
-        raise ValueError("schedule must not be empty")
     times = [s[0] for s in schedule]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("schedule times must be non-decreasing")
+    if not (times and all(map(math.isfinite, times)) and times == sorted(times)):
+        raise ValueError(f"schedule needs commands at finite, non-decreasing times, got {times}")
+    for t, p1c, p2c in schedule:
+        _check_pressure(p1c, f"p1 at t={t} s")
+        _check_pressure(p2c, f"p2 at t={t} s")
 
-    p1c0, p2c0 = _command_at(schedule, 0.0)
-    cmd_eff = [p1c0, p2c0]
-    eq = solve_equilibrium(rig, p1c0, p2c0)
-    specs = (rig.modulating, rig.morphing)
-    heights = [eq.h1, eq.h2]
-    masses = [0.0, 0.0]
-    for j, cmd in enumerate((p1c0, p2c0)):
-        if cmd <= 0.0:
-            heights[j] = MIN_HEIGHT_MM  # deflated residue
-        gas = _gas_volume(specs[j], heights[j])[0]
-        masses[j] = (cmd + P_ATM_KPA) * 1e3 * gas / (R_AIR * T_AMBIENT)
-    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1])
+    cmd_eff = list(_command_at(schedule, 0.0))
+    eq = solve_equilibrium(rig, *cmd_eff)
+    masses = [(cmd + P_ATM_KPA) * 1e3 * _gas_volume(spec, h if cmd > 0.0 else MIN_HEIGHT_MM)[0]
+              / (R_AIR * T_AMBIENT)  # a chamber commanded to 0 starts at its deflated residue
+              for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
+    fills = _fill_masses(rig)
+    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills)
 
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
@@ -223,16 +228,10 @@ def step_simulate(
             cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / valve.command_lag
             err = cmd_eff[j] - pressures[j]
             opening = min(1.0, abs(err) / OPENING_BAND_KPA)
-            p_abs = pressures[j] + P_ATM_KPA
-            if err > 0:
-                mdot = valve_mass_flow(valve, valve.supply_pressure, p_abs, opening)
-            elif err < 0:
-                mdot = -valve_mass_flow(valve, p_abs, valve.exhaust_pressure, opening)
-            else:
-                mdot = 0.0
-            masses[j] += mdot * dt
-        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], guess=h2)
-        if not all(math.isfinite(v) for v in (*pressures, *masses, h1, h2)):
+            source = valve.supply_pressure if err > 0 else valve.exhaust_pressure  # venting: negative
+            masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
+        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, guess=h2)
+        if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
     return rows

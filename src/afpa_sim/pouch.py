@@ -7,7 +7,8 @@ semicircular side bulges; the fabric is inextensible, so the contact
 width shrinks as the stack grows and vanishes at the free height
 2*n*W/pi.  Plate force follows from virtual work: F = P * dV/dH at
 constant pressure, and its slope from the closed-form curvature
-d2V/dH2, which the rig uses for analytic probe stiffness.
+d2V/dH2, which the rig uses for analytic probe stiffness.  Terms of the
+spec alone, such as the free height, are computed once per spec.
 
 Units: mm, kPa, N (1 kPa * 1 mm^2 = 1e-3 N).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AfpaSimError
 
@@ -54,6 +56,17 @@ class PouchStackSpec:
         if int(self.pouch_count) != self.pouch_count or self.pouch_count < 1:
             raise ValueError(f"pouch_count must be a positive integer, got {self.pouch_count}")
 
+    @cached_property
+    def free_height(self) -> float:
+        """Height (mm) at which the side bulges are full semicircles (zero contact)."""
+        return 2.0 * self.pouch_count * self.flat_width / math.pi
+
+    @cached_property
+    def _shape_terms(self) -> tuple[float, float]:
+        """L * contact_width lost per mm of compression, and the end-cap decay length, mm."""
+        return (math.pi * self.flat_length / (2.0 * self.pouch_count),
+                ECAP_DECAY_FRACTION * self.free_height)
+
 
 @dataclass(frozen=True)
 class CrossSection:
@@ -67,26 +80,25 @@ class CrossSection:
 
 def free_height(spec: PouchStackSpec) -> float:
     """Height at which the side bulges are full semicircles (zero contact)."""
-    return 2.0 * spec.pouch_count * spec.flat_width / math.pi
+    return spec.free_height
 
 
 def _volume_terms(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
     """(V mm^3, dV/dH mm^2, d2V/dH2 mm) at the given height, closed form in both modes."""
-    x_free = free_height(spec)
+    x_free = spec.free_height
     if not math.isfinite(height) or height <= 0.0 or height > x_free * (1.0 + 1e-12):
         raise PouchDomainError(
             f"height {height} mm outside (0, {x_free:.6g}] mm for this spec"
         )
     height = min(height, x_free)
-    n, length = spec.pouch_count, spec.flat_length
-    slope = math.pi * length / (2.0 * n)  # = L*cw per mm of compression
+    slope, lam = spec._shape_terms  # lam: the end-cap decay length
     if not spec.end_cap_correction:
+        n, length = spec.pouch_count, spec.flat_length
         # L * contact_width falls at a constant rate until the contact vanishes
         return (length * (spec.flat_width * height - math.pi * height * height / (4.0 * n)),
                 length * max(0.0, spec.flat_width - math.pi * height / (2.0 * n)),
                 -slope if height < x_free else 0.0)
     q = ECAP_QUADRATIC_FRACTION
-    lam = ECAP_DECAY_FRACTION * x_free
     x0 = x_free - height  # compression from the free height
     decay = math.exp(-height / lam)
     # V integrates the effective area V' from x0 to x_free; V'' is its slope
@@ -114,7 +126,7 @@ def volume_curvature(spec: PouchStackSpec, height: float) -> float:
 def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:
     """Inflation geometry at the given stack height."""
     v = volume(spec, height)
-    t = min(height, free_height(spec)) / spec.pouch_count
+    t = min(height, spec.free_height) / spec.pouch_count
     cw = max(0.0, spec.flat_width - math.pi * t / 2.0)
     if spec.end_cap_correction:
         cl = max(0.0, spec.flat_length - math.pi * t / 2.0)

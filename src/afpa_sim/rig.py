@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .errors import AfpaSimError
-from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms, free_height
+from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms
 
 PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
@@ -81,7 +81,7 @@ def _check_pressure(p: float, name: str) -> float:
 
 def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> tuple[float, float]:
     """Contact force (N) of one side and its slope (N/mm), 0 outside the compressed range."""
-    if height >= free_height(spec):
+    if height >= spec.free_height:
         return 0.0, 0.0
     _, area, curvature = _volume_terms(spec, max(height, 1e-9))
     force = pressure * area * KPA_MM2_TO_N
@@ -146,7 +146,8 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
     with h2, so a bracketed root is unique; its slope is analytic.  Without
     a sign change side 2 is pinned at the end of its range and side 1 alone
     stretches the belt.  ``guess``, an h2 such as the previous time step's,
-    replaces one end of the bracket when it lies inside.
+    replaces one end of the bracket when it lies inside, and so does its
+    Newton point pushed ROOT_XTOL_MM / 2 further, where its residual is not 0.
     """
     if x1 + x2 < span:
         return x1, x2, 0.0
@@ -159,11 +160,12 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
     lo, hi = max(1e-9, span - x1), min(x2, span)
     r_lo = r_hi = None
     if guess is not None and lo < guess < hi:
-        r = residual(guess)
-        if r[0] <= 0.0:  # a zero residual tests hi first, as a cold start does
-            lo, r_lo = guess, r
-        else:
-            hi, r_hi = guess, r
+        r = residual(guess)  # a zero residual tests hi first, as a cold start does
+        lo, r_lo, hi, r_hi = (guess, r, hi, r_hi) if r[0] <= 0.0 else (lo, r_lo, guess, r)
+        if r[0] and r[1]:  # past the root if Newton converges: the far end goes unevaluated
+            x = guess - r[0] / r[1] - math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])
+            if lo < x < hi and (r := residual(x))[0]:
+                lo, r_lo, hi, r_hi = (x, r, hi, r_hi) if r[0] < 0.0 else (lo, r_lo, x, r)
     if r_hi is None and (r_hi := residual(hi))[0] <= 0.0:
         h2 = hi  # side 2 rides its stop or the belt
     elif r_lo is None and (r_lo := residual(lo))[0] >= 0.0:
@@ -192,8 +194,8 @@ def _balance(
     return belt_balance(
         partial(_side_force, rig.modulating, p1),
         partial(_side_force, rig.morphing, p2),
-        free_height(rig.modulating),
-        min(free_height(rig.morphing), h2_stop),
+        rig.modulating.free_height,
+        min(rig.morphing.free_height, h2_stop),
         rig.belt_span, rig.belt_compliance, offset,
     )
 
@@ -216,7 +218,7 @@ def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
     a1, k1 = _side_force(rig.modulating, 1.0, eq.h1)
     a2, k2 = _side_force(rig.morphing, 1.0, eq.h2)
     slope = p1 * k1 * (c * p2 * k2 - 1.0) - p2 * k2
-    lo, hi = max(1e-9, span - free_height(rig.modulating)), min(free_height(rig.morphing), span)
+    lo, hi = max(1e-9, span - rig.modulating.free_height), min(rig.morphing.free_height, span)
     if not (lo < eq.h2 < hi and slope):
         return 0.0, 0.0
     return -a1 / slope, -a2 * (c * p1 * k1 - 1.0) / slope

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from afpa_sim.pneumatics import (
     RHO_REF,
     T_AMBIENT,
     ValveSpec,
+    MIN_HEIGHT_MM,
+    _abs_pressure,
+    _fill_masses,
     _free_expansion_height,
     _gas_volume,
     _side_force_from_mass,
@@ -24,7 +28,7 @@ from afpa_sim.pneumatics import (
     valve_mass_flow,
 )
 from afpa_sim.pouch import PouchStackSpec, free_height
-from afpa_sim.rig import RigSpec, solve_equilibrium
+from afpa_sim.rig import RigDomainError, RigSpec, belt_balance, solve_equilibrium
 
 
 def make_rig() -> RigSpec:
@@ -169,6 +173,15 @@ def test_schedule_validation():
         step_simulate(rig, make_valves(), [(0.0, 0, 0)], 0.1, 1.0)
     with pytest.raises(ValueError, match="t_end"):
         step_simulate(rig, make_valves(), [(0.0, 0, 0)], 1e-3, 1e18)
+    # every entry is checked, not only the one the run starts from; a NaN
+    # command used to close the valve without a message
+    with pytest.raises(ValueError, match="finite"):
+        step_simulate(rig, make_valves(), [(0.0, 10, 10), (math.nan, 10, 10)], 1e-3, 1.0)
+    for bad in (math.nan, 1e6, -50.0, math.inf):
+        with pytest.raises(RigDomainError, match="p1 at t=0.5 s"):
+            step_simulate(rig, make_valves(), [(0.0, 10, 10), (0.5, bad, 10)], 1e-3, 1.0)
+        with pytest.raises(RigDomainError, match="p2 at t=0.5 s"):
+            step_simulate(rig, make_valves(), [(0.0, 10, 10), (0.5, 10, bad)], 1e-3, 1.0)
 
 
 def test_slack_chamber_reads_zero_gauge():
@@ -224,27 +237,70 @@ def test_warm_started_heights_match_cold_solve(compliance, gauges, fills, guess)
     rig = dataclasses.replace(make_rig(), belt_compliance=compliance)
     m1, m2 = (mass_at(spec, g, f * free_height(spec))
               for spec, g, f in zip((rig.modulating, rig.morphing), gauges, fills))
-    warm = _solve_heights(rig, m1, m2, guess=guess)[:2]
-    assert warm == pytest.approx(_solve_heights(rig, m1, m2)[:2], abs=1e-6)
+    fills = _fill_masses(rig)
+    warm = _solve_heights(rig, m1, m2, fills, guess=guess)[:2]
+    assert warm == pytest.approx(_solve_heights(rig, m1, m2, fills)[:2], abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.tuples(st.floats(10.0, 80.0), st.floats(10.0, 80.0)),
+    lengths=st.tuples(st.floats(20.0, 400.0), st.floats(20.0, 400.0)),
+    counts=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    end_caps=st.booleans(),
+    span=st.floats(20.0, 300.0),
+    compliance=st.floats(0.0, 0.5),
+    gauges=st.tuples(st.floats(-1.0, 120.0), st.floats(-1.0, 120.0)),
+    fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_fill_mass_gate_matches_cold_free_expansion(widths, lengths, counts, end_caps, span,
+                                                    compliance, gauges, fractions):
+    # a chamber at or above its fill mass rests taut: its free-expansion
+    # height, capped by the belt, is the cap, so the gate may skip the root
+    specs = [PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,
+                            end_cap_correction=end_caps)
+             for w, length, n in zip(widths, lengths, counts)]
+    rig = RigSpec(modulating=specs[0], morphing=specs[1], belt_span=span,
+                  belt_compliance=compliance)
+    masses = [mass_at(spec, g, f * spec.free_height)
+              for spec, g, f in zip(specs, gauges, fractions)]
+    cap = span - MIN_HEIGHT_MM
+    for spec, m, fill in zip(specs, masses, _fill_masses(rig)):
+        assume(abs(m - fill) > 1e-6 * fill)  # the root's tolerance decides a near tie
+        capped = min(_free_expansion_height(spec, m), cap)
+        assert (m >= fill) == (capped == pytest.approx(min(spec.free_height, cap), abs=1e-6))
+    # every chamber's root solved, as without the gate: the bracket ends are
+    # the same, so the heights and gauges are too
+    sides = list(zip(specs, masses))
+    free = [_free_expansion_height(spec, m) for spec, m in sides]
+    h1, h2, _ = belt_balance(*(partial(_side_force_from_mass, spec, m) for spec, m in sides),
+                             min(free[0], cap), min(free[1], cap), span, compliance)
+    cold_gauges = [0.0 if h == x < spec.free_height
+                   else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+                   for (spec, m), h, x in zip(sides, (h1, h2), free)]
+    assert _solve_heights(rig, *masses, _fill_masses(rig)) == (h1, h2, cold_gauges)
 
 
 def test_side_force_evaluations_per_step(monkeypatch):
     # a fixed 3-command schedule; the derivative-free brentq balance needs
-    # 27.46 side-force evaluations per valve step here
-    calls = 0
-    side_force = pneumatics._side_force_from_mass
+    # 27.46 side-force evaluations per valve step here, the warm start alone
+    # 7.12 and 10.71 volume evaluations
+    calls = {"_side_force_from_mass": 0, "_volume_terms": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return side_force(*args)
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
 
-    monkeypatch.setattr(pneumatics, "_side_force_from_mass", counted)
+    for name in calls:
+        monkeypatch.setattr(pneumatics, name, counted(name, getattr(pneumatics, name)))
     sched = [(0.0, 10.0, 10.0), (1.0, 40.0, 60.0), (2.0, 80.0, 20.0)]
     series = step_simulate(make_rig(), make_valves(), sched, 1e-3, 3.0)
-    per_step = calls / (len(series) - 1)
-    assert per_step <= 1.1 * 7.12
-    assert per_step < 27.46
+    side_forces, volumes = (n / (len(series) - 1) for n in calls.values())
+    assert side_forces <= 1.02 * 6.22
+    assert side_forces < 27.46
+    assert volumes <= 1.02 * 8.00
 
 
 def test_deflated_start_reports_floor_height():

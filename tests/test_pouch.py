@@ -1,5 +1,6 @@
 """Pouch stack model: closed forms against independent numeric oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,24 @@ def test_free_height_scales_with_count():
     one = PouchStackSpec(flat_width=40.0, flat_length=80.0, pouch_count=1)
     four = PouchStackSpec(flat_width=40.0, flat_length=80.0, pouch_count=4)
     assert free_height(four) == pytest.approx(4 * free_height(one))
+
+
+@pytest.mark.parametrize("end_caps", [True, False])
+def test_replaced_spec_computes_its_own_constants(end_caps):
+    # the spec-only terms are cached on each spec: a replaced copy, built after
+    # the original's cache is filled, must not read the original's values
+    spec = PouchStackSpec(flat_width=50.0, flat_length=100.0, end_cap_correction=end_caps)
+    terms = [volume(spec, 30.0), volume_gradient(spec, 30.0), volume_curvature(spec, 30.0)]
+    assert spec.free_height == free_height(spec) == 2 * 3 * 50.0 / math.pi
+    wider = dataclasses.replace(spec, flat_width=60.0, flat_length=200.0, pouch_count=4)
+    fresh = PouchStackSpec(flat_width=60.0, flat_length=200.0, pouch_count=4,
+                           end_cap_correction=end_caps)
+    assert wider.free_height == 2 * 4 * 60.0 / math.pi
+    for f in (volume, volume_gradient, volume_curvature):
+        assert f(wider, 30.0) == f(fresh, 30.0)
+    assert [volume(spec, 30.0), volume_gradient(spec, 30.0), volume_curvature(spec, 30.0)] == terms
+    # the cache is not part of the value
+    assert wider == fresh and hash(wider) == hash(fresh)
 
 
 def test_contact_width_vanishes_at_free_height():

@@ -218,20 +218,23 @@ def brentq_balance(rig: RigSpec, p1: float, p2: float, h2_stop: float, offset: f
     offset=st.floats(-5.0, 5.0),
     stop=st.floats(1.0, 120.0),
     guess=st.none() | st.floats(0.0, 120.0),
+    near=st.none() | st.floats(-1e-6, 1e-6),
 )
 @example(w1=40.0, w2=55.0, c=90.0, compliance=0.0, end_caps=True, p1=0.0, p2=0.0, offset=0.0,
-         stop=120.0, guess=30.0)  # no force anywhere: the warm start rides the belt too
+         stop=120.0, guess=30.0, near=None)  # no force anywhere: the warm start rides the belt too
 @example(w1=20.0, w2=40.0, c=60.0, compliance=0.0, end_caps=False, p1=5e-324, p2=5e-324,
-         offset=0.0, stop=49.0, guess=None)  # subnormal forces: a residual of 0 over wide spans
+         offset=0.0, stop=49.0, guess=None, near=None)  # subnormal forces: 0 over wide spans
 def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, offset, stop,
-                                     guess):
+                                     guess, near):
     rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    want_h1, want_h2 = brentq_balance(rig, p1, p2, stop, offset)
+    if near is not None:  # a guess next to the root: its Newton point closes the bracket
+        guess = want_h2 + near
     h1, h2, _ = belt_balance(
         partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
         free_height(rig.modulating), min(free_height(rig.morphing), stop), c, compliance,
         offset, guess=guess,
     )
-    want_h1, want_h2 = brentq_balance(rig, p1, p2, stop, offset)
     assert h1 == pytest.approx(want_h1, abs=1e-6)
     assert h2 == pytest.approx(want_h2, abs=1e-6)
 
