@@ -8,9 +8,11 @@ grid) and refines with a damped Newton iteration.  The seed's height
 roots run on the rig's one root solver, ``rig._root``, with the
 closed-form height slopes of ``rig.equilibrium_slopes``; the refinement
 keeps a finite-difference Jacobian, whose stiffness row would need the
-third volume derivative.  A target beyond the heights of the pressure
-box's corners is named by the seed itself.  Pressure bounds are capped
-by ``rig.PRESSURE_MAX_KPA``.
+third volume derivative.  Within one ``plan_state`` call the solves are
+warm-started: a seed root's from the tangent h2 + dh2/dp * dp of its step
+before, the refinement's and the grid's from the previous solve's h2.  A
+target beyond the heights of the pressure box's corners is named by the
+seed itself.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ class StateDef:
     stiffness: float = 0.0
 
 
-def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float) -> tuple[float, float]:
-    """(equilibrium h2, stiffness at h2 - probe_depth); stiffness 0 if out of range."""
-    eq = solve_equilibrium(rig, p1, p2)
+def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,
+                guess: float | None = None) -> tuple[float, float]:
+    """(equilibrium h2 solved from ``guess``, stiffness at h2 - probe_depth or 0 out of range)."""
+    eq = solve_equilibrium(rig, p1, p2, guess=guess)
     try:
         k = contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
     except RigDomainError:
@@ -119,8 +122,12 @@ def plan_state(
     k_star = target.target_stiffness
     depth = target.probe_depth_ref
 
+    last_h = math.nan  # each solve starts from the h2 of the one before
+
     def residual(p1: float, p2: float) -> tuple[float, float, float, float]:
-        h, k = forward_map(rig, p1, p2, depth)
+        nonlocal last_h
+        h, k = forward_map(rig, p1, p2, depth, guess=last_h)
+        last_h = h
         r1 = (h - h_star) / h_star
         r2 = (k - k_star) / k_star
         return r1, r2, h, k
@@ -174,35 +181,50 @@ def _ratio_scale_seed(
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     p2_ref = min(max(10.0, p2_lo + 1e-6), p2_hi)
 
-    def gap(p1: float, p2: float) -> tuple[float, tuple[float, float]]:
+    def gap(p1: float, p2: float, guess: float | None = None) -> tuple[float, tuple[float, float]]:
         """h2 - h_star at (p1, p2), with (dh2/dp1, dh2/dp2)."""
-        eq = solve_equilibrium(rig, p1, p2)
+        eq = solve_equilibrium(rig, p1, p2, guess=guess)
         return eq.h2 - h_star, equilibrium_slopes(rig, p1, p2, eq)
 
-    def height_root(axis: int, fixed: float, lo: float, g_lo, hi: float, g_hi) -> float:
-        """The pressure on ``axis`` (0: p1, 1: p2) of height h_star, the other one ``fixed``."""
-        def f(p: float) -> tuple[float, float]:
-            g, slopes = gap(*((p, fixed) if axis == 0 else (fixed, p)))
-            return g, slopes[axis]
+    def height_root(axis: int, fixed: float, lo: float, g_lo, hi: float,
+                    g_hi) -> tuple[float, float]:
+        """The pressure on ``axis`` (0: p1, 1: p2) of height h_star, the other one
+        ``fixed``, and the h2 predicted there.
 
-        return _root(f, lo, (g_lo[0], g_lo[1][axis]), hi, (g_hi[0], g_hi[1][axis]))
+        Each solve starts from the tangent of the point before, at first the end
+        that ``_root`` starts from.
+        """
+        f_lo, f_hi = (g_lo[0], g_lo[1][axis]), (g_hi[0], g_hi[1][axis])
+        p_last, (g_last, k_last) = min((lo, f_lo), (hi, f_hi), key=lambda e: abs(e[1][0]))
+
+        def predict(p: float) -> float:
+            return h_star + g_last + k_last * (p - p_last)
+
+        def f(p: float) -> tuple[float, float]:
+            nonlocal p_last, g_last, k_last
+            g, slopes = gap(*((p, fixed) if axis == 0 else (fixed, p)), guess=predict(p))
+            p_last, g_last, k_last = p, g, slopes[axis]
+            return g, k_last
+
+        p = _root(f, lo, f_lo, hi, f_hi)
+        return p, predict(p)
 
     soft, firm = gap(p1_lo, p2_ref), gap(p1_hi, p2_ref)  # tallest and most squashed at p2_ref
     if firm[0] <= 0.0 <= soft[0]:
-        p1, p2 = height_root(0, p2_ref, p1_lo, soft, p1_hi, firm), p2_ref
+        (p1, h), p2 = height_root(0, p2_ref, p1_lo, soft, p1_hi, firm), p2_ref
     elif soft[0] < 0.0:
         # needs more morphing-side pressure than the reference level
         if (tallest := gap(p1_lo, p2_hi))[0] < 0.0:
             return None, "height unreachable (achievable height too low)"
-        p1, p2 = p1_lo, height_root(1, p1_lo, p2_ref, soft, p2_hi, tallest)
+        p1, (p2, h) = p1_lo, height_root(1, p1_lo, p2_ref, soft, p2_hi, tallest)
     else:
         # squashed below the reference contour: raise the ratio by
         # dropping the morphing-side pressure at full p1
         p2_min = max(p2_lo, 1e-3)
         if p2_min >= p2_ref or (lowest := gap(p1_hi, p2_min))[0] > 0.0:
             return None, "height unreachable (achievable height too high)"
-        p1, p2 = p1_hi, height_root(1, p1_hi, p2_min, lowest, p2_ref, firm)
-    _, k = forward_map(rig, p1, p2, depth)
+        p1, (p2, h) = p1_hi, height_root(1, p1_hi, p2_min, lowest, p2_ref, firm)
+    _, k = forward_map(rig, p1, p2, depth, guess=h)
     if k <= 0.0:
         return None, ""
     t = min(max(k_star / k, 1e-3), 1e3)
@@ -232,7 +254,7 @@ def _refine(residual, p1: float, p2: float, bounds) -> PlanResult:
             j[0, col] = (s1 - r1) / ((q1 - p1) + (q2 - p2))
             j[1, col] = (s2 - r2) / ((q1 - p1) + (q2 - p2))
         try:
-            step = np.linalg.solve(j, [-r1, -r2])
+            step = [float(s) for s in np.linalg.solve(j, [-r1, -r2])]
         except np.linalg.LinAlgError:
             break
         # damped update: halve until the residual decreases

@@ -101,11 +101,14 @@ def _abs_pressure(mass: float, gas: float) -> float:
     return mass * R_AIR * T_AMBIENT / gas * 1e-3
 
 
-def _free_expansion_height(spec: PouchStackSpec, mass: float) -> float:
+def _free_expansion_height(spec: PouchStackSpec, mass: float,
+                           floor: tuple[float, float, float]) -> float:
     """Unconstrained pouch height for the given gas mass.
 
     The membrane offers no resistance, so the pouch expands at ambient
     pressure until its volume holds the gas, capped at the free height.
+    ``floor`` is ``_gas_volume`` at MIN_HEIGHT_MM, which a deflated chamber
+    ends at without another evaluation.
     """
     hf = spec.free_height
     target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)  # m^3
@@ -114,10 +117,10 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float) -> float:
         gas, area, _ = _gas_volume(spec, h)
         return gas - target, area * 1e-9
 
+    if (at_floor := (floor[0] - target, floor[1] * 1e-9))[0] >= 0.0:
+        return MIN_HEIGHT_MM
     if (at_free := excess(hf))[0] <= 0.0:
         return hf
-    if (at_floor := excess(MIN_HEIGHT_MM))[0] >= 0.0:
-        return MIN_HEIGHT_MM
     return _root(excess, MIN_HEIGHT_MM, at_floor, hf, at_free)
 
 
@@ -144,17 +147,19 @@ def _fill_masses(rig: RigSpec) -> list[float]:
 
 
 def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
+                   floors: Sequence[tuple[float, float, float]],
                    guess: float | None = None) -> tuple[float, float, list[float]]:
     """Quasi-static heights (h1, h2) in mm and gauges (kPa) for the gas masses.
 
     Each side's force vanishes at its free-expansion height, where its gas
     is at ambient pressure and its gauge reads exactly 0; a chamber never
     drops below its residue height, so neither can take the whole span.
-    ``fills`` are the rig's ``_fill_masses``; ``guess`` is an h2 to start from.
+    ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
+    ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` is an h2 to start from.
     """
     specs, masses = (rig.modulating, rig.morphing), (m1, m2)
-    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m)
-            for spec, m, fill in zip(specs, masses, fills)]
+    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m, floor)
+            for spec, m, fill, floor in zip(specs, masses, fills, floors)]
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _ = belt_balance(
         partial(_side_force_from_mass, rig.modulating, m1),
@@ -215,7 +220,8 @@ def step_simulate(
               / (R_AIR * T_AMBIENT)  # a chamber commanded to 0 starts at its deflated residue
               for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
     fills = _fill_masses(rig)
-    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills)
+    floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
+    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, floors)
 
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
@@ -230,7 +236,7 @@ def step_simulate(
             opening = min(1.0, abs(err) / OPENING_BAND_KPA)
             source = valve.supply_pressure if err > 0 else valve.exhaust_pressure  # venting: negative
             masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
-        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, guess=h2)
+        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, floors, guess=h2)
         if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))

@@ -9,7 +9,8 @@ planner's seed pressures come from the package's one root solver, the
 bracketed, safeguarded Newton ``_root``, on closed-form slopes.  Probe
 stiffness and the height slopes in pressure (``equilibrium_slopes``) are
 closed-form implicit derivatives of the balance, from the same side-force
-slopes.
+slopes.  The balance starts from a ``guess`` of h2 where one is known: the
+previous valve step's, or in the planner a nearby solve's.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
 
 
 def _balance(
-    rig: RigSpec, p1: float, p2: float, h2_stop: float = math.inf, offset: float = 0.0
+    rig: RigSpec, p1: float, p2: float, h2_stop: float = math.inf, offset: float = 0.0, *,
+    guess: float | None = None,
 ) -> tuple[float, float, float]:
     """``belt_balance`` of the rig's stacks, the morphing side held below h2_stop."""
     return belt_balance(
@@ -196,13 +198,15 @@ def _balance(
         partial(_side_force, rig.morphing, p2),
         rig.modulating.free_height,
         min(rig.morphing.free_height, h2_stop),
-        rig.belt_span, rig.belt_compliance, offset,
+        rig.belt_span, rig.belt_compliance, offset, guess=guess,
     )
 
 
-def solve_equilibrium(rig: RigSpec, p1: float, p2: float) -> EquilibriumState:
-    """Equilibrium heights and belt tension at the given gauge pressures."""
-    h1, h2, tension = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"))
+def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
+                      guess: float | None = None) -> EquilibriumState:
+    """Equilibrium heights and belt tension at the given gauge pressures, from ``guess`` (h2)."""
+    h1, h2, tension = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"),
+                               guess=guess)
     return EquilibriumState(h1, h2, tension, taut=h1 + h2 >= rig.belt_span - 1e-9)
 
 

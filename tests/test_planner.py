@@ -1,8 +1,13 @@
 """Inverse planning: round trips, feasibility edges, and the state table."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from afpa_sim import rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
 from afpa_sim.planner import (
     HapticTarget,
@@ -15,7 +20,7 @@ from afpa_sim.planner import (
     state_table,
 )
 from afpa_sim.pouch import PouchStackSpec
-from afpa_sim.rig import RigSpec
+from afpa_sim.rig import RigSpec, solve_equilibrium
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +193,68 @@ def test_increasing_height_lowers_p1_at_fixed_stiffness(rig):
     plans = constant_stiffness_path(rig, 0.15, [55.0, 65.0, 75.0, 85.0])
     p1s = [p.p1 for p in plans]
     assert all(b <= a + 1e-9 for a, b in zip(p1s, p1s[1:]))
+
+
+def test_plan_fields_are_python_floats(rig):
+    # on a compliant belt the seed needs Newton steps, which come from numpy
+    compliant = dataclasses.replace(rig, belt_compliance=0.3)
+    h, k = forward_map(compliant, 40.0, 50.0, 5.0)
+    plan = plan_state(compliant, HapticTarget(target_height=h, target_stiffness=k))
+    assert plan.feasible
+    for name in ("p1", "p2", "achieved_height", "achieved_stiffness", "residual_norm"):
+        assert type(getattr(plan, name)) is float, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.tuples(st.floats(20.0, 60.0), st.floats(40.0, 70.0)),
+    span=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.0, 150.0),
+    depth=st.sampled_from([2.0, 5.0, 8.0]),
+    guess=st.one_of(st.floats(-50.0, 200.0), st.sampled_from(["lo", "hi", "root"]),
+                    st.just(math.nan), st.just(math.inf)),
+    near=st.floats(-1e-3, 1e-3),
+)
+def test_warm_start_matches_cold_solve(widths, span, compliance, end_caps, p1, p2, depth,
+                                       guess, near):
+    specs = [PouchStackSpec(flat_width=w, flat_length=length, end_cap_correction=end_caps)
+             for w, length in zip(widths, (300.0, 120.0))]
+    rig = RigSpec(specs[0], specs[1], belt_span=span, belt_compliance=compliance)
+    cold = solve_equilibrium(rig, p1, p2)
+    # the bracket of the balance, its ends, or next to the root
+    ends = {"lo": max(1e-9, span - specs[0].free_height),
+            "hi": min(specs[1].free_height, span), "root": cold.h2 + near}
+    guess = ends.get(guess, guess)
+    warm = solve_equilibrium(rig, p1, p2, guess=guess)
+    assert (warm.h1, warm.h2) == pytest.approx((cold.h1, cold.h2), abs=1e-6)
+    assert warm.belt_tension == pytest.approx(cold.belt_tension, rel=1e-6, abs=1e-9)
+    h, k = forward_map(rig, p1, p2, depth, guess=guess)
+    want_h, want_k = forward_map(rig, p1, p2, depth)
+    assert h == pytest.approx(want_h, abs=1e-6)
+    assert k == pytest.approx(want_k, rel=1e-6, abs=1e-12)
+
+
+def test_side_force_evaluations_per_plan(rig, monkeypatch):
+    # reachable targets, images of a 3x3 pressure grid on the packaged rig
+    # and on a compliant copy; with cold equilibrium solves the planner
+    # needs 338.94 side-force evaluations per plan here
+    rigs = (rig, dataclasses.replace(rig, belt_compliance=0.3))
+    targets = [(r, *forward_map(r, p1, p2, 5.0)) for r in rigs
+               for p1 in (10.0, 40.0, 80.0) for p2 in (15.0, 50.0, 100.0)]
+    calls = 0
+    side_force = rig_mod._side_force
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(rig_mod, "_side_force", counted)
+    for r, h, k in targets:
+        assert plan_state(r, HapticTarget(target_height=h, target_stiffness=k)).feasible
+    per_plan = calls / len(targets)
+    assert per_plan <= 1.02 * 203.17
+    assert per_plan < 338.94

@@ -201,6 +201,25 @@ def mass_at(spec: PouchStackSpec, gauge: float, height: float) -> float:
     return (gauge + P_ATM_KPA) * 1e3 * _gas_volume(spec, height)[0] / (R_AIR * T_AMBIENT)
 
 
+def cold_free_expansion(spec: PouchStackSpec, mass: float) -> float:
+    """The free-expansion height by its two end tests, the free height first, then the root."""
+    target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)
+
+    def excess(h):
+        gas, area, _ = _gas_volume(spec, h)
+        return gas - target, area * 1e-9
+
+    if (at_free := excess(spec.free_height))[0] <= 0.0:
+        return spec.free_height
+    if (at_floor := excess(MIN_HEIGHT_MM))[0] >= 0.0:
+        return MIN_HEIGHT_MM
+    return pneumatics._root(excess, MIN_HEIGHT_MM, at_floor, spec.free_height, at_free)
+
+
+def floor_gas(rig: RigSpec) -> list[tuple[float, float, float]]:
+    return [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     w=st.floats(10.0, 80.0),
@@ -219,7 +238,7 @@ def test_mass_side_force_slope_matches_central_difference(w, length, n, end_caps
     mass = mass_at(spec, gauge, 0.5 + fill * (hf - 1.0))
     h = 0.5 + frac * (hf - 1.0)
     # 0.5 mm from the free height, the floor and the free-expansion kink
-    assume(abs(h - _free_expansion_height(spec, mass)) >= 0.5)
+    assume(abs(h - cold_free_expansion(spec, mass)) >= 0.5)
     e = 1e-3
     slope = (_side_force_from_mass(spec, mass, h + e)[0]
              - _side_force_from_mass(spec, mass, h - e)[0]) / (2 * e)
@@ -238,8 +257,9 @@ def test_warm_started_heights_match_cold_solve(compliance, gauges, fills, guess)
     m1, m2 = (mass_at(spec, g, f * free_height(spec))
               for spec, g, f in zip((rig.modulating, rig.morphing), gauges, fills))
     fills = _fill_masses(rig)
-    warm = _solve_heights(rig, m1, m2, fills, guess=guess)[:2]
-    assert warm == pytest.approx(_solve_heights(rig, m1, m2, fills)[:2], abs=1e-6)
+    floors = floor_gas(rig)
+    warm = _solve_heights(rig, m1, m2, fills, floors, guess=guess)[:2]
+    assert warm == pytest.approx(_solve_heights(rig, m1, m2, fills, floors)[:2], abs=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,18 +287,19 @@ def test_fill_mass_gate_matches_cold_free_expansion(widths, lengths, counts, end
     cap = span - MIN_HEIGHT_MM
     for spec, m, fill in zip(specs, masses, _fill_masses(rig)):
         assume(abs(m - fill) > 1e-6 * fill)  # the root's tolerance decides a near tie
-        capped = min(_free_expansion_height(spec, m), cap)
+        capped = min(cold_free_expansion(spec, m), cap)
         assert (m >= fill) == (capped == pytest.approx(min(spec.free_height, cap), abs=1e-6))
     # every chamber's root solved, as without the gate: the bracket ends are
     # the same, so the heights and gauges are too
     sides = list(zip(specs, masses))
-    free = [_free_expansion_height(spec, m) for spec, m in sides]
+    free = [cold_free_expansion(spec, m) for spec, m in sides]
     h1, h2, _ = belt_balance(*(partial(_side_force_from_mass, spec, m) for spec, m in sides),
                              min(free[0], cap), min(free[1], cap), span, compliance)
     cold_gauges = [0.0 if h == x < spec.free_height
                    else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
                    for (spec, m), h, x in zip(sides, (h1, h2), free)]
-    assert _solve_heights(rig, *masses, _fill_masses(rig)) == (h1, h2, cold_gauges)
+    heights = _solve_heights(rig, *masses, _fill_masses(rig), floor_gas(rig))
+    assert heights == (h1, h2, cold_gauges)
 
 
 def test_side_force_evaluations_per_step(monkeypatch):
@@ -301,6 +322,46 @@ def test_side_force_evaluations_per_step(monkeypatch):
     assert side_forces <= 1.02 * 6.22
     assert side_forces < 27.46
     assert volumes <= 1.02 * 8.00
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.floats(10.0, 80.0),
+    length=st.floats(20.0, 400.0),
+    n=st.integers(1, 5),
+    end_caps=st.booleans(),
+    gauge=st.floats(-5.0, 150.0),
+    height=st.just(MIN_HEIGHT_MM) | st.floats(0.0, 1e-3) | st.floats(0.0, 100.0),
+)
+def test_floor_threshold_matches_cold_free_expansion(w, length, n, end_caps, gauge, height):
+    # the gas at the floor, computed once, decides by the same rule as the
+    # floor's own evaluation: deflated chambers and roots are bit for bit
+    spec = PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,
+                          end_cap_correction=end_caps)
+    mass = mass_at(spec, gauge, min(height, spec.free_height))
+    floor = _gas_volume(spec, MIN_HEIGHT_MM)
+    assert _free_expansion_height(spec, mass, floor) == cold_free_expansion(spec, mass)
+
+
+def test_gas_volume_evaluations_per_deflated_step(monkeypatch):
+    # the morphing chamber fills from its deflated residue while the
+    # modulating one stays deflated; evaluating the floor in every
+    # free-expansion call took 7.54 evaluations per step here
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gas_volume(*args)
+
+    gas_volume = pneumatics._gas_volume
+    monkeypatch.setattr(pneumatics, "_gas_volume", counted)
+    series = step_simulate(make_rig(), make_valves(), [(0.0, 0.0, 0.0), (0.5, 0.0, 90.0)],
+                           1e-3, 2.0)
+    assert series[-1, 3] == MIN_HEIGHT_MM
+    per_step = calls / (len(series) - 1)
+    assert per_step <= 1.02 * 4.29
+    assert per_step < 7.54
 
 
 def test_deflated_start_reports_floor_height():
