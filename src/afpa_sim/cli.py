@@ -4,7 +4,8 @@ All subcommands share the same contract: a JSON config, a seed, and an
 output directory.  Given identical config and seed, every subcommand
 writes byte-identical files.  A user error (any ``AfpaSimError``, such as
 a bad config or an unreachable study state) prints one ``error:`` line
-and exits 2.
+and exits 2; a file-system error, such as a missing config or an output
+path that is a file, prints one and exits 1.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     except AfpaSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, or an --out that is or lies under a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for p in paths:

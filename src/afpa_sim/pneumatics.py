@@ -11,8 +11,10 @@ it at ambient pressure to the most the belt allows, rests taut instead.  A
 taut belt couples the two heights through the rig's force balance
 (``rig.belt_balance``), belt compliance included, so a settled step lands
 on the static equilibrium.  The balance is solved by Newton steps on the
-side forces' analytic slopes (the gas law's and the stack's), warm-started
-from the previous step's h2, whose Newton point usually closes the bracket.
+side forces' analytic slopes (the gas law's and the stack's), from a secant
+prediction of h2 whose Newton point usually closes the bracket; the gauges are
+read from its last evaluations, and a slack chamber's free-expansion root starts
+from the step before.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import AfpaSimError
 from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms
-from .rig import RigSpec, _check_pressure, _root, belt_balance, solve_equilibrium
+from .rig import RigSpec, _carried, _check_pressure, _rising_root, belt_balance, solve_equilibrium
 
 R_AIR = 287.05  # J/(kg K)
 T_AMBIENT = 293.15  # K
@@ -102,15 +104,14 @@ def _abs_pressure(mass: float, gas: float) -> float:
 
 
 def _free_expansion_height(spec: PouchStackSpec, mass: float,
-                           floor: tuple[float, float, float]) -> float:
+                           floor: tuple[float, float, float], guess: float | None = None) -> float:
     """Unconstrained pouch height for the given gas mass.
 
     The membrane offers no resistance, so the pouch expands at ambient
     pressure until its volume holds the gas, capped at the free height.
     ``floor`` is ``_gas_volume`` at MIN_HEIGHT_MM, which a deflated chamber
-    ends at without another evaluation.
+    ends at without another evaluation; the root starts from ``guess``.
     """
-    hf = spec.free_height
     target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)  # m^3
 
     def excess(h: float) -> tuple[float, float]:
@@ -119,19 +120,21 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float,
 
     if (at_floor := (floor[0] - target, floor[1] * 1e-9))[0] >= 0.0:
         return MIN_HEIGHT_MM
-    if (at_free := excess(hf))[0] <= 0.0:
-        return hf
-    return _root(excess, MIN_HEIGHT_MM, at_floor, hf, at_free)
+    return _rising_root(excess, MIN_HEIGHT_MM, at_floor, spec.free_height, guess)
 
 
-def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> tuple[float, float]:
+def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float,
+                          last: list[float] | None = None) -> tuple[float, float]:
     """Contact force (N) of one side at fixed gas mass, and its slope (N/mm).
 
     Isothermal gas: the pressure changes by dp/dH = -p * dV/dH / V_gas.
+    ``last``, where given, receives the height, gas volume and its slope (m^3/mm).
     """
     if height >= spec.free_height:
         return 0.0, 0.0
     gas, area, curvature = _gas_volume(spec, height)
+    if last is not None:
+        last[:] = height, gas, area * 1e-9
     p_abs = _abs_pressure(mass, gas)
     gauge = p_abs - P_ATM_KPA
     if gauge <= 0.0:
@@ -147,30 +150,33 @@ def _fill_masses(rig: RigSpec) -> list[float]:
 
 
 def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
-                   floors: Sequence[tuple[float, float, float]],
-                   guess: float | None = None) -> tuple[float, float, list[float]]:
-    """Quasi-static heights (h1, h2) in mm and gauges (kPa) for the gas masses.
+                   floors: Sequence[tuple[float, float, float]], guess: float | None = None,
+                   free_guess: Sequence[float | None] = (None, None)) -> tuple:
+    """Quasi-static heights (h1, h2) in mm, gauges (kPa) and free-expansion heights (mm).
 
     Each side's force vanishes at its free-expansion height, where its gas
     is at ambient pressure and its gauge reads exactly 0; a chamber never
     drops below its residue height, so neither can take the whole span.
     ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
-    ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` is an h2 to start from.
+    ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2) and ``free_guess`` start
+    the roots.  Each gauge's gas volume is ``_carried`` from its side's last evaluation.
     """
     specs, masses = (rig.modulating, rig.morphing), (m1, m2)
-    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m, floor)
-            for spec, m, fill, floor in zip(specs, masses, fills, floors)]
+    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m, floor, g)
+            for spec, m, fill, floor, g in zip(specs, masses, fills, floors, free_guess)]
     cap = rig.belt_span - MIN_HEIGHT_MM
+    lasts: tuple[list[float], list[float]] = ([], [])
     h1, h2, _ = belt_balance(
-        partial(_side_force_from_mass, rig.modulating, m1),
-        partial(_side_force_from_mass, rig.morphing, m2),
+        partial(_side_force_from_mass, rig.modulating, m1, last=lasts[0]),
+        partial(_side_force_from_mass, rig.morphing, m2, last=lasts[1]),
         min(free[0], cap), min(free[1], cap),
         rig.belt_span, rig.belt_compliance, guess=guess,
     )
     return h1, h2, [
-        0.0 if h == x < spec.free_height else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
-        for spec, m, h, x in zip(specs, masses, (h1, h2), free)
-    ]
+        0.0 if h == x < spec.free_height
+        else _abs_pressure(m, _carried(last, h, lambda z: _gas_volume(spec, z)[0])) - P_ATM_KPA
+        for spec, m, h, x, last in zip(specs, masses, (h1, h2), free, lasts)
+    ], free
 
 
 def check_step(dt: float, t_end: float) -> int:
@@ -221,7 +227,8 @@ def step_simulate(
               for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
-    h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, floors)
+    h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors)
+    h2_prev = h2
 
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
@@ -236,7 +243,8 @@ def step_simulate(
             opening = min(1.0, abs(err) / OPENING_BAND_KPA)
             source = valve.supply_pressure if err > 0 else valve.exhaust_pressure  # venting: negative
             masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
-        h1, h2, pressures = _solve_heights(rig, masses[0], masses[1], fills, floors, guess=h2)
+        guess, h2_prev = h2 + (h2 - h2_prev), h2  # secant predictor
+        h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free)
         if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))

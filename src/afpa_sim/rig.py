@@ -133,6 +133,40 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
     raise EquilibriumError(f"root finding did not converge in {ROOT_MAX_ITER} steps")
 
 
+def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
+                 f_lo: tuple[float, float] | None, hi: float, guess: float | None) -> float:
+    """Root of a rising f in [lo, hi], f_lo = f(lo) or None: hi if f(hi) <= 0, lo if f(lo) >= 0.
+
+    A guess inside (lo, hi) replaces an end, and so does its Newton point pushed
+    ROOT_XTOL_MM / 2 further: where Newton converges, the far end goes unevaluated.
+    """
+    f_hi = None
+    if guess is not None and lo < guess < hi:
+        r = f(guess)  # a zero value tests hi first, as a cold start does
+        lo, f_lo, hi, f_hi = (guess, r, hi, f_hi) if r[0] <= 0.0 else (lo, f_lo, guess, r)
+        if r[0] and r[1]:
+            x = guess - r[0] / r[1] - math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])
+            if lo < x < hi and (r := f(x))[0]:
+                lo, f_lo, hi, f_hi = (x, r, hi, f_hi) if r[0] < 0.0 else (lo, f_lo, x, r)
+    if f_hi is None and (f_hi := f(hi))[0] <= 0.0:
+        return hi
+    if f_lo is None and (f_lo := f(lo))[0] >= 0.0:
+        return lo
+    return _root(f, lo, f_lo, hi, f_hi)
+
+
+def _carried(last: Sequence[float], x: float, fresh: Callable[[float], float]) -> float:
+    """f(x) carried from last = (at, f, f') where at is within ROOT_XTOL_MM, else fresh(x)."""
+    near = last and abs(x - last[0]) <= ROOT_XTOL_MM
+    return last[1] + last[2] * (x - last[0]) if near else fresh(x)
+
+
+def _kept(f: Callable[[float], tuple[float, float]]) -> Callable[[float], tuple[float, float]]:
+    """f, each value kept by its exact argument, so that a repeated call reads it back."""
+    seen: dict[float, tuple[float, float]] = {}
+    return lambda x: seen[x] if x in seen else seen.setdefault(x, f(x))
+
+
 def belt_balance(f1: Callable[[float], tuple[float, float]],
                  f2: Callable[[float], tuple[float, float]], x1: float, x2: float,
                  span: float, compliance: float, offset: float = 0.0,
@@ -146,34 +180,23 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
     residual f1(span + compliance * tension - h2) - tension - offset rises
     with h2, so a bracketed root is unique; its slope is analytic.  Without
     a sign change side 2 is pinned at the end of its range and side 1 alone
-    stretches the belt.  ``guess``, an h2 such as the previous time step's,
-    replaces one end of the bracket when it lies inside, and so does its
-    Newton point pushed ROOT_XTOL_MM / 2 further, where its residual is not 0.
+    stretches the belt.  ``guess`` is an h2 to start from, such as the previous
+    time step's.  An interior root's tension is ``_carried`` from the last
+    residual's evaluation of f2.
     """
     if x1 + x2 < span:
         return x1, x2, 0.0
+    last: list[float] = []
 
     def residual(h2: float) -> tuple[float, float]:
         tension, k2 = f2(h2)
+        last[:] = h2, tension, k2
         force, k1 = f1(span + compliance * tension - h2)
         return force - tension - offset, k1 * (compliance * k2 - 1.0) - k2
 
     lo, hi = max(1e-9, span - x1), min(x2, span)
-    r_lo = r_hi = None
-    if guess is not None and lo < guess < hi:
-        r = residual(guess)  # a zero residual tests hi first, as a cold start does
-        lo, r_lo, hi, r_hi = (guess, r, hi, r_hi) if r[0] <= 0.0 else (lo, r_lo, guess, r)
-        if r[0] and r[1]:  # past the root if Newton converges: the far end goes unevaluated
-            x = guess - r[0] / r[1] - math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])
-            if lo < x < hi and (r := residual(x))[0]:
-                lo, r_lo, hi, r_hi = (x, r, hi, r_hi) if r[0] < 0.0 else (lo, r_lo, x, r)
-    if r_hi is None and (r_hi := residual(hi))[0] <= 0.0:
-        h2 = hi  # side 2 rides its stop or the belt
-    elif r_lo is None and (r_lo := residual(lo))[0] >= 0.0:
-        h2 = lo  # side 1 squashes side 2 to the bracket floor
-    else:
-        h2 = _root(residual, lo, r_lo, hi, r_hi)
-        tension = f2(h2)[0]
+    if lo < (h2 := _rising_root(residual, lo, None, hi, guess)) < hi:
+        tension = _carried(last, h2, lambda h: f2(h)[0])
         return min(x1, span + compliance * tension - h2), h2, tension
     h1 = span - h2
     tension, k1 = f1(h1)
@@ -283,13 +306,16 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
     implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
     d = -f1'(h1) while the belt is taut and 0 once the modulating side is
-    slack, both slopes from the side forces.
+    slack, both slopes from the side forces, read back where the balance evaluated them.
     """
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
-    h1, _, _ = _balance(rig, p1, p2, h2_stop=h2)
-    d = -_side_force(rig.modulating, p1, h1)[1]
-    return -_side_force(rig.morphing, p2, h2)[1] + d / (1.0 + rig.belt_compliance * d)
+    f1, f2 = (_kept(partial(_side_force, spec, p))
+              for spec, p in ((rig.modulating, p1), (rig.morphing, p2)))
+    h1, _, _ = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
+                            rig.belt_span, rig.belt_compliance)
+    d = -f1(h1)[1]
+    return -f2(h2)[1] + d / (1.0 + rig.belt_compliance * d)
 
 
 def size_pressure_sweep(

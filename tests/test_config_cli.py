@@ -239,6 +239,14 @@ def test_cli_study_analyze_without_logs_fails(tmp_path, capsys):
     assert main(["study-analyze", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/below"])
+def test_cli_out_under_a_file_fails(out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(["plan", "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from afpa_sim import rig as rig_mod
+from afpa_sim.config import default_config_path, load_config
 from afpa_sim.pouch import PouchStackSpec, contact_force, free_height
 from afpa_sim.rig import (
     Anchor,
     CalibrationError,
     RigDomainError,
     RigSpec,
+    _balance,
     _side_force,
     belt_balance,
     calibrate_rig,
+    contact_stiffness,
     equilibrium_slopes,
     force_displacement_curve,
     probe_force,
@@ -267,6 +271,50 @@ def test_equilibrium_slopes_vanish_at_the_belt_span():
     eq = solve_equilibrium(rig, 0.0, 30.0)  # no p1: the morphing side rides the belt
     assert eq.h2 == rig.belt_span
     assert equilibrium_slopes(rig, 0.0, 30.0, eq) == (0.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.5, 150.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_caps, p1, p2,
+                                                     frac):
+    # the slopes read back from the probe balance are those of its
+    # evaluations at exactly the same heights, so the result is bit for bit
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    eq = solve_equilibrium(rig, p1, p2)
+    h = frac * eq.h2
+    assume(0.0 < h < eq.h2)
+    h1, _, _ = _balance(rig, p1, p2, h2_stop=h)
+    d = -_side_force(rig.modulating, p1, h1)[1]
+    fresh = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
+    assert contact_stiffness(rig, p1, p2, eq, h) == fresh
+
+
+def test_contact_stiffness_side_force_evaluations(monkeypatch):
+    # the probe balance evaluates side 2 at the probe height and side 1 at
+    # h1, the latter twice on this riding branch (its residual at the stop,
+    # then the tension); evaluating each height anew took 5 side forces here
+    cfg = load_config(default_config_path())
+    eq = solve_equilibrium(cfg.rig, 20.0, 30.0)
+    calls = 0
+    side_force = rig_mod._side_force
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(rig_mod, "_side_force", counted)
+    contact_stiffness(cfg.rig, 20.0, 30.0, eq, eq.h2 - cfg.probe_depth)
+    assert calls == 2
 
 
 def test_stiffness_scales_with_pressure_level():
