@@ -8,7 +8,6 @@ shortest-round-trip rule so identical runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -43,16 +42,14 @@ STEP_PROTOCOLS = {
 FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """One comma-joined line per row; numbers by ``format(v, ".12g")``, a numpy row via tolist."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            cells = row.tolist() if isinstance(row, np.ndarray) else row
+            fh.write(",".join([v if isinstance(v, str) else format(v, ".12g")
+                               for v in cells]) + "\n")
     return path
 
 

@@ -11,10 +11,10 @@ it at ambient pressure to the most the belt allows, rests taut instead.  A
 taut belt couples the two heights through the rig's force balance
 (``rig.belt_balance``), belt compliance included, so a settled step lands
 on the static equilibrium.  The balance is solved by Newton steps on the
-side forces' analytic slopes (the gas law's and the stack's), from a secant
-prediction of h2 whose Newton point usually closes the bracket; the gauges are
-read from its last evaluations, and a slack chamber's free-expansion root starts
-from the step before.
+side forces' analytic slopes (the gas law's and the stack's), from a three-point
+(quadratic) prediction of h2 whose Newton step mostly ends the solve after one
+evaluation; the gauges are read from its last evaluations, and a slack chamber's
+free-expansion root starts from the same prediction of its height.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def step_simulate(
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
     h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors)
-    h2_prev = h2
+    past = [(h2, *free)] * 2  # the two steps before, for the three-point predictors
 
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
@@ -243,8 +243,9 @@ def step_simulate(
             opening = min(1.0, abs(err) / OPENING_BAND_KPA)
             source = valve.supply_pressure if err > 0 else valve.exhaust_pressure  # venting: negative
             masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
-        guess, h2_prev = h2 + (h2 - h2_prev), h2  # secant predictor
-        h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free)
+        guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip((h2, *free), *past)]
+        past = [(h2, *free), past[0]]
+        h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
         if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))

@@ -10,7 +10,9 @@ bracketed, safeguarded Newton ``_root``, on closed-form slopes.  Probe
 stiffness and the height slopes in pressure (``equilibrium_slopes``) are
 closed-form implicit derivatives of the balance, from the same side-force
 slopes.  The balance starts from a ``guess`` of h2 where one is known: the
-previous valve step's, or in the planner a nearby solve's.
+valve step's prediction, or in the planner a nearby solve's; a guess whose
+Newton step is within the root tolerance ends the solve after one evaluation.
+The probe's balance reads back the side forces it evaluated (``_kept``).
 """
 
 from __future__ import annotations
@@ -137,15 +139,19 @@ def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
                  f_lo: tuple[float, float] | None, hi: float, guess: float | None) -> float:
     """Root of a rising f in [lo, hi], f_lo = f(lo) or None: hi if f(hi) <= 0, lo if f(lo) >= 0.
 
-    A guess inside (lo, hi) replaces an end, and so does its Newton point pushed
-    ROOT_XTOL_MM / 2 further: where Newton converges, the far end goes unevaluated.
+    A guess inside (lo, hi) takes ``_root``'s stopping rule: a Newton step from
+    it within ROOT_XTOL_MM, to a point inside (lo, hi), gives that point, an
+    exact zero with a slope the guess itself.  Otherwise the guess replaces an
+    end, and so does its Newton point pushed ROOT_XTOL_MM / 2 further.
     """
     f_hi = None
     if guess is not None and lo < guess < hi:
-        r = f(guess)  # a zero value tests hi first, as a cold start does
+        r = f(guess)  # a zero value without a slope tests hi first, as a cold start does
+        if r[1] and abs((x := guess - r[0] / r[1]) - guess) <= ROOT_XTOL_MM and lo < x < hi:
+            return x
         lo, f_lo, hi, f_hi = (guess, r, hi, f_hi) if r[0] <= 0.0 else (lo, f_lo, guess, r)
         if r[0] and r[1]:
-            x = guess - r[0] / r[1] - math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])
+            x -= math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])  # pushed past the root
             if lo < x < hi and (r := f(x))[0]:
                 lo, f_lo, hi, f_hi = (x, r, hi, f_hi) if r[0] < 0.0 else (lo, f_lo, x, r)
     if f_hi is None and (f_hi := f(hi))[0] <= 0.0:
@@ -211,18 +217,24 @@ def belt_balance(f1: Callable[[float], tuple[float, float]],
     return min(x1, h1), h2, tension
 
 
-def _balance(
-    rig: RigSpec, p1: float, p2: float, h2_stop: float = math.inf, offset: float = 0.0, *,
-    guess: float | None = None,
-) -> tuple[float, float, float]:
-    """``belt_balance`` of the rig's stacks, the morphing side held below h2_stop."""
+def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,
+             guess: float | None = None) -> tuple[float, float, float]:
+    """``belt_balance`` of the rig's stacks."""
     return belt_balance(
-        partial(_side_force, rig.modulating, p1),
-        partial(_side_force, rig.morphing, p2),
-        rig.modulating.free_height,
-        min(rig.morphing.free_height, h2_stop),
+        partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
+        rig.modulating.free_height, rig.morphing.free_height,
         rig.belt_span, rig.belt_compliance, offset, guess=guess,
     )
+
+
+def _probe_balance(rig: RigSpec, p1: float, p2: float, h2: float) -> tuple:
+    """(f1, f2, h1, tension) of a probe holding the morphing side at h2, f1 and f2 ``_kept``."""
+    f1, f2 = (_kept(partial(_side_force, spec, p))
+              for spec, p in ((rig.modulating, p1), (rig.morphing, p2)))
+    h1, _, tension = belt_balance(f1, f2, rig.modulating.free_height,
+                                  min(rig.morphing.free_height, h2), rig.belt_span,
+                                  rig.belt_compliance)
+    return f1, f2, h1, tension
 
 
 def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
@@ -251,25 +263,28 @@ def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
     return -a1 / slope, -a2 * (c * p1 * k1 - 1.0) / slope
 
 
-def probe_force(
-    rig: RigSpec, p1: float, p2: float, h2_forced: float
-) -> tuple[float, float, float]:
+def probe_force(rig: RigSpec, p1: float, p2: float,
+                h2_forced: float) -> tuple[float, float, float]:
     """Force on a probe holding the morphing side at ``h2_forced``.
 
     Returns (force N, belt_tension N, h1 mm).  The modulating side
     re-equilibrates against the belt, stretching it by the compliance; the
     belt goes slack once the modulating side reaches its free height.
     """
-    eq = solve_equilibrium(rig, p1, p2)
+    return _probe_force(rig, p1, p2, solve_equilibrium(rig, p1, p2), h2_forced)
+
+
+def _probe_force(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
+                 h2_forced: float) -> tuple[float, float, float]:
+    """``probe_force`` below an equilibrium already solved at (p1, p2)."""
     if h2_forced > eq.h2 + 1e-9:
         raise RigDomainError(
             f"h2_forced {h2_forced} mm above equilibrium {eq.h2:.6g} mm (probe not in contact)"
         )
     if h2_forced <= 0.0:
         raise RigDomainError("h2_forced must be positive")
-    h1, _, tension = _balance(rig, p1, p2, h2_stop=h2_forced)
-    force = max(0.0, _side_force(rig.morphing, p2, h2_forced)[0] - tension)
-    return force, tension, h1
+    _, f2, h1, tension = _probe_balance(rig, p1, p2, h2_forced)
+    return max(0.0, f2(h2_forced)[0] - tension), tension, h1
 
 
 def force_displacement_curve(
@@ -289,7 +304,7 @@ def force_displacement_curve(
     n = int(round(max_depth / step))
     depths = [i * step for i in range(n + 1)]
     f = rig.friction_force if with_friction else 0.0
-    curve = [(d, probe_force(rig, p1, p2, eq.h2 - d)[0]) for d in depths]
+    curve = [(d, _probe_force(rig, p1, p2, eq, eq.h2 - d)[0]) for d in depths]
     return ([(d, max(0.0, base + f)) for d, base in curve]
             + [(d, max(0.0, base - f)) for d, base in reversed(curve)])
 
@@ -310,10 +325,7 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     """
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
-    f1, f2 = (_kept(partial(_side_force, spec, p))
-              for spec, p in ((rig.modulating, p1), (rig.morphing, p2)))
-    h1, _, _ = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
-                            rig.belt_span, rig.belt_compliance)
+    f1, f2, h1, _ = _probe_balance(rig, p1, p2, h2)
     d = -f1(h1)[1]
     return -f2(h2)[1] + d / (1.0 + rig.belt_compliance * d)
 

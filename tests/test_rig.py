@@ -11,11 +11,12 @@ from afpa_sim import rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
 from afpa_sim.pouch import PouchStackSpec, contact_force, free_height
 from afpa_sim.rig import (
+    ROOT_XTOL_MM,
     Anchor,
     CalibrationError,
     RigDomainError,
     RigSpec,
-    _balance,
+    _rising_root,
     _side_force,
     belt_balance,
     calibrate_rig,
@@ -292,10 +293,18 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     eq = solve_equilibrium(rig, p1, p2)
     h = frac * eq.h2
     assume(0.0 < h < eq.h2)
-    h1, _, _ = _balance(rig, p1, p2, h2_stop=h)
+    h1, _, _ = belt_balance(partial(_side_force, rig.modulating, p1),
+                            partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
+                            min(rig.morphing.free_height, h), rig.belt_span, compliance)
     d = -_side_force(rig.modulating, p1, h1)[1]
     fresh = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
     assert contact_stiffness(rig, p1, p2, eq, h) == fresh
+    h1, _, tension = belt_balance(partial(_side_force, rig.modulating, p1),
+                                  partial(_side_force, rig.morphing, p2),
+                                  rig.modulating.free_height, min(rig.morphing.free_height, h),
+                                  rig.belt_span, compliance)
+    fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - tension)
+    assert probe_force(rig, p1, p2, h) == (fresh_force, tension, h1)
 
 
 def test_contact_stiffness_side_force_evaluations(monkeypatch):
@@ -315,6 +324,63 @@ def test_contact_stiffness_side_force_evaluations(monkeypatch):
     monkeypatch.setattr(rig_mod, "_side_force", counted)
     contact_stiffness(cfg.rig, 20.0, 30.0, eq, eq.h2 - cfg.probe_depth)
     assert calls == 2
+
+
+def test_force_displacement_side_force_evaluations(monkeypatch):
+    # each sample's probe balance starts from the curve's one equilibrium and
+    # evaluates side 2 at the probe height and side 1 at h1, each once;
+    # solving the equilibrium again for every sample took 20 per sample here
+    cfg = load_config(default_config_path())
+    calls = 0
+    side_force = rig_mod._side_force
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(rig_mod, "_side_force", counted)
+    solve_equilibrium(cfg.rig, 20.0, 30.0)
+    per_solve, calls = calls, 0
+    curve = force_displacement_curve(cfg.rig, 20.0, 30.0, max_depth=5.0, step=0.5)
+    assert calls == per_solve + 2 * (len(curve) // 2)
+
+
+def rising_line(root: float) -> tuple:
+    """f(x) = x - root, slope 1, and the list of points it was evaluated at."""
+    seen: list[float] = []
+
+    def f(x: float) -> tuple[float, float]:
+        seen.append(x)
+        return x - root, 1.0
+
+    return f, seen
+
+
+def test_rising_root_takes_a_converged_guess_after_one_evaluation():
+    # _root's own stopping rule: a Newton step within ROOT_XTOL_MM is the root
+    for guess in (5.0, 5.0 + 0.5 * ROOT_XTOL_MM, 5.0 - 0.9 * ROOT_XTOL_MM):
+        f, seen = rising_line(5.0)
+        assert _rising_root(f, 0.0, None, 10.0, guess) == 5.0
+        assert seen == [guess]
+    # a zero without a slope may be zero over the whole bracket: hi is tested
+    seen = []
+    assert _rising_root(lambda x: seen.append(x) or (0.0, 0.0), 0.0, None, 10.0, 5.0) == 10.0
+    assert seen == [5.0, 10.0]
+    # a longer step is confirmed by a second evaluation, as before
+    f, seen = rising_line(5.0)
+    assert _rising_root(f, 0.0, None, 10.0, 5.0 + 3.0 * ROOT_XTOL_MM) == pytest.approx(5.0)
+    assert len(seen) > 1
+
+
+def test_rising_root_keeps_a_newton_point_past_an_end_out():
+    # the line's zero lies half a tolerance past an end, and the guess just
+    # inside it: the Newton step is within the tolerance, but its point is
+    # not in the bracket, so the end is the root
+    f, _ = rising_line(10.0 + 0.5 * ROOT_XTOL_MM)
+    assert _rising_root(f, 0.0, None, 10.0, 10.0 - 0.25 * ROOT_XTOL_MM) == 10.0
+    f, _ = rising_line(-0.5 * ROOT_XTOL_MM)
+    assert _rising_root(f, 0.0, None, 10.0, 0.25 * ROOT_XTOL_MM) == 0.0
 
 
 def test_stiffness_scales_with_pressure_level():
