@@ -18,13 +18,8 @@ import numpy as np
 from .config import RunConfig
 from .planner import StateDef, feasibility_map, state_table
 from .pneumatics import resample_16hz, step_simulate
-from .rig import (
-    RigDomainError,
-    force_displacement_curve,
-    size_pressure_sweep,
-    solve_equilibrium,
-    stiffness,
-)
+from .rig import (RigDomainError, contact_stiffness, force_displacement_curve,
+                  size_pressure_sweep, solve_equilibrium)
 from .study import (
     StudyDomainError,
     TrialRecord,
@@ -98,7 +93,7 @@ def run_characterize_stiffness(config: RunConfig, out: Path) -> list[Path]:
             force_rows.append((p2, d, f_load, f_unload))
             h = eq.h2 - d
             try:
-                k = stiffness(config.rig, 0.0, p2, h)
+                k = contact_stiffness(config.rig, 0.0, p2, eq, h)
             except RigDomainError:
                 continue
             stiff_rows.append((p2, d, k))

@@ -13,8 +13,9 @@ taut belt couples the two heights through the rig's force balance
 on the static equilibrium.  The balance is solved by Newton steps on the
 side forces' analytic slopes (the gas law's and the stack's), from a three-point
 (quadratic) prediction of h2 whose Newton step mostly ends the solve after one
-evaluation; the gauges are read from its last evaluations, and a slack chamber's
-free-expansion root starts from the same prediction of its height.
+evaluation.  Each side force also returns the gas volume it evaluated, so the
+gauges are read from the balance record's last evaluation of each side; a slack
+chamber's free-expansion root starts from the same prediction of its height.
 """
 
 from __future__ import annotations
@@ -123,24 +124,22 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float,
     return _rising_root(excess, MIN_HEIGHT_MM, at_floor, spec.free_height, guess)
 
 
-def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float,
-                          last: list[float] | None = None) -> tuple[float, float]:
+def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> tuple:
     """Contact force (N) of one side at fixed gas mass, and its slope (N/mm).
 
     Isothermal gas: the pressure changes by dp/dH = -p * dV/dH / V_gas.
-    ``last``, where given, receives the height, gas volume and its slope (m^3/mm).
+    Below the free height the gas volume (m^3) and its slope (m^3/mm) follow.
     """
     if height >= spec.free_height:
         return 0.0, 0.0
     gas, area, curvature = _gas_volume(spec, height)
-    if last is not None:
-        last[:] = height, gas, area * 1e-9
     p_abs = _abs_pressure(mass, gas)
     gauge = p_abs - P_ATM_KPA
     if gauge <= 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, gas, area * 1e-9
     return (gauge * area * KPA_MM2_TO_N,
-            (gauge * curvature - p_abs * area * area * 1e-9 / gas) * KPA_MM2_TO_N)
+            (gauge * curvature - p_abs * area * area * 1e-9 / gas) * KPA_MM2_TO_N,
+            gas, area * 1e-9)
 
 
 def _fill_masses(rig: RigSpec) -> list[float]:
@@ -159,23 +158,20 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     drops below its residue height, so neither can take the whole span.
     ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
     ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2) and ``free_guess`` start
-    the roots.  Each gauge's gas volume is ``_carried`` from its side's last evaluation.
+    the roots.  Each gauge's gas volume is ``_carried`` from the balance's last
+    evaluation of its side, else evaluated anew (a gas volume is never 0).
     """
     specs, masses = (rig.modulating, rig.morphing), (m1, m2)
     free = [spec.free_height if m >= fill else _free_expansion_height(spec, m, floor, g)
             for spec, m, fill, floor, g in zip(specs, masses, fills, floors, free_guess)]
     cap = rig.belt_span - MIN_HEIGHT_MM
-    lasts: tuple[list[float], list[float]] = ([], [])
-    h1, h2, _ = belt_balance(
-        partial(_side_force_from_mass, rig.modulating, m1, last=lasts[0]),
-        partial(_side_force_from_mass, rig.morphing, m2, last=lasts[1]),
-        min(free[0], cap), min(free[1], cap),
-        rig.belt_span, rig.belt_compliance, guess=guess,
-    )
-    return h1, h2, [
+    b = belt_balance(partial(_side_force_from_mass, rig.modulating, m1),
+                     partial(_side_force_from_mass, rig.morphing, m2), min(free[0], cap),
+                     min(free[1], cap), rig.belt_span, rig.belt_compliance, guess=guess)
+    return b.h1, b.h2, [
         0.0 if h == x < spec.free_height
-        else _abs_pressure(m, _carried(last, h, lambda z: _gas_volume(spec, z)[0])) - P_ATM_KPA
-        for spec, m, h, x, last in zip(specs, masses, (h1, h2), free, lasts)
+        else _abs_pressure(m, _carried(last, 2, h) or _gas_volume(spec, h)[0]) - P_ATM_KPA
+        for spec, m, h, x, last in zip(specs, masses, (b.h1, b.h2), free, (b.side1, b.side2))
     ], free
 
 

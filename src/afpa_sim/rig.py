@@ -4,15 +4,16 @@ The belt constrains h1 + h2 <= belt_span + belt_compliance * tension and
 can only pull.  One force balance, ``belt_balance``, with belt stretch on
 every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
-dynamics.  Its roots, the valve model's free-expansion height and the
-planner's seed pressures come from the package's one root solver, the
-bracketed, safeguarded Newton ``_root``, on closed-form slopes.  Probe
-stiffness and the height slopes in pressure (``equilibrium_slopes``) are
-closed-form implicit derivatives of the balance, from the same side-force
-slopes.  The balance starts from a ``guess`` of h2 where one is known: the
-valve step's prediction, or in the planner a nearby solve's; a guess whose
-Newton step is within the root tolerance ends the solve after one evaluation.
-The probe's balance reads back the side forces it evaluated (``_kept``).
+dynamics.  It returns one record, ``Balance``: heights, tension, branch and
+each side's last evaluation, which the probe and the valve gauges read back.
+Its roots, the valve model's free-expansion height and the planner's seed
+pressures come from the package's one root solver, the bracketed,
+safeguarded Newton ``_root``, on closed-form slopes.  Probe stiffness and
+the height slopes in pressure (``equilibrium_slopes``) are closed-form
+implicit derivatives of the balance, from the same side-force slopes.  The
+balance starts from a ``guess`` of h2 where one is known: the valve step's
+prediction, or in the planner a nearby solve's; a guess whose Newton step
+is within the root tolerance ends the solve after one evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import AfpaSimError
 from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms
@@ -31,7 +32,7 @@ ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
 ROOT_MAX_ITER = 100
 _FORCE_MIN = sys.float_info.min  # N; a subnormal force no longer scales with pressure
 SWEEP_POINTS_MAX = 10_000  # largest p1 path of size_pressure_sweep (sweep.p1_max / p1_step)
-PROBE_SAMPLES_MAX = 10_000  # largest max_depth / step of force_displacement_curve
+PROBE_SAMPLES_MAX = 10_000  # most steps, max_depth / step rounded, of force_displacement_curve
 
 
 class RigDomainError(AfpaSimError, ValueError):
@@ -74,6 +75,7 @@ class EquilibriumState:
     h2: float  # mm
     belt_tension: float  # N
     taut: bool
+    branch: str  # the ``Balance`` branch: slack, interior, pinned or squashed
 
 
 def _check_pressure(p: float, name: str) -> float:
@@ -161,88 +163,100 @@ def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
     return _root(f, lo, f_lo, hi, f_hi)
 
 
-def _carried(last: Sequence[float], x: float, fresh: Callable[[float], float]) -> float:
-    """f(x) carried from last = (at, f, f') where at is within ROOT_XTOL_MM, else fresh(x)."""
-    near = last and abs(x - last[0]) <= ROOT_XTOL_MM
-    return last[1] + last[2] * (x - last[0]) if near else fresh(x)
+class Balance(NamedTuple):
+    """What ``belt_balance`` solved.  branch: 'slack' (x1 + x2 < span), 'interior' (a root
+    inside h2's bracket), 'pinned' (h2 at its top: the span or the stop x2) or 'squashed'
+    (h2 at its bottom, span - x1); side1, side2: each side's last evaluation, (height,
+    what the side function returned there), or None when slack."""
+
+    h1: float  # mm
+    h2: float  # mm
+    tension: float  # N
+    branch: str
+    side1: tuple | None
+    side2: tuple | None
 
 
-def _kept(f: Callable[[float], tuple[float, float]]) -> Callable[[float], tuple[float, float]]:
-    """f, each value kept by its exact argument, so that a repeated call reads it back."""
-    seen: dict[float, tuple[float, float]] = {}
-    return lambda x: seen[x] if x in seen else seen.setdefault(x, f(x))
+def _carried(last: tuple | None, i: int, x: float) -> float | None:
+    """Value i of ``last``, a side's last evaluation (at, values), carried to x by value
+    i + 1, its slope, where at is within ROOT_XTOL_MM and values hold both; else None."""
+    if last and len(last[1]) > i + 1 and abs(x - last[0]) <= ROOT_XTOL_MM:
+        return last[1][i] + last[1][i + 1] * (x - last[0])
+    return None
 
 
-def belt_balance(f1: Callable[[float], tuple[float, float]],
-                 f2: Callable[[float], tuple[float, float]], x1: float, x2: float,
-                 span: float, compliance: float, offset: float = 0.0,
-                 guess: float | None = None) -> tuple[float, float, float]:
-    """Heights (h1, h2) in mm and belt tension in N of two sides tied by the belt.
+def _read(last: tuple | None, x: float, f: Callable[[float], tuple]) -> tuple:
+    """f(x), read back from ``last``, a side's last evaluation, where that was at x."""
+    return last[1] if last and last[0] == x else f(x)
 
-    f1 and f2 give each side's contact force and its slope at its height;
-    x1 and x2 are the heights the sides cannot pass (zero force, or a stop
-    such as a probe holding side 2 down).  ``offset`` is a Coulomb force on
-    side 2, positive while h2 falls.  With the tension taken as f2(h2), the
-    residual f1(span + compliance * tension - h2) - tension - offset rises
-    with h2, so a bracketed root is unique; its slope is analytic.  Without
-    a sign change side 2 is pinned at the end of its range and side 1 alone
-    stretches the belt.  ``guess`` is an h2 to start from, such as the previous
-    time step's.  An interior root's tension is ``_carried`` from the last
-    residual's evaluation of f2.
+
+def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1: float,
+                 x2: float, span: float, compliance: float, offset: float = 0.0,
+                 guess: float | None = None) -> Balance:
+    """The ``Balance`` of two sides tied by the belt.
+
+    f1 and f2 give each side's contact force and its slope at its height,
+    and may return more values after them, which the record keeps; x1 and
+    x2 are the heights the sides cannot pass (zero force, or a stop such as
+    a probe holding side 2 down).  ``offset`` is a Coulomb force on side 2,
+    positive while h2 falls.  With the tension taken as f2(h2), the residual
+    f1(span + compliance * tension - h2) - tension - offset rises with h2, so
+    a bracketed root is unique; its slope is analytic.  Without a sign change
+    side 2 is pinned or squashed at an end of its range and side 1 alone
+    stretches the belt.  ``guess`` is an h2 to start from, such as the last
+    time step's.  An interior root's tension is ``_carried`` from f2's.
     """
     if x1 + x2 < span:
-        return x1, x2, 0.0
-    last: list[float] = []
+        return Balance(x1, x2, 0.0, "slack", None, None)
+    last1 = last2 = None
 
     def residual(h2: float) -> tuple[float, float]:
-        tension, k2 = f2(h2)
-        last[:] = h2, tension, k2
-        force, k1 = f1(span + compliance * tension - h2)
-        return force - tension - offset, k1 * (compliance * k2 - 1.0) - k2
+        nonlocal last1, last2
+        r2 = f2(h2)
+        h1 = span + compliance * r2[0] - h2
+        r1 = f1(h1)
+        last1, last2 = (h1, r1), (h2, r2)
+        return r1[0] - r2[0] - offset, r1[1] * (compliance * r2[1] - 1.0) - r2[1]
 
     lo, hi = max(1e-9, span - x1), min(x2, span)
     if lo < (h2 := _rising_root(residual, lo, None, hi, guess)) < hi:
-        tension = _carried(last, h2, lambda h: f2(h)[0])
-        return min(x1, span + compliance * tension - h2), h2, tension
+        if (tension := _carried(last2, 0, h2)) is None:  # f2 is evaluated anew, and kept
+            last2 = h2, f2(h2)
+            tension = last2[1][0]
+        return Balance(min(x1, span + compliance * tension - h2), h2, tension, "interior",
+                       last1, last2)
     h1 = span - h2
-    tension, k1 = f1(h1)
+    if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
+        last1 = h1, f1(h1)
+    tension, k1 = last1[1][0], last1[1][1]
     if compliance > 0.0 and tension > 0.0:
         def stretch(t: float) -> tuple[float, float]:
-            force, k = f1(h1 + compliance * t)
-            return force - t, compliance * k - 1.0
+            nonlocal last1
+            h = h1 + compliance * t
+            last1 = h, (r := f1(h))
+            return r[0] - t, compliance * r[1] - 1.0
 
         if (s_hi := stretch(tension))[0] < 0.0:  # else the stretch is below rounding
             tension = _root(stretch, 0.0, (tension, compliance * k1 - 1.0), tension, s_hi)
         h1 += compliance * tension
-    return min(x1, h1), h2, tension
+    return Balance(min(x1, h1), h2, tension, "pinned" if h2 == hi else "squashed",
+                   last1, last2)
 
 
 def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,
-             guess: float | None = None) -> tuple[float, float, float]:
+             guess: float | None = None) -> Balance:
     """``belt_balance`` of the rig's stacks."""
-    return belt_balance(
-        partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
-        rig.modulating.free_height, rig.morphing.free_height,
-        rig.belt_span, rig.belt_compliance, offset, guess=guess,
-    )
-
-
-def _probe_balance(rig: RigSpec, p1: float, p2: float, h2: float) -> tuple:
-    """(f1, f2, h1, tension) of a probe holding the morphing side at h2, f1 and f2 ``_kept``."""
-    f1, f2 = (_kept(partial(_side_force, spec, p))
-              for spec, p in ((rig.modulating, p1), (rig.morphing, p2)))
-    h1, _, tension = belt_balance(f1, f2, rig.modulating.free_height,
-                                  min(rig.morphing.free_height, h2), rig.belt_span,
-                                  rig.belt_compliance)
-    return f1, f2, h1, tension
+    return belt_balance(partial(_side_force, rig.modulating, p1),
+                        partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
+                        rig.morphing.free_height, rig.belt_span, rig.belt_compliance, offset,
+                        guess=guess)
 
 
 def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
                       guess: float | None = None) -> EquilibriumState:
     """Equilibrium heights and belt tension at the given gauge pressures, from ``guess`` (h2)."""
-    h1, h2, tension = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"),
-                               guess=guess)
-    return EquilibriumState(h1, h2, tension, taut=h1 + h2 >= rig.belt_span - 1e-9)
+    b = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"), guess=guess)
+    return EquilibriumState(b.h1, b.h2, b.tension, b.h1 + b.h2 >= rig.belt_span - 1e-9, b.branch)
 
 
 def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
@@ -251,16 +265,15 @@ def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
 
     The implicit-function theorem on the ``belt_balance`` residual
     p1*a1(h1) - p2*a2(h2), with h1 = C + c*p2*a2(h2) - h2 and a, k each side's
-    force and slope per kPa.  Both are 0 while h2 sits at an end of its bracket.
+    force and slope per kPa.  Both are 0 off the balance's interior branch.
     """
-    span, c = rig.belt_span, rig.belt_compliance
-    a1, k1 = _side_force(rig.modulating, 1.0, eq.h1)
-    a2, k2 = _side_force(rig.morphing, 1.0, eq.h2)
-    slope = p1 * k1 * (c * p2 * k2 - 1.0) - p2 * k2
-    lo, hi = max(1e-9, span - rig.modulating.free_height), min(rig.morphing.free_height, span)
-    if not (lo < eq.h2 < hi and slope):
-        return 0.0, 0.0
-    return -a1 / slope, -a2 * (c * p1 * k1 - 1.0) / slope
+    if eq.branch == "interior":
+        c = rig.belt_compliance
+        a1, k1 = _side_force(rig.modulating, 1.0, eq.h1)
+        a2, k2 = _side_force(rig.morphing, 1.0, eq.h2)
+        if slope := p1 * k1 * (c * p2 * k2 - 1.0) - p2 * k2:
+            return -a1 / slope, -a2 * (c * p1 * k1 - 1.0) / slope
+    return 0.0, 0.0
 
 
 def probe_force(rig: RigSpec, p1: float, p2: float,
@@ -277,31 +290,29 @@ def probe_force(rig: RigSpec, p1: float, p2: float,
 def _probe_force(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
                  h2_forced: float) -> tuple[float, float, float]:
     """``probe_force`` below an equilibrium already solved at (p1, p2)."""
-    if h2_forced > eq.h2 + 1e-9:
-        raise RigDomainError(
-            f"h2_forced {h2_forced} mm above equilibrium {eq.h2:.6g} mm (probe not in contact)"
-        )
-    if h2_forced <= 0.0:
-        raise RigDomainError("h2_forced must be positive")
-    _, f2, h1, tension = _probe_balance(rig, p1, p2, h2_forced)
-    return max(0.0, f2(h2_forced)[0] - tension), tension, h1
+    if not 0.0 < h2_forced <= eq.h2 + 1e-9:
+        raise RigDomainError(f"h2_forced {h2_forced} mm not in the probe contact range "
+                             f"(0, {eq.h2:.6g}] mm")
+    f2 = partial(_side_force, rig.morphing, p2)
+    b = belt_balance(partial(_side_force, rig.modulating, p1), f2, rig.modulating.free_height,
+                     min(rig.morphing.free_height, h2_forced), rig.belt_span, rig.belt_compliance)
+    return max(0.0, _read(b.side2, h2_forced, f2)[0] - b.tension), b.tension, b.h1
 
 
-def force_displacement_curve(
-    rig: RigSpec,
-    p1: float,
-    p2: float,
-    max_depth: float,
-    step: float,
-    with_friction: bool = True,
-) -> list[tuple[float, float]]:
-    """Loading then unloading (depth, force) samples from the equilibrium height."""
-    if step <= 0:
-        raise RigDomainError("step must be positive")
+def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: float, step: float,
+                             with_friction: bool = True) -> list[tuple[float, float]]:
+    """Loading then unloading (depth, force) samples from the equilibrium height.
+
+    ``max_depth`` / ``step`` (mm) rounds to at most PROBE_SAMPLES_MAX steps.
+    """
+    if not 0.0 < step < math.inf:
+        raise RigDomainError(f"step must be positive and finite, got {step}")
+    if not 0.0 <= max_depth / step < PROBE_SAMPLES_MAX + 0.5:  # also NaN and inf
+        raise RigDomainError(f"max_depth {max_depth} mm not in [0, {PROBE_SAMPLES_MAX} steps]")
     eq = solve_equilibrium(rig, p1, p2)
     if max_depth >= eq.h2:
         raise RigDomainError(f"max_depth {max_depth} mm exceeds equilibrium height {eq.h2:.6g} mm")
-    n = int(round(max_depth / step))
+    n = round(max_depth / step)
     depths = [i * step for i in range(n + 1)]
     f = rig.friction_force if with_friction else 0.0
     curve = [(d, _probe_force(rig, p1, p2, eq, eq.h2 - d)[0]) for d in depths]
@@ -321,29 +332,28 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
     implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
     d = -f1'(h1) while the belt is taut and 0 once the modulating side is
-    slack, both slopes from the side forces, read back where the balance evaluated them.
+    slack, both slopes read back where the probe balance evaluated them.
     """
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
-    f1, f2, h1, _ = _probe_balance(rig, p1, p2, h2)
-    d = -f1(h1)[1]
-    return -f2(h2)[1] + d / (1.0 + rig.belt_compliance * d)
+    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
+    b = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
+                     rig.belt_span, rig.belt_compliance)
+    d = -_read(b.side1, b.h1, f1)[1]
+    return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d)
 
 
-def size_pressure_sweep(
-    rig: RigSpec, p2_fixed: float, p1_path: Sequence[float]
-) -> list[tuple[float, float]]:
+def size_pressure_sweep(rig: RigSpec, p2_fixed: float,
+                        p1_path: Sequence[float]) -> list[tuple[float, float]]:
     """(p1, h2) samples along an ordered p1 path, with Coulomb hysteresis."""
     samples: list[tuple[float, float]] = []
     prev_h2: float | None = None
     for p1 in p1_path:
         h2_free = solve_equilibrium(rig, p1, p2_fixed).h2
-        if prev_h2 is None:
-            direction = 0.0
-        else:
-            direction = math.copysign(1.0, h2_free - prev_h2) if h2_free != prev_h2 else 0.0
+        moved = prev_h2 is not None and h2_free != prev_h2
+        direction = math.copysign(1.0, h2_free - prev_h2) if moved else 0.0
         # Coulomb friction holds the height back against the motion
-        _, h2, _ = _balance(rig, p1, p2_fixed, offset=-direction * rig.friction_force)
+        h2 = _balance(rig, p1, p2_fixed, offset=-direction * rig.friction_force).h2
         samples.append((float(p1), h2))
         prev_h2 = h2
     return samples
@@ -380,12 +390,9 @@ _FIT_PARAMS = ("modulating.flat_width", "modulating.flat_length",
 
 def _rig_from_vector(x: Sequence[float], template: RigSpec) -> RigSpec:
     w1, l1, w2, l2, c = x
-    return replace(
-        template,
-        modulating=replace(template.modulating, flat_width=w1, flat_length=l1),
-        morphing=replace(template.morphing, flat_width=w2, flat_length=l2),
-        belt_span=c,
-    )
+    return replace(template, belt_span=c,
+                   modulating=replace(template.modulating, flat_width=w1, flat_length=l1),
+                   morphing=replace(template.morphing, flat_width=w2, flat_length=l2))
 
 
 def _predict(rig: RigSpec, anchor: Anchor) -> float:
@@ -393,19 +400,15 @@ def _predict(rig: RigSpec, anchor: Anchor) -> float:
         return solve_equilibrium(rig, anchor.p1, anchor.p2).h2
     if anchor.kind == "force":
         assert anchor.h2 is not None
-        force, _, _ = probe_force(rig, anchor.p1, anchor.p2, anchor.h2)
-        return force
+        return probe_force(rig, anchor.p1, anchor.p2, anchor.h2)[0]
     if anchor.kind == "stiffness":
         assert anchor.h2 is not None
         return stiffness(rig, anchor.p1, anchor.p2, anchor.h2)
     raise ValueError(f"unknown anchor kind {anchor.kind!r}")
 
 
-def calibrate_rig(
-    anchors: Sequence[Anchor],
-    start: RigSpec,
-    weights: Sequence[float] | None = None,
-) -> CalibrationResult:
+def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec,
+                  weights: Sequence[float] | None = None) -> CalibrationResult:
     """Least-squares fit of the five geometry parameters to the anchors.
 
     Residuals are normalized by the observed values; the fit is a damped
@@ -414,10 +417,9 @@ def calibrate_rig(
     """
     anchors = list(anchors)
     if len(anchors) < len(_FIT_PARAMS) - 1:
-        raise CalibrationError(
-            f"need at least {len(_FIT_PARAMS) - 1} independent anchors to constrain "
-            f"parameters {', '.join(_FIT_PARAMS)}; got {len(anchors)}"
-        )
+        raise CalibrationError(f"need at least {len(_FIT_PARAMS) - 1} independent anchors to "
+                               f"constrain parameters {', '.join(_FIT_PARAMS)}; "
+                               f"got {len(anchors)}")
     for a in anchors:
         if a.kind in ("force", "stiffness") and a.h2 is None:
             raise CalibrationError(f"{a.kind} anchor requires an h2 value")
@@ -426,11 +428,8 @@ def calibrate_rig(
     if weights is None:
         weights = [1.0] * len(anchors)
 
-    x0 = [
-        start.modulating.flat_width, start.modulating.flat_length,
-        start.morphing.flat_width, start.morphing.flat_length,
-        start.belt_span,
-    ]
+    x0 = [start.modulating.flat_width, start.modulating.flat_length,
+          start.morphing.flat_width, start.morphing.flat_length, start.belt_span]
 
     def residuals(x):
         try:

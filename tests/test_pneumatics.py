@@ -295,8 +295,9 @@ def test_fill_mass_gate_matches_cold_free_expansion(widths, lengths, counts, end
     # balance's last evaluation, carried to the returned height to first order
     sides = list(zip(specs, masses))
     free = [cold_free_expansion(spec, m) for spec, m in sides]
-    h1, h2, _ = belt_balance(*(partial(_side_force_from_mass, spec, m) for spec, m in sides),
-                             min(free[0], cap), min(free[1], cap), span, compliance)
+    b = belt_balance(*(partial(_side_force_from_mass, spec, m) for spec, m in sides),
+                     min(free[0], cap), min(free[1], cap), span, compliance)
+    h1, h2 = b.h1, b.h2
     cold_gauges = [0.0 if h == x < spec.free_height
                    else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
                    for (spec, m), h, x in zip(sides, (h1, h2), free)]
@@ -355,8 +356,9 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
              for spec, m, h, x in zip(specs, masses, (h1, h2), free)]
     assert gauges == pytest.approx(fresh, rel=1e-12, abs=1e-11)
     f1, f2 = (partial(_side_force_from_mass, spec, m) for spec, m in zip(specs, masses))
-    b1, b2, tension = belt_balance(f1, f2, min(free[0], cap), min(free[1], cap), span,
-                                   compliance, guess=at(guess, lo, hi))
+    b = belt_balance(f1, f2, min(free[0], cap), min(free[1], cap), span, compliance,
+                     guess=at(guess, lo, hi))
+    b1, b2, tension = b.h1, b.h2, b.tension
     assert (b1, b2) == (h1, h2)
     interior = max(1e-9, span - min(free[0], cap)) < h2 < min(free[1], cap, span)
     event("slack" if sum(map(min, free, (cap, cap))) < span else "interior" if interior

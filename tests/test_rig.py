@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from afpa_sim import rig as rig_mod
@@ -136,8 +136,20 @@ def test_probe_force_increases_with_depth():
 def test_probe_above_equilibrium_rejected():
     rig = make_rig()
     eq = solve_equilibrium(rig, 40.0, 60.0)
-    with pytest.raises(RigDomainError):
-        probe_force(rig, 40.0, 60.0, eq.h2 + 1.0)
+    for h2_forced in (eq.h2 + 1.0, float("nan")):
+        with pytest.raises(RigDomainError, match="h2_forced"):
+            probe_force(rig, 40.0, 60.0, h2_forced)
+
+
+def test_force_displacement_curve_rejects_bad_steps_and_depths():
+    cfg = load_config(default_config_path())
+    nan, inf = float("nan"), float("inf")
+    for max_depth, step, field in ((5.0, nan, "step"), (5.0, inf, "step"), (5.0, 0.0, "step"),
+                                   (nan, 0.5, "max_depth"), (-1.0, 0.5, "max_depth"),
+                                   (inf, 0.5, "max_depth"),
+                                   (5.0, 5.0 / (rig_mod.PROBE_SAMPLES_MAX + 1), "max_depth")):
+        with pytest.raises(RigDomainError, match=field):
+            force_displacement_curve(cfg.rig, 20.0, 30.0, max_depth, step)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,13 +247,13 @@ def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, of
     want_h1, want_h2 = brentq_balance(rig, p1, p2, stop, offset)
     if near is not None:  # a guess next to the root: its Newton point closes the bracket
         guess = want_h2 + near
-    h1, h2, _ = belt_balance(
+    b = belt_balance(
         partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
         free_height(rig.modulating), min(free_height(rig.morphing), stop), c, compliance,
         offset, guess=guess,
     )
-    assert h1 == pytest.approx(want_h1, abs=1e-6)
-    assert h2 == pytest.approx(want_h2, abs=1e-6)
+    assert b.h1 == pytest.approx(want_h1, abs=1e-6)
+    assert b.h2 == pytest.approx(want_h2, abs=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,6 +277,44 @@ def test_equilibrium_slopes_match_central_difference(w1, w2, c, compliance, end_
     slopes = equilibrium_slopes(rig, p1, p2, solve_equilibrium(rig, p1, p2))
     assert slopes[0] == pytest.approx((h2[0] - h2[1]) / (2 * e), rel=1e-5, abs=1e-9)
     assert slopes[1] == pytest.approx((h2[2] - h2[3]) / (2 * e), rel=1e-5, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(0.0, 150.0),
+    p2=st.floats(0.0, 150.0),
+    offset=st.sampled_from([0.0]) | st.floats(-5.0, 5.0),
+    stop=st.floats(1.0, 120.0),
+    guess=st.none() | st.floats(0.0, 120.0),
+)
+@example(w1=40.0, w2=55.0, c=200.0, compliance=0.0, end_caps=True, p1=10.0, p2=10.0,
+         offset=0.0, stop=120.0, guess=None)  # a belt longer than both stacks: slack
+def test_balance_branch_labels_hold(w1, w2, c, compliance, end_caps, p1, p2, offset, stop,
+                                    guess):
+    # each label names the condition it stands for, and each side's last
+    # evaluation is what the side function returns at its height
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
+    x1, x2 = free_height(rig.modulating), min(free_height(rig.morphing), stop)
+    b = belt_balance(f1, f2, x1, x2, c, compliance, offset, guess=guess)
+    lo, hi = max(1e-9, c - x1), min(x2, c)
+    event(b.branch)
+    assert b.branch in ("slack", "interior", "pinned", "squashed")
+    if b.branch == "slack":
+        assert x1 + x2 < c and b.tension == 0.0
+        assert b.side1 is None and b.side2 is None
+    else:
+        assert b.branch != "interior" or lo < b.h2 < hi
+        assert b.branch != "pinned" or b.h2 == hi
+        assert b.branch != "squashed" or b.h2 == lo
+        assert b.side1[1] == f1(b.side1[0]) and b.side2[1] == f2(b.side2[0])
+    eq = solve_equilibrium(rig, p1, p2)
+    assert (equilibrium_slopes(rig, p1, p2, eq) == (0.0, 0.0)) == (eq.branch != "interior")
 
 
 def test_equilibrium_slopes_vanish_at_the_belt_span():
@@ -293,16 +343,17 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     eq = solve_equilibrium(rig, p1, p2)
     h = frac * eq.h2
     assume(0.0 < h < eq.h2)
-    h1, _, _ = belt_balance(partial(_side_force, rig.modulating, p1),
-                            partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
-                            min(rig.morphing.free_height, h), rig.belt_span, compliance)
+    h1 = belt_balance(partial(_side_force, rig.modulating, p1),
+                      partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
+                      min(rig.morphing.free_height, h), rig.belt_span, compliance).h1
     d = -_side_force(rig.modulating, p1, h1)[1]
     fresh = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
     assert contact_stiffness(rig, p1, p2, eq, h) == fresh
-    h1, _, tension = belt_balance(partial(_side_force, rig.modulating, p1),
-                                  partial(_side_force, rig.morphing, p2),
-                                  rig.modulating.free_height, min(rig.morphing.free_height, h),
-                                  rig.belt_span, compliance)
+    b = belt_balance(partial(_side_force, rig.modulating, p1),
+                     partial(_side_force, rig.morphing, p2),
+                     rig.modulating.free_height, min(rig.morphing.free_height, h),
+                     rig.belt_span, compliance)
+    h1, tension = b.h1, b.tension
     fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - tension)
     assert probe_force(rig, p1, p2, h) == (fresh_force, tension, h1)
 
