@@ -2,17 +2,18 @@
 
 The forward map (p1, p2) -> (equilibrium height, probe stiffness at a
 reference depth) takes one equilibrium solve, whose closed-form slope
-gives the stiffness.  It is smooth away from the slack/taut boundary; the
-planner seeds from the height ratio and stiffness scale (or a coarse
-grid) and refines with a damped Newton iteration.  The seed's height
-roots run on the rig's one root solver, ``rig._root``, with the
-closed-form height slopes of ``rig.equilibrium_slopes``; the refinement
-keeps a finite-difference Jacobian, whose stiffness row would need the
-third volume derivative.  Within one ``plan_state`` call the solves are
-warm-started: a seed root's from the tangent h2 + dh2/dp * dp of its step
-before, the refinement's and the grid's from the previous solve's h2.  A
-target beyond the heights of the pressure box's corners is named by the
-seed itself.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
+gives the stiffness.  Side forces scale with pressure, so on a rigid belt
+the height follows the ratio p1/p2 and the stiffness the pressure level.
+The seed is one bracketed root of h2 = h* along the pressure box's
+anti-diagonal, where h2 is monotone (the box's corners name an unreachable
+height), then the stiffness scale along the ray through that root, clamped
+where the ray leaves the box (which names an unreachable stiffness).  A
+damped Newton iteration refines it on the closed-form Jacobian of the
+forward map: the height row is ``rig.equilibrium_slopes``, the stiffness
+row ``rig.stiffness_slopes``; a coarse grid is the fallback.  Within one
+``plan_state`` call each solve is warm-started, a root's from the tangent
+of its step before, the others from the previous solve's h2.  Pressure
+bounds are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import numpy as np
 from .errors import AfpaSimError
 from .pouch import free_height
 from .rig import (PRESSURE_MAX_KPA, RigDomainError, RigSpec, _root, contact_stiffness,
-                  equilibrium_slopes, solve_equilibrium)
+                  equilibrium_slopes, solve_equilibrium, stiffness_slopes)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
 NEWTON_MAX_ITER = 40
-JACOBIAN_STEP_KPA = 0.25  # the Jacobian's stiffness row would need V''' in closed form
+SEED_ROUNDS = 4  # contour roots and rescales of a seed off the target height
 GRID_N = 20  # points per axis of the fallback seed grid
 
 
@@ -96,14 +97,16 @@ def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, floa
     return bounds
 
 
-def _validate_target(rig: RigSpec, target: HapticTarget) -> None:
+def _validate_target(rig: RigSpec, target: HapticTarget) -> tuple[float, float, float]:
+    h, k, depth = target.target_height, target.target_stiffness, target.probe_depth_ref
     hf = free_height(rig.morphing)
-    if not (0.0 < target.target_height < hf):
-        raise PlannerDomainError(
-            f"target_height {target.target_height} mm outside (0, {hf:.6g}) mm"
-        )
-    if target.target_stiffness <= 0.0:
-        raise PlannerDomainError("target_stiffness must be positive")
+    if not 0.0 < h < hf:
+        raise PlannerDomainError(f"target_height {h} mm outside (0, {hf:.6g}) mm")
+    if not 0.0 < k < math.inf:
+        raise PlannerDomainError(f"target_stiffness {k} N/mm must be positive and finite")
+    if not 0.0 < depth < h:
+        raise PlannerDomainError(f"probe_depth_ref {depth} mm outside (0, {h:.6g}) mm")
+    return h, k, depth
 
 
 def plan_state(
@@ -116,46 +119,32 @@ def plan_state(
     bounds is (p1_lo, p1_hi, p2_lo, p2_hi) in kPa.
     """
     check_bounds(bounds)
-    _validate_target(rig, target)
-    p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    h_star = target.target_height
-    k_star = target.target_stiffness
-    depth = target.probe_depth_ref
-
-    last_h = math.nan  # each solve starts from the h2 of the one before
+    h_star, k_star, depth = _validate_target(rig, target)
+    last_h = h_star  # each solve starts from the h2 of the one before
 
     def residual(p1: float, p2: float) -> tuple[float, float, float, float]:
         nonlocal last_h
         h, k = forward_map(rig, p1, p2, depth, guess=last_h)
         last_h = h
-        r1 = (h - h_star) / h_star
-        r2 = (k - k_star) / k_star
-        return r1, r2, h, k
+        return (h - h_star) / h_star, (k - k_star) / k_star, h, k
 
-    # ratio/scale seeding: pouch forces are proportional to pressure, so the
-    # equilibrium height depends (without belt compliance) only on the ratio
-    # p1/p2 while stiffness scales with the overall pressure level.  Match the
-    # height with a 1-D root on the ratio, then rescale both pressures to
-    # match the stiffness; a short Newton polish absorbs compliance effects.
-    seed, reason = _ratio_scale_seed(rig, h_star, k_star, depth, bounds)
-    plans = [] if seed is None else [_refine(residual, *seed, bounds)]
+    def jacobian(p1: float, p2: float, h: float) -> tuple[float, float, float, float]:
+        """The residual's slopes, row by row, at a point whose h2 is h."""
+        eq = solve_equilibrium(rig, p1, p2, guess=h)
+        dh, dk = equilibrium_slopes(rig, p1, p2, eq), stiffness_slopes(rig, p1, p2, eq, depth)
+        return dh[0] / h_star, dh[1] / h_star, dk[0] / k_star, dk[1] / k_star
+
+    seed, reason = _seed(rig, h_star, k_star, bounds, residual)
+    plans = [] if seed is None else [_refine(residual, jacobian, *seed, bounds)]
     if not any(p.feasible for p in plans):
-        # coarse grid fallback for maps the ratio argument does not cover
-        seeds: list[tuple[float, float, float]] = []  # (norm, p1, p2)
-        for p1 in np.linspace(p1_lo, p1_hi, GRID_N):
-            for p2 in np.linspace(p2_lo, p2_hi, GRID_N):
-                r1, r2, _, _ = residual(p1, p2)
-                seeds.append((math.hypot(r1, r2), float(p1), float(p2)))
-        seeds.sort(key=lambda s: (s[0], s[1] + s[2]))
-        plans += [_refine(residual, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
+        # coarse grid fallback for maps the seed does not cover
+        seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), float(p1), float(p2))
+                        for p1 in np.linspace(*bounds[:2], GRID_N)
+                        for p2 in np.linspace(*bounds[2:], GRID_N)),
+                       key=lambda s: (s[0], s[1] + s[2]))
+        plans += [_refine(residual, jacobian, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
     best = _best(plans)
-    if not best.feasible:
-        if not reason and seed is not None:
-            k = forward_map(rig, *seed, depth)[1]
-            if not k_star * (1.0 - RESIDUAL_TOL) <= k <= k_star * (1.0 + RESIDUAL_TOL):
-                reason = _diagnose(0.0, k - k_star)
-        best = replace(best, reason=reason or best.reason)
-    return best
+    return best if best.feasible else replace(best, reason=reason or best.reason)
 
 
 def _best(plans: list[PlanResult]) -> PlanResult:
@@ -166,118 +155,103 @@ def _best(plans: list[PlanResult]) -> PlanResult:
     return reduce(lambda best, p: p if p.p1 + p.p2 < best.p1 + best.p2 - 1e-9 else best, feasible)
 
 
-def _ratio_scale_seed(
-    rig: RigSpec,
-    h_star: float,
-    k_star: float,
-    depth: float,
-    bounds: tuple[float, float, float, float],
-) -> tuple[tuple[float, float] | None, str]:
-    """Seed pressures from the height-ratio / stiffness-scale decomposition.
+def _clip(a: float, lo: float, hi: float) -> float:
+    return min(max(a, lo), hi)
 
-    Returns (seed, ""), or (None, reason) when h_star lies beyond the heights
-    of the box's corners, or (None, "") when the seed has no stiffness.
-    """
+
+def _contour_point(rig: RigSpec, h_star: float, bounds: tuple[float, float, float, float],
+                   level: float) -> tuple[float, float, bool] | str:
+    """(p1, p2, whether its equilibrium is interior) of height h_star on the line u + v =
+    level, u and v the fractions of the box's p1 and p2 ranges, or why there is none: h2
+    falls from the line's end of least p1, as dh2/dp1 <= 0 <= dh2/dp2.  Each solve starts
+    from the tangent of the one before."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    p2_ref = min(max(10.0, p2_lo + 1e-6), p2_hi)
+    w1, w2 = p1_hi - p1_lo, p2_hi - p2_lo
+    solved = {}  # p1 -> the equilibrium solved there
 
-    def gap(p1: float, p2: float, guess: float | None = None) -> tuple[float, tuple[float, float]]:
-        """h2 - h_star at (p1, p2), with (dh2/dp1, dh2/dp2)."""
-        eq = solve_equilibrium(rig, p1, p2, guess=guess)
-        return eq.h2 - h_star, equilibrium_slopes(rig, p1, p2, eq)
+    def line_p2(p1: float) -> float:
+        return _clip(p2_lo + (level - (p1 - p1_lo) / w1) * w2, p2_lo, p2_hi)
 
-    def height_root(axis: int, fixed: float, lo: float, g_lo, hi: float,
-                    g_hi) -> tuple[float, float]:
-        """The pressure on ``axis`` (0: p1, 1: p2) of height h_star, the other one
-        ``fixed``, and the h2 predicted there.
+    def gap(p1: float, guess: float | None = None) -> tuple[float, float]:
+        """h2 - h_star at the line's point of this p1, and its slope along the line."""
+        solved[p1] = eq = solve_equilibrium(rig, p1, p2 := line_p2(p1), guess=guess)
+        s1, s2 = equilibrium_slopes(rig, p1, p2, eq)
+        return eq.h2 - h_star, s1 - s2 * w2 / w1
 
-        Each solve starts from the tangent of the point before, at first the end
-        that ``_root`` starts from.
-        """
-        f_lo, f_hi = (g_lo[0], g_lo[1][axis]), (g_hi[0], g_hi[1][axis])
-        p_last, (g_last, k_last) = min((lo, f_lo), (hi, f_hi), key=lambda e: abs(e[1][0]))
+    tall_p1, low_p1 = (p1_lo + _clip(u, 0.0, 1.0) * w1 for u in (level - 1.0, level))
+    if (tall := gap(tall_p1))[0] < 0.0:
+        return "height unreachable (achievable height too low)"
+    if (low := gap(low_p1))[0] > 0.0:
+        return "height unreachable (achievable height too high)"
+    p_last, (g_last, k_last) = min((tall_p1, tall), (low_p1, low), key=lambda e: abs(e[1][0]))
 
-        def predict(p: float) -> float:
-            return h_star + g_last + k_last * (p - p_last)
+    def f(p1: float) -> tuple[float, float]:
+        nonlocal p_last, g_last, k_last
+        g_last, k_last = gap(p1, h_star + g_last + k_last * (p1 - p_last))
+        p_last = p1
+        return g_last, k_last
 
-        def f(p: float) -> tuple[float, float]:
-            nonlocal p_last, g_last, k_last
-            g, slopes = gap(*((p, fixed) if axis == 0 else (fixed, p)), guess=predict(p))
-            p_last, g_last, k_last = p, g, slopes[axis]
-            return g, k_last
-
-        p = _root(f, lo, f_lo, hi, f_hi)
-        return p, predict(p)
-
-    soft, firm = gap(p1_lo, p2_ref), gap(p1_hi, p2_ref)  # tallest and most squashed at p2_ref
-    if firm[0] <= 0.0 <= soft[0]:
-        (p1, h), p2 = height_root(0, p2_ref, p1_lo, soft, p1_hi, firm), p2_ref
-    elif soft[0] < 0.0:
-        # needs more morphing-side pressure than the reference level
-        if (tallest := gap(p1_lo, p2_hi))[0] < 0.0:
-            return None, "height unreachable (achievable height too low)"
-        p1, (p2, h) = p1_lo, height_root(1, p1_lo, p2_ref, soft, p2_hi, tallest)
-    else:
-        # squashed below the reference contour: raise the ratio by
-        # dropping the morphing-side pressure at full p1
-        p2_min = max(p2_lo, 1e-3)
-        if p2_min >= p2_ref or (lowest := gap(p1_hi, p2_min))[0] > 0.0:
-            return None, "height unreachable (achievable height too high)"
-        p1, (p2, h) = p1_hi, height_root(1, p1_hi, p2_min, lowest, p2_ref, firm)
-    _, k = forward_map(rig, p1, p2, depth, guess=h)
-    if k <= 0.0:
-        return None, ""
-    t = min(max(k_star / k, 1e-3), 1e3)
-    return (min(max(p1 * t, p1_lo), p1_hi), min(max(p2 * t, p2_lo), p2_hi)), ""
+    p1 = _root(f, tall_p1, tall, low_p1, low)
+    eq = solved[min(solved, key=lambda p: abs(p - p1))]  # within the root tolerance
+    return p1, line_p2(p1), eq.branch == "interior"
 
 
-def _refine(residual, p1: float, p2: float, bounds) -> PlanResult:
+def _seed(rig: RigSpec, h_star: float, k_star: float, bounds: tuple[float, float, float, float],
+          residual) -> tuple[tuple[float, float] | None, str]:
+    """Seed pressures, or None, and why the target is out of reach, or "": h_star's point
+    on the anti-diagonal (u + v = 1) scaled to k_star, clamped where the ray leaves the box,
+    or clipped per coordinate off the interior branch (the span plateau: a region).  Off
+    h_star (a compliant belt), up to SEED_ROUNDS times, h_star's point on its level u + v."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
+    if isinstance(point := _contour_point(rig, h_star, bounds, 1.0), str):
+        return None, point
+    q1, q2, interior = point
+    for _ in range(SEED_ROUNDS):
+        if (k := residual(q1, q2)[3]) <= 0.0:
+            return None, ""
+        t = k_star / k
+        t_in = _clip(t, max(p1_lo / q1 if q1 else 0.0, p2_lo / q2 if q2 else 0.0),
+                     min(p1_hi / q1 if q1 else math.inf, p2_hi / q2 if q2 else math.inf))
+        s = t_in if interior else t
+        seed = _clip(q1 * s, p1_lo, p1_hi), _clip(q2 * s, p2_lo, p2_hi)
+        if abs(residual(*seed)[0]) <= RESIDUAL_TOL:
+            break
+        level = (seed[0] - p1_lo) / (p1_hi - p1_lo) + (seed[1] - p2_lo) / (p2_hi - p2_lo)
+        if isinstance(point := _contour_point(rig, h_star, bounds, level), str):
+            break
+        q1, q2, interior = point
+        seed = q1, q2
+    return seed, "" if t_in == t else _diagnose(0.0, t_in - t)
 
-    def clip(a: float, lo: float, hi: float) -> float:
-        return min(max(a, lo), hi)
 
+def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:
+    """Damped Newton from (p1, p2), each step solved from ``jacobian`` by Cramer's rule."""
     r1, r2, h, k = residual(p1, p2)
     norm = math.hypot(r1, r2)
     for _ in range(NEWTON_MAX_ITER):
         if norm <= RESIDUAL_TOL:
             break
-        d = JACOBIAN_STEP_KPA
-        j = np.empty((2, 2))
-        for col, (dp1, dp2) in enumerate(((d, 0.0), (0.0, d))):
-            q1 = clip(p1 + dp1, p1_lo, p1_hi)
-            q2 = clip(p2 + dp2, p2_lo, p2_hi)
-            if q1 == p1 and q2 == p2:  # at the upper bound; step down instead
-                q1 = clip(p1 - dp1, p1_lo, p1_hi)
-                q2 = clip(p2 - dp2, p2_lo, p2_hi)
-            s1, s2, _, _ = residual(q1, q2)
-            j[0, col] = (s1 - r1) / ((q1 - p1) + (q2 - p2))
-            j[1, col] = (s2 - r2) / ((q1 - p1) + (q2 - p2))
-        try:
-            step = [float(s) for s in np.linalg.solve(j, [-r1, -r2])]
-        except np.linalg.LinAlgError:
+        a, b, c, d = jacobian(p1, p2, h)
+        if not (det := a * d - b * c):
             break
-        # damped update: halve until the residual decreases
-        scale = 1.0
-        improved = False
-        for _ in range(12):
-            n1 = clip(p1 + scale * step[0], p1_lo, p1_hi)
-            n2 = clip(p2 + scale * step[1], p2_lo, p2_hi)
+        step = ((b * r2 - d * r1) / det, (c * r1 - a * r2) / det)
+        # a pressure the step pushes past its bound is held, the other solves least squares
+        if _clip(p1 + step[0], *bounds[:2]) == p1 != p1 + step[0] and b * b + d * d:
+            step = (0.0, -(b * r1 + d * r2) / (b * b + d * d))
+        elif _clip(p2 + step[1], *bounds[2:]) == p2 != p2 + step[1] and a * a + c * c:
+            step = (-(a * r1 + c * r2) / (a * a + c * c), 0.0)
+        for i in range(12):  # damped update: halve until the residual decreases
+            n1 = _clip(p1 + 0.5 ** i * step[0], *bounds[:2])
+            n2 = _clip(p2 + 0.5 ** i * step[1], *bounds[2:])
             t1, t2, th, tk = residual(n1, n2)
-            tn = math.hypot(t1, t2)
-            if tn < norm:
+            if (tn := math.hypot(t1, t2)) < norm:
                 p1, p2, r1, r2, h, k, norm = n1, n2, t1, t2, th, tk, tn
-                improved = True
                 break
-            scale *= 0.5
-        if not improved:
+        else:
             break
     feasible = norm <= RESIDUAL_TOL
-    reason = "" if feasible else _diagnose(r1, r2)
-    return PlanResult(
-        p1=p1, p2=p2, achieved_height=h, achieved_stiffness=k,
-        residual_norm=norm, feasible=feasible, reason=reason,
-    )
+    return PlanResult(p1=p1, p2=p2, achieved_height=h, achieved_stiffness=k, residual_norm=norm,
+                      feasible=feasible, reason="" if feasible else _diagnose(r1, r2))
 
 
 def _diagnose(r1: float, r2: float) -> str:
@@ -297,14 +271,12 @@ def feasibility_map(
     """Forward-model grid: rows (p1, p2, h2, k) for every pressure pair."""
     if len(p1_values) * len(p2_values) < 4:
         raise PlannerDomainError("grid must have at least 2x2 cells")
-    rows = np.empty((len(p1_values) * len(p2_values), 4))
-    i = 0
+    rows, h = [], None  # each cell's solve starts from the h2 of the one before
     for p1 in p1_values:
         for p2 in p2_values:
-            h, k = forward_map(rig, p1, p2, probe_depth)
-            rows[i] = (p1, p2, h, k)
-            i += 1
-    return rows
+            h, k = forward_map(rig, p1, p2, probe_depth, guess=h)
+            rows.append((p1, p2, h, k))
+    return np.array(rows, dtype=float)
 
 
 def _plan_or_raise(rig: RigSpec, h: float, k: float, bounds: tuple[float, float, float, float],

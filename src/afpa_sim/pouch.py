@@ -6,9 +6,9 @@ contact, each pouch keeps a flat central contact strip and two tangent
 semicircular side bulges; the fabric is inextensible, so the contact
 width shrinks as the stack grows and vanishes at the free height
 2*n*W/pi.  Plate force follows from virtual work: F = P * dV/dH at
-constant pressure, and its slope from the closed-form curvature
-d2V/dH2, which the rig uses for analytic probe stiffness.  Terms of the
-spec alone, such as the free height, are computed once per spec.
+constant pressure, its slope from the closed-form curvature d2V/dH2 (the
+rig's probe stiffness) and d3V/dH3 (that stiffness's pressure slopes).
+Terms of the spec alone, such as the free height, are computed once.
 
 Units: mm, kPa, N (1 kPa * 1 mm^2 = 1e-3 N).
 """
@@ -106,6 +106,15 @@ def _volume_terms(spec: PouchStackSpec, height: float) -> tuple[float, float, fl
                      + lam * lam * (1.0 - decay) - lam * _ECAP_FREE_DECAY * height),
             slope * (q * x0 * x0 / (2.0 * x_free) + lam * (decay - _ECAP_FREE_DECAY)),
             -slope * (q * x0 / x_free + decay))
+
+
+def _curvature_slope(spec: PouchStackSpec, height: float) -> float:
+    """d3V/dH3 in closed form, 0 from the free height on (no force there).  Not in
+    ``_volume_terms``' return, which every valve step evaluates."""
+    if not spec.end_cap_correction or height >= spec.free_height:
+        return 0.0
+    slope, lam = spec._shape_terms
+    return slope * (ECAP_QUADRATIC_FRACTION / spec.free_height + math.exp(-height / lam) / lam)
 
 
 def volume(spec: PouchStackSpec, height: float) -> float:

@@ -9,11 +9,11 @@ each side's last evaluation, which the probe and the valve gauges read back.
 Its roots, the valve model's free-expansion height and the planner's seed
 pressures come from the package's one root solver, the bracketed,
 safeguarded Newton ``_root``, on closed-form slopes.  Probe stiffness and
-the height slopes in pressure (``equilibrium_slopes``) are closed-form
-implicit derivatives of the balance, from the same side-force slopes.  The
-balance starts from a ``guess`` of h2 where one is known: the valve step's
-prediction, or in the planner a nearby solve's; a guess whose Newton step
-is within the root tolerance ends the solve after one evaluation.
+the slopes in pressure of the height (``equilibrium_slopes``) and of the
+stiffness (``stiffness_slopes``) are closed-form implicit derivatives of
+the balance.  It starts from a ``guess`` of h2 where one is known: the
+valve step's prediction, or a nearby solve's in the planner and the size
+sweep; a guess whose Newton step is within the root tolerance ends it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AfpaSimError
-from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _volume_terms
+from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _curvature_slope, _volume_terms
 
 PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
@@ -343,17 +343,35 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d)
 
 
+def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
+                     depth: float) -> tuple[float, float]:
+    """(dk/dp1, dk/dp2) in N/mm/kPa of the ``contact_stiffness`` k at ``depth`` below eq.h2:
+    k = -p2*s2(x) + d/D at x = h2 - depth, with d = -p1*s1(y), D = 1 + c*d and the probe
+    balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force
+    and slopes per kPa.  x moves by ``equilibrium_slopes``; (0, 0) out of the probe range."""
+    if not 0.0 < (x := eq.h2 - depth) < eq.h2:
+        return 0.0, 0.0
+    y = _probe_force(rig, p1, p2, eq, x)[2]
+    (a1, s1), (_, s2) = _side_force(rig.modulating, 1.0, y), _side_force(rig.morphing, 1.0, x)
+    t1 = KPA_MM2_TO_N * _curvature_slope(rig.modulating, y)
+    t2 = KPA_MM2_TO_N * _curvature_slope(rig.morphing, x)
+    c, (dh1, dh2) = rig.belt_compliance, equilibrium_slopes(rig, p1, p2, eq)
+    big_d = 1.0 - c * p1 * s1  # dd/dp: -s1 - p1*t1*dy/dp1 and -p1*t1*dy/dp2
+    dd1, dd2 = -s1 - p1 * t1 * (c * a1 - dh1) / big_d, p1 * t1 * dh2 / big_d
+    return -p2 * t2 * dh1 + dd1 / big_d ** 2, -s2 - p2 * t2 * dh2 + dd2 / big_d ** 2
+
+
 def size_pressure_sweep(rig: RigSpec, p2_fixed: float,
                         p1_path: Sequence[float]) -> list[tuple[float, float]]:
     """(p1, h2) samples along an ordered p1 path, with Coulomb hysteresis."""
     samples: list[tuple[float, float]] = []
     prev_h2: float | None = None
     for p1 in p1_path:
-        h2_free = solve_equilibrium(rig, p1, p2_fixed).h2
+        h2_free = solve_equilibrium(rig, p1, p2_fixed, guess=prev_h2).h2
         moved = prev_h2 is not None and h2_free != prev_h2
         direction = math.copysign(1.0, h2_free - prev_h2) if moved else 0.0
         # Coulomb friction holds the height back against the motion
-        h2 = _balance(rig, p1, p2_fixed, offset=-direction * rig.friction_force).h2
+        h2 = _balance(rig, p1, p2_fixed, offset=-direction * rig.friction_force, guess=h2_free).h2
         samples.append((float(p1), h2))
         prev_h2 = h2
     return samples

@@ -233,6 +233,32 @@ def test_cli_stiffness_solves_each_level_once(tmp_path, capsys, monkeypatch):
     assert calls["_side_force"] <= 2604
 
 
+def count_side_forces(monkeypatch) -> dict:
+    calls = {"_side_force": 0}
+
+    def counted(*args, f=rig._side_force):
+        calls["_side_force"] += 1
+        return f(*args)
+    monkeypatch.setattr(rig, "_side_force", counted)
+    return calls
+
+
+def test_cli_size_warm_starts_each_solve(tmp_path, capsys, monkeypatch):
+    # each p1 step starts from the step before: cold, the two solves per row
+    # of fig2c.csv took 3,706 side forces
+    calls = count_side_forces(monkeypatch)
+    run_cli(["characterize-size", "--out", str(tmp_path)], capsys)
+    assert calls["_side_force"] <= 1984
+
+
+def test_cli_feasibility_warm_starts_each_cell(tmp_path, capsys, monkeypatch):
+    # each cell of figs4b.csv starts from the h2 of the one before; cold, the
+    # 625 cells took 10,512 side forces
+    calls = count_side_forces(monkeypatch)
+    run_cli(["feasibility", "--out", str(tmp_path)], capsys)
+    assert calls["_side_force"] <= 6228
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported on first use, by calibrate_rig and t_test_independent
     src = str(Path(__file__).resolve().parents[1] / "src")

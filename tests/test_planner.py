@@ -72,14 +72,58 @@ def test_belt_span_plateau_target_feasible():
     assert plan.p2 == pytest.approx(70.316, abs=1e-3)
 
 
+@pytest.mark.parametrize("rig, bounds, depth, base, scale", [
+    # a strongly compliant belt: one contour root at the scaled seed's level
+    # leaves the plan stuck at p1 = 0, 4.5% off
+    (RigSpec(PouchStackSpec(22.9, 1912.0, 1, False), PouchStackSpec(39.0, 746.6, 1, False),
+             belt_span=26.17, belt_compliance=0.25), (0.0, 32.7, 11.0, 143.6), 8.0,
+     (23.5, 52.5), 1 / 3),
+    # the target's stiffness is within 0.1% of the most the height allows, at
+    # the p1 ceiling: a Newton step held at that bound gets there
+    (RigSpec(PouchStackSpec(32.056780328092316, 990.4460467759009, 1, False),
+             PouchStackSpec(27.163717419768947, 1765.1775835811027, 3, True),
+             belt_span=69.11772329119194, belt_compliance=0.01821383454266773),
+     (0.0, 105.58158711778644, 0.0, 129.3990314613855), 2.0,
+     (74.07205990627705, 30.60731751288463), 3.0),
+    # the belt-span plateau of a compliant belt: the contour there is a region,
+    # and a seed kept on the ray through the contour point plans infeasible
+    (RigSpec(PouchStackSpec(22.1, 1217.8, 3, False), PouchStackSpec(63.4, 866.7, 3, False),
+             belt_span=110.3, belt_compliance=0.43), (19.9, 96.6, 0.0, 52.4), 2.0,
+     (77.2, 51.2), 1.0),
+])
+def test_edge_targets_feasible(rig, bounds, depth, base, scale):
+    h, k = forward_map(rig, *base, depth)
+    plan = plan_state(rig, HapticTarget(h, scale * k, depth), bounds)
+    assert plan.feasible, plan
+
+
 def test_invalid_target_rejected(rig):
-    with pytest.raises(PlannerDomainError):
-        plan_state(rig, HapticTarget(target_height=-5.0, target_stiffness=0.1))
-    with pytest.raises(PlannerDomainError):
-        plan_state(rig, HapticTarget(target_height=50.0, target_stiffness=0.0))
+    # each rejection names its field; a NaN or infinite stiffness once named
+    # p1, and a depth outside (0, target_height) ran the grid
+    cases = [("target_height", HapticTarget(target_height=-5.0, target_stiffness=0.1)),
+             ("target_stiffness", HapticTarget(target_height=50.0, target_stiffness=0.0))]
+    cases += [("target_stiffness", HapticTarget(60.0, k)) for k in (math.nan, math.inf)]
+    cases += [("probe_depth_ref", HapticTarget(60.0, 0.1, d)) for d in (math.nan, -5.0, 0.0, 70.0)]
+    for field, target in cases:
+        with pytest.raises(PlannerDomainError, match=field):
+            plan_state(rig, target)
     with pytest.raises(PlannerDomainError):
         plan_state(rig, HapticTarget(target_height=50.0, target_stiffness=0.1),
                    bounds=(100.0, 50.0, 0.0, 150.0))
+
+
+def test_off_reach_stiffness_reported_too_low():
+    # three times the stiffness of a base pair with p1 >= 60 kPa would need
+    # p1 beyond the 150 kPa ceiling at that height
+    cfg = load_config(default_config_path())
+    for p1 in np.linspace(60.0, 140.0, 5):
+        for p2 in np.linspace(10.0, 100.0, 6):
+            h, k = forward_map(cfg.rig, p1, p2, cfg.probe_depth)
+            target = HapticTarget(h, 3.0 * k, cfg.probe_depth)
+            plan = plan_state(cfg.rig, target, cfg.bounds)
+            assert not plan.feasible
+            assert plan.reason == ("stiffness unreachable at height "
+                                   "(achievable stiffness too low)"), (p1, p2)
 
 
 def test_planner_deterministic(rig):

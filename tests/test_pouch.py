@@ -12,6 +12,7 @@ from afpa_sim.pouch import (
     CrossSection,
     PouchDomainError,
     PouchStackSpec,
+    _curvature_slope,
     contact_force,
     cross_section,
     free_height,
@@ -108,6 +109,16 @@ def test_curvature_is_gradient_slope(spec, frac):
     eps = 1e-3
     dg = (volume_gradient(spec, h + eps) - volume_gradient(spec, h - eps)) / (2 * eps)
     assert volume_curvature(spec, h) == pytest.approx(dg, rel=1e-4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=spec_strategy(), frac=st.floats(0.02, 0.98))
+def test_curvature_slope_is_curvature_slope(spec, frac):
+    h = frac * free_height(spec)
+    eps = 1e-3
+    dc = (volume_curvature(spec, h + eps) - volume_curvature(spec, h - eps)) / (2 * eps)
+    assert _curvature_slope(spec, h) == pytest.approx(dc, rel=1e-4, abs=1e-9)
+    assert _curvature_slope(spec, free_height(spec)) == 0.0  # no force from there on
 
 
 @settings(max_examples=150, deadline=None)

@@ -27,6 +27,7 @@ from afpa_sim.rig import (
     size_pressure_sweep,
     solve_equilibrium,
     stiffness,
+    stiffness_slopes,
 )
 
 
@@ -277,6 +278,35 @@ def test_equilibrium_slopes_match_central_difference(w1, w2, c, compliance, end_
     slopes = equilibrium_slopes(rig, p1, p2, solve_equilibrium(rig, p1, p2))
     assert slopes[0] == pytest.approx((h2[0] - h2[1]) / (2 * e), rel=1e-5, abs=1e-9)
     assert slopes[1] == pytest.approx((h2[2] - h2[3]) / (2 * e), rel=1e-5, abs=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w1=st.floats(20.0, 60.0),
+    w2=st.floats(40.0, 70.0),
+    c=st.floats(60.0, 110.0),
+    compliance=st.floats(0.0, 0.5),
+    end_caps=st.booleans(),
+    p1=st.floats(1.0, 149.0),
+    p2=st.floats(1.0, 149.0),
+    depth=st.floats(0.5, 15.0),
+)
+def test_stiffness_slopes_match_central_difference(w1, w2, c, compliance, end_caps, p1, p2,
+                                                   depth):
+    # the planner's Jacobian row for the stiffness at a fixed depth below h2
+    rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
+    x1 = free_height(rig.modulating)
+    lo, hi = max(1e-9, c - x1), min(free_height(rig.morphing), c)
+    e = 1e-3
+    stencil = ((p1 + e, p2), (p1 - e, p2), (p1, p2 + e), (p1, p2 - e))
+    eqs = [solve_equilibrium(rig, q1, q2) for q1, q2 in stencil]
+    # the equilibrium branches and the probe balance going slack are kinks of k
+    assume(all(lo < eq.h2 < hi and eq.h2 > depth for eq in eqs))
+    assume(len({x1 + eq.h2 - depth < c for eq in eqs}) == 1)
+    k = [contact_stiffness(rig, q1, q2, eq, eq.h2 - depth) for (q1, q2), eq in zip(stencil, eqs)]
+    slopes = stiffness_slopes(rig, p1, p2, solve_equilibrium(rig, p1, p2), depth)
+    assert slopes[0] == pytest.approx((k[0] - k[1]) / (2 * e), rel=1e-5, abs=1e-9)
+    assert slopes[1] == pytest.approx((k[2] - k[3]) / (2 * e), rel=1e-5, abs=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
