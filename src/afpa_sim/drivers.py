@@ -13,8 +13,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .config import RunConfig
 from .planner import StateDef, feasibility_map, state_table
 from .pneumatics import resample_16hz, step_simulate
@@ -38,13 +36,12 @@ FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """One comma-joined line per row; numbers by ``format(v, ".12g")``, a numpy row via tolist."""
+    """One comma-joined line per row; numbers by ``format(v, ".12g")``, an array via tolist."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = row.tolist() if isinstance(row, np.ndarray) else row
+        for row in rows.tolist() if hasattr(rows, "tolist") else rows:
             fh.write(",".join([v if isinstance(v, str) else format(v, ".12g")
-                               for v in cells]) + "\n")
+                               for v in row]) + "\n")
     return path
 
 
@@ -155,6 +152,7 @@ def _write_plan(states: Sequence[StateDef], out: Path) -> list[Path]:
 
 def run_feasibility(config: RunConfig, out: Path) -> list[Path]:
     """Forward-model map over the pressure box."""
+    import numpy as np
     p1_lo, p1_hi, p2_lo, p2_hi = config.bounds
     p1s = np.linspace(p1_lo, p1_hi, FEASIBILITY_GRID_N)
     p2s = np.linspace(p2_lo, p2_hi, FEASIBILITY_GRID_N)
@@ -220,6 +218,7 @@ def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
 
 def run_study_analyze(config: RunConfig, out: Path) -> list[Path]:
     """Statistics over all trial logs found in the output directory."""
+    import numpy as np
     logs = sorted(out.glob("trials_s*.jsonl"))
     if not logs:
         raise FileNotFoundError(f"no trial logs (trials_s*.jsonl) in {out}")

@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Sequence
 
-import numpy as np
-
 from .errors import AfpaSimError
 from .pouch import free_height
-from .rig import (PRESSURE_MAX_KPA, RigDomainError, RigSpec, _root, contact_stiffness,
-                  equilibrium_slopes, solve_equilibrium, stiffness_slopes)
+from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _root,
+                  contact_stiffness, equilibrium_slopes, solve_equilibrium, stiffness_slopes)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
@@ -79,12 +77,19 @@ class StateDef:
 def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,
                 guess: float | None = None) -> tuple[float, float]:
     """(equilibrium h2 solved from ``guess``, stiffness at h2 - probe_depth or 0 out of range)."""
+    eq, k = _forward_state(rig, p1, p2, probe_depth, guess)
+    return eq.h2, k
+
+
+def _forward_state(rig: RigSpec, p1: float, p2: float, probe_depth: float,
+                   guess: float | None) -> tuple[EquilibriumState, float]:
+    """``forward_map`` with the whole equilibrium state it solved, not only its h2."""
     eq = solve_equilibrium(rig, p1, p2, guess=guess)
     try:
         k = contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
     except RigDomainError:
         k = 0.0
-    return eq.h2, k
+    return eq, k
 
 
 def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -122,22 +127,21 @@ def plan_state(
     h_star, k_star, depth = _validate_target(rig, target)
     last_h = h_star  # each solve starts from the h2 of the one before
 
-    def residual(p1: float, p2: float) -> tuple[float, float, float, float]:
+    def residual(p1: float, p2: float) -> tuple[float, float, EquilibriumState, float]:
         nonlocal last_h
-        h, k = forward_map(rig, p1, p2, depth, guess=last_h)
-        last_h = h
-        return (h - h_star) / h_star, (k - k_star) / k_star, h, k
+        eq, k = _forward_state(rig, p1, p2, depth, last_h)
+        last_h = eq.h2
+        return (eq.h2 - h_star) / h_star, (k - k_star) / k_star, eq, k
 
-    def jacobian(p1: float, p2: float, h: float) -> tuple[float, float, float, float]:
-        """The residual's slopes, row by row, at a point whose h2 is h."""
-        eq = solve_equilibrium(rig, p1, p2, guess=h)
+    def jacobian(p1: float, p2: float, eq: EquilibriumState) -> tuple[float, float, float, float]:
+        """The residual's slopes, row by row, at a point whose equilibrium ``residual`` solved."""
         dh, dk = equilibrium_slopes(rig, p1, p2, eq), stiffness_slopes(rig, p1, p2, eq, depth)
         return dh[0] / h_star, dh[1] / h_star, dk[0] / k_star, dk[1] / k_star
 
     seed, reason = _seed(rig, h_star, k_star, bounds, residual)
     plans = [] if seed is None else [_refine(residual, jacobian, *seed, bounds)]
     if not any(p.feasible for p in plans):
-        # coarse grid fallback for maps the seed does not cover
+        import numpy as np  # coarse grid fallback for maps the seed does not cover
         seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), float(p1), float(p2))
                         for p1 in np.linspace(*bounds[:2], GRID_N)
                         for p2 in np.linspace(*bounds[2:], GRID_N)),
@@ -226,12 +230,12 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, bounds: tuple[float, float
 
 def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:
     """Damped Newton from (p1, p2), each step solved from ``jacobian`` by Cramer's rule."""
-    r1, r2, h, k = residual(p1, p2)
+    r1, r2, eq, k = residual(p1, p2)
     norm = math.hypot(r1, r2)
     for _ in range(NEWTON_MAX_ITER):
         if norm <= RESIDUAL_TOL:
             break
-        a, b, c, d = jacobian(p1, p2, h)
+        a, b, c, d = jacobian(p1, p2, eq)
         if not (det := a * d - b * c):
             break
         step = ((b * r2 - d * r1) / det, (c * r1 - a * r2) / det)
@@ -243,14 +247,14 @@ def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:
         for i in range(12):  # damped update: halve until the residual decreases
             n1 = _clip(p1 + 0.5 ** i * step[0], *bounds[:2])
             n2 = _clip(p2 + 0.5 ** i * step[1], *bounds[2:])
-            t1, t2, th, tk = residual(n1, n2)
+            t1, t2, teq, tk = residual(n1, n2)
             if (tn := math.hypot(t1, t2)) < norm:
-                p1, p2, r1, r2, h, k, norm = n1, n2, t1, t2, th, tk, tn
+                p1, p2, r1, r2, eq, k, norm = n1, n2, t1, t2, teq, tk, tn
                 break
         else:
             break
     feasible = norm <= RESIDUAL_TOL
-    return PlanResult(p1=p1, p2=p2, achieved_height=h, achieved_stiffness=k, residual_norm=norm,
+    return PlanResult(p1=p1, p2=p2, achieved_height=eq.h2, achieved_stiffness=k, residual_norm=norm,
                       feasible=feasible, reason="" if feasible else _diagnose(r1, r2))
 
 
@@ -269,6 +273,7 @@ def feasibility_map(
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> np.ndarray:
     """Forward-model grid: rows (p1, p2, h2, k) for every pressure pair."""
+    import numpy as np
     if len(p1_values) * len(p2_values) < 4:
         raise PlannerDomainError("grid must have at least 2x2 cells")
     rows, h = [], None  # each cell's solve starts from the h2 of the one before

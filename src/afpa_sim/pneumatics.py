@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-import numpy as np
-
 from .errors import AfpaSimError
 from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms
 from .rig import RigSpec, _carried, _check_pressure, _rising_root, belt_balance, solve_equilibrium
@@ -208,6 +206,7 @@ def step_simulate(
     is zero starts deflated (flat pouch, only dead volume); otherwise it
     starts at the quasi-static equilibrium for the initial commands.
     """
+    import numpy as np  # numpy loads on the first simulation
     n_steps = check_step(dt, t_end)
     times = [s[0] for s in schedule]
     if not (times and all(map(math.isfinite, times)) and times == sorted(times)):
@@ -250,6 +249,7 @@ def step_simulate(
 
 def resample_16hz(series: np.ndarray) -> np.ndarray:
     """Resample a (t, ...) series onto a 16 Hz grid by linear interpolation."""
+    import numpy as np
     t = series[:, 0]
     duration = t[-1]
     grid = np.arange(0.0, math.floor(duration * 16.0 + 1e-9) + 1) / 16.0
@@ -268,7 +268,7 @@ def rise_time_90(series: np.ndarray, column: int = 4) -> float:
     if y1 == y0:
         return 0.0
     frac = (y - y0) / (y1 - y0)
-    idx = int(np.argmax(frac >= 0.9))
+    idx = int((frac >= 0.9).argmax())
     if frac[idx] < 0.9:
         return float("inf")
     return float(t[idx])

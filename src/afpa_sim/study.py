@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import AfpaSimError
 from .planner import StateDef, forward_map
 from .rig import RigSpec
@@ -121,6 +119,7 @@ def _check_states(states: Sequence[StateDef]) -> list[StateDef]:
 
 def schedule_trials(states: Sequence[StateDef], reps: int, seed: int) -> list[int]:
     """Seeded uniform shuffle of each state id repeated ``reps`` times."""
+    import numpy as np
     states = _check_states(states)
     if reps < 1:
         raise StudyDomainError(f"reps must be >= 1, got {reps}")
@@ -134,6 +133,7 @@ def _perceptual_coords(
     rig: RigSpec, states: Sequence[StateDef], probe_depth: float
 ) -> tuple[np.ndarray, float, float]:
     """(log h2, log k) per state plus the class-grid log spacings."""
+    import numpy as np
     hk = np.array([forward_map(rig, s.p1, s.p2, probe_depth) for s in states])
     if np.any(hk <= 0.0):
         raise StudyDomainError("every state must have positive height and stiffness")
@@ -156,6 +156,7 @@ CONFUSABILITY_SCALE = 2.0
 
 def _confusability(z: np.ndarray, idx: int) -> float:
     """Crowding score of one state: Gaussian overlap mass of its neighbors."""
+    import numpy as np
     d2 = np.sum((z - z[idx]) ** 2, axis=1)
     score = np.exp(-0.5 * d2 / CONFUSABILITY_SCALE**2)
     return float(np.sum(score) - 1.0)  # drop the self term
@@ -170,6 +171,7 @@ def simulate_session(
     probe_depth: float = 5.0,
 ) -> list[TrialRecord]:
     """Run one synthetic session over the scheduled presentations."""
+    import numpy as np
     states = _check_states(states)
     if not schedule:
         raise StudyDomainError("schedule must not be empty")
@@ -224,6 +226,7 @@ def simulate_session(
 
 def confusion_matrix(records: Sequence[TrialRecord]) -> np.ndarray:
     """Row-normalized 9x9 matrix of P(responded j | presented i)."""
+    import numpy as np
     counts = np.zeros((9, 9))
     for r in records:
         counts[r.presented - 1, r.responded - 1] += 1.0
@@ -238,6 +241,7 @@ def accuracy_stats(
     records: Sequence[TrialRecord],
 ) -> tuple[float, dict[int, float], dict[int, BoxStats]]:
     """(overall accuracy, per-state accuracy, per-state latency box stats)."""
+    import numpy as np
     if not records:
         raise StudyDomainError("records must not be empty")
     hits: dict[int, list[int]] = {}
@@ -255,6 +259,7 @@ def segment_analysis(
     records: Sequence[TrialRecord], segment_size: int = 10
 ) -> list[tuple[float, float]]:
     """Per-segment (accuracy, mean response time) in presentation order."""
+    import numpy as np
     if segment_size < 1:
         raise StudyDomainError("segment_size must be >= 1")
     if not records or len(records) % segment_size != 0:
@@ -287,6 +292,7 @@ def study_stats(records: Sequence[TrialRecord], segment_size: int = 10) -> Study
 
 def box_stats(samples: Sequence[float]) -> BoxStats:
     """Median/quartiles (inclusive linear interpolation) and 1.5 IQR whiskers."""
+    import numpy as np
     if len(samples) == 0:
         raise StatisticsError("box_stats requires at least one sample")
     arr = np.asarray(samples, dtype=float)
@@ -312,6 +318,7 @@ def t_test_independent(
     a: Sequence[float], b: Sequence[float], equal_variance: bool = True
 ) -> TTestResult:
     """Two-sample t-test: pooled (Student) or Welch, two-sided p."""
+    import numpy as np
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.size < 2 or y.size < 2:

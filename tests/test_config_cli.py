@@ -1,5 +1,6 @@
 """Config validation, CLI determinism and the import path."""
 
+import ast
 import json
 import math
 import os
@@ -259,14 +260,42 @@ def test_cli_feasibility_warm_starts_each_cell(tmp_path, capsys, monkeypatch):
     assert calls["_side_force"] <= 6228
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported on first use, by calibrate_rig and t_test_independent
+def loaded_after(code: str, package: str) -> list[str]:
+    """The modules of ``package`` in sys.modules after a fresh interpreter runs ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, afpa_sim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code += f"\nimport sys; print(repr([m for m in sys.modules if m.split('.')[0] == {package!r}]))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported on first use, by calibrate_rig and t_test_independent
+    assert loaded_after("import afpa_sim", "scipy") == []
+
+
+def test_import_and_config_leave_numpy_unloaded():
+    # the pouch, rig and planner kernels are scalar math; numpy loads where arrays are built
+    code = "import afpa_sim; afpa_sim.load_config(afpa_sim.default_config_path())"
+    assert loaded_after(code, "numpy") == []
+
+
+def cli_code(command: str, out: Path) -> str:
+    return f"from afpa_sim.cli import main; assert main([{command!r}, '--out', {str(out)!r}]) == 0"
+
+
+@pytest.mark.parametrize("command", ["plan", "characterize-size", "characterize-stiffness"])
+def test_scalar_subcommands_leave_numpy_unloaded(command, tmp_path):
+    # the packaged plans converge from their seeds and never reach the planner's grid
+    assert loaded_after(cli_code(command, tmp_path), "numpy") == []
+    assert list(tmp_path.iterdir())
+
+
+def test_step_loads_numpy_and_writes_its_csvs(tmp_path):
+    assert "numpy" in loaded_after(cli_code("step", tmp_path), "numpy")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fig2d.csv", "fig2d_16hz.csv", "fig2e.csv", "fig2e_16hz.csv"]
 
 
 def test_cli_headers_unit_suffixed(tmp_path, capsys):

@@ -240,7 +240,7 @@ def test_increasing_height_lowers_p1_at_fixed_stiffness(rig):
 
 
 def test_plan_fields_are_python_floats(rig):
-    # on a compliant belt the seed needs Newton steps, which come from numpy
+    # on a compliant belt the seed needs Newton steps, solved by Cramer's rule on floats
     compliant = dataclasses.replace(rig, belt_compliance=0.3)
     h, k = forward_map(compliant, 40.0, 50.0, 5.0)
     plan = plan_state(compliant, HapticTarget(target_height=h, target_stiffness=k))
