@@ -103,7 +103,8 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
     the end with the smaller value, stopping at a step within ROOT_XTOL_MM: a
     step that leaves the shrinking bracket, or is not half the one before, takes
     the Illinois false-position point, or bisection when that is not inside,
-    until the bracket is within ROOT_XTOL_MM.
+    until the bracket is within ROOT_XTOL_MM; there a false-position point
+    rounded onto an end gives that end.
     """
     if fa[0] == 0.0 or fb[0] == 0.0:
         return a if fa[0] == 0.0 else b
@@ -121,6 +122,10 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
         if not newton:
             x_new = (a * yb - b * ya) / (yb - ya)
             if not (x_new - a) * (x_new - b) < 0.0:
+                # the false position rounds onto an end: within tolerance, that end
+                # is the root (an end whose value is below rounding of the other's)
+                if abs(b - a) <= ROOT_XTOL_MM:
+                    return a if abs(x_new - a) < abs(x_new - b) else b
                 x_new = 0.5 * (a + b)
             if abs(b - a) <= ROOT_XTOL_MM:
                 return x_new

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from afpa_sim import rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
@@ -262,6 +262,10 @@ def test_plan_fields_are_python_floats(rig):
                     st.just(math.nan), st.just(math.inf)),
     near=st.floats(-1e-3, 1e-3),
 )
+# side 2 pinned at its free height by a near-zero p1: a warm bracket once
+# closed on a midpoint 4e-8 mm below it, an 8e-9 N tension against ~1e-108 N
+@example(widths=(49.0, 48.0), span=92.0, compliance=0.0, end_caps=False,
+         p1=1.8315932503829108e-109, p2=3.0, depth=2.0, guess=1.0, near=0.0)
 def test_warm_start_matches_cold_solve(widths, span, compliance, end_caps, p1, p2, depth,
                                        guess, near):
     specs = [PouchStackSpec(flat_width=w, flat_length=length, end_cap_correction=end_caps)
