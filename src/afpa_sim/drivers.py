@@ -36,12 +36,15 @@ FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """One comma-joined line per row; numbers by ``format(v, ".12g")``, an array via tolist."""
+    """One comma-joined line per row, an array via tolist; numbers by ``"%.12g"``."""
+    formats: dict[tuple, str] = {}  # a row's ``%`` string, by the types of its values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows.tolist() if hasattr(rows, "tolist") else rows:
-            fh.write(",".join([v if isinstance(v, str) else format(v, ".12g")
-                               for v in row]) + "\n")
+            if (line := formats.get(types := tuple(map(type, row)))) is None:
+                line = formats[types] = ",".join(["%s" if issubclass(t, str) else "%.12g"
+                                                  for t in types]) + "\n"
+            fh.write(line % tuple(row))
     return path
 
 

@@ -2,36 +2,32 @@
 
 The forward map (p1, p2) -> (equilibrium height, probe stiffness at a
 reference depth) takes one equilibrium solve, whose closed-form slope
-gives the stiffness.  Side forces scale with pressure, so on a rigid belt
-the height follows the ratio p1/p2 and the stiffness the pressure level.
-The seed is one bracketed root of h2 = h* along the pressure box's
-anti-diagonal, where h2 is monotone (the box's corners name an unreachable
-height), then the stiffness scale along the ray through that root, clamped
-where the ray leaves the box (which names an unreachable stiffness).  A
-damped Newton iteration refines it on the closed-form Jacobian of the
-forward map: the height row is ``rig.equilibrium_slopes``, the stiffness
-row ``rig.stiffness_slopes``; a coarse grid is the fallback.  Within one
-``plan_state`` call each solve is warm-started, a root's from the tangent
-of its step before, the others from the previous solve's h2.  Pressure
-bounds are capped by ``rig.PRESSURE_MAX_KPA``.
+gives the stiffness.  Side forces scale with pressure, so h2 = h* fixes the
+belt tension, and the contour of h* is p1 in closed form in p2 (``_contour``).
+The seed is one bracketed root of the stiffness along it within the box
+(on a rigid belt, a ray: one scaling); the contour's ends name an unreachable
+height or stiffness.  A damped Newton iteration refines it on the closed-form
+Jacobian of the forward map (``rig.equilibrium_slopes``,
+``rig.stiffness_slopes``); a coarse grid is the fallback.  Each solve of one
+``plan_state`` call starts from the h2 of the one before.  Pressure bounds
+are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, partial, reduce
 from typing import Sequence
 
 from .errors import AfpaSimError
-from .pouch import free_height
-from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _root,
-                  contact_stiffness, equilibrium_slopes, solve_equilibrium, stiffness_slopes)
+from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _rising_root,
+                  _root, _side_force, contact_stiffness, equilibrium_slopes, solve_equilibrium,
+                  stiffness_slopes)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
 NEWTON_MAX_ITER = 40
-SEED_ROUNDS = 4  # contour roots and rescales of a seed off the target height
 GRID_N = 20  # points per axis of the fallback seed grid
 
 
@@ -104,7 +100,7 @@ def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, floa
 
 def _validate_target(rig: RigSpec, target: HapticTarget) -> tuple[float, float, float]:
     h, k, depth = target.target_height, target.target_stiffness, target.probe_depth_ref
-    hf = free_height(rig.morphing)
+    hf = rig.morphing.free_height
     if not 0.0 < h < hf:
         raise PlannerDomainError(f"target_height {h} mm outside (0, {hf:.6g}) mm")
     if not 0.0 < k < math.inf:
@@ -135,10 +131,11 @@ def plan_state(
 
     def jacobian(p1: float, p2: float, eq: EquilibriumState) -> tuple[float, float, float, float]:
         """The residual's slopes, row by row, at a point whose equilibrium ``residual`` solved."""
-        dh, dk = equilibrium_slopes(rig, p1, p2, eq), stiffness_slopes(rig, p1, p2, eq, depth)
+        dh = equilibrium_slopes(rig, p1, p2, eq)
+        dk = stiffness_slopes(rig, p1, p2, eq, depth, dh)
         return dh[0] / h_star, dh[1] / h_star, dk[0] / k_star, dk[1] / k_star
 
-    seed, reason = _seed(rig, h_star, k_star, bounds, residual)
+    seed, reason = _seed(rig, h_star, k_star, depth, bounds)
     plans = [] if seed is None else [_refine(residual, jacobian, *seed, bounds)]
     if not any(p.feasible for p in plans):
         import numpy as np  # coarse grid fallback for maps the seed does not cover
@@ -163,69 +160,68 @@ def _clip(a: float, lo: float, hi: float) -> float:
     return min(max(a, lo), hi)
 
 
-def _contour_point(rig: RigSpec, h_star: float, bounds: tuple[float, float, float, float],
-                   level: float) -> tuple[float, float, bool] | str:
-    """(p1, p2, whether its equilibrium is interior) of height h_star on the line u + v =
-    level, u and v the fractions of the box's p1 and p2 ranges, or why there is none: h2
-    falls from the line's end of least p1, as dh2/dp1 <= 0 <= dh2/dp2.  Each solve starts
-    from the tangent of the one before."""
+def _contour(rig: RigSpec, h_star: float):
+    """h2 = h_star on the balance's interior branch, max(0, C - x1) < h_star < min(x2, C):
+    side forces are p*a(h), so T = p2*a2(h_star) and p1 = T / a1(C + c*T - h_star) rises
+    with p2.  Two functions of p2: ``point``, (p1, dp1/dp2 = (a2/a1)*(1 - c*p1*s1), the
+    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P."""
+    span, c = rig.belt_span, rig.belt_compliance
+    a2 = _side_force(rig.morphing, 1.0, h_star)[0]
+    side1 = cache(partial(_side_force, rig.modulating, 1.0))  # (a1, s1) by h1: one if rigid
+
+    def point(p2: float) -> tuple[float, float, EquilibriumState]:
+        a1, s1 = side1(h1 := span + c * (t := p2 * a2) - h_star)
+        eq = EquilibriumState(h1, h_star, t, True, "interior")
+        if not a1:  # side 1 free: no p1 holds h_star
+            return math.inf, math.inf, eq
+        return t / a1, a2 / a1 * (1.0 - c * t / a1 * s1), eq
+
+    def gap(p2: float, p1: float) -> tuple[float, float]:
+        a1, s1 = side1(span + c * (t := p2 * a2) - h_star)
+        return t - p1 * a1, a2 * (1.0 - c * p1 * s1)
+
+    return point, gap
+
+
+def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
+          bounds: tuple[float, float, float, float]) -> tuple[tuple[float, float] | None, str]:
+    """Seed pressures, or None, and why the target is out of reach, or "": the root of
+    k_star along h_star's ``_contour`` in the box, whose ends are roots of its ``gap``,
+    or at h_star = C < x2, the span plateau (a region, left of that contour), along
+    p1 = p1_lo.  A rigid belt's contour is a ray, along which k scales with p2.  The end
+    that k_star passes names an unreachable stiffness."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    w1, w2 = p1_hi - p1_lo, p2_hi - p2_lo
-    solved = {}  # p1 -> the equilibrium solved there
+    top = min(rig.morphing.free_height, rig.belt_span)
+    if not max(0.0, rig.belt_span - rig.modulating.free_height) < h_star <= top:
+        return None, _diagnose(top - h_star, 0.0)
+    contour, gap = _contour(rig, h_star)
+    p2_min, p2_max = (_rising_root(partial(gap, p1=p), p2_lo, None, p2_hi, None)
+                      for p in (p1_lo, p1_hi))
+    if (g := gap(p2_max, p1_lo)[0]) < 0.0 or (h_star < top and gap(p2_min, p1_hi)[0] > 0.0):
+        return None, _diagnose(g, 0.0)  # the contour passes the box on one side
+    if h_star == top:  # the span plateau, a region left of the contour
+        p2_max = p2_hi
+        def path(p2: float) -> tuple[float, float, EquilibriumState]:
+            return p1_lo, 0.0, solve_equilibrium(rig, p1_lo, p2, guess=h_star)
+    elif contour(p2_max)[0] == math.inf:  # side 1 free within the root tolerance of p1_hi
+        return None, ""
+    else:
+        path = contour
+    if path is contour and not rig.belt_compliance:  # a ray, along which k scales with p2
+        p1, _, eq = contour(p2_max)
+        k_max = contact_stiffness(rig, p1, p2_max, eq, h_star - depth)
+        def stiffness(p2: float) -> tuple[float, float]:
+            return k_max * p2 / p2_max - k_star, k_max / p2_max
+    else:
+        def stiffness(p2: float) -> tuple[float, float]:
+            """k - k_star along the path at p2, and its slope in p2."""
+            p1, dp1, eq = path(p2)
+            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq))
+            return contact_stiffness(rig, p1, p2, eq, h_star - depth) - k_star, dk[0] * dp1 + dk[1]
 
-    def line_p2(p1: float) -> float:
-        return _clip(p2_lo + (level - (p1 - p1_lo) / w1) * w2, p2_lo, p2_hi)
-
-    def gap(p1: float, guess: float | None = None) -> tuple[float, float]:
-        """h2 - h_star at the line's point of this p1, and its slope along the line."""
-        solved[p1] = eq = solve_equilibrium(rig, p1, p2 := line_p2(p1), guess=guess)
-        s1, s2 = equilibrium_slopes(rig, p1, p2, eq)
-        return eq.h2 - h_star, s1 - s2 * w2 / w1
-
-    tall_p1, low_p1 = (p1_lo + _clip(u, 0.0, 1.0) * w1 for u in (level - 1.0, level))
-    if (tall := gap(tall_p1))[0] < 0.0:
-        return "height unreachable (achievable height too low)"
-    if (low := gap(low_p1))[0] > 0.0:
-        return "height unreachable (achievable height too high)"
-    p_last, (g_last, k_last) = min((tall_p1, tall), (low_p1, low), key=lambda e: abs(e[1][0]))
-
-    def f(p1: float) -> tuple[float, float]:
-        nonlocal p_last, g_last, k_last
-        g_last, k_last = gap(p1, h_star + g_last + k_last * (p1 - p_last))
-        p_last = p1
-        return g_last, k_last
-
-    p1 = _root(f, tall_p1, tall, low_p1, low)
-    eq = solved[min(solved, key=lambda p: abs(p - p1))]  # within the root tolerance
-    return p1, line_p2(p1), eq.branch == "interior"
-
-
-def _seed(rig: RigSpec, h_star: float, k_star: float, bounds: tuple[float, float, float, float],
-          residual) -> tuple[tuple[float, float] | None, str]:
-    """Seed pressures, or None, and why the target is out of reach, or "": h_star's point
-    on the anti-diagonal (u + v = 1) scaled to k_star, clamped where the ray leaves the box,
-    or clipped per coordinate off the interior branch (the span plateau: a region).  Off
-    h_star (a compliant belt), up to SEED_ROUNDS times, h_star's point on its level u + v."""
-    p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    if isinstance(point := _contour_point(rig, h_star, bounds, 1.0), str):
-        return None, point
-    q1, q2, interior = point
-    for _ in range(SEED_ROUNDS):
-        if (k := residual(q1, q2)[3]) <= 0.0:
-            return None, ""
-        t = k_star / k
-        t_in = _clip(t, max(p1_lo / q1 if q1 else 0.0, p2_lo / q2 if q2 else 0.0),
-                     min(p1_hi / q1 if q1 else math.inf, p2_hi / q2 if q2 else math.inf))
-        s = t_in if interior else t
-        seed = _clip(q1 * s, p1_lo, p1_hi), _clip(q2 * s, p2_lo, p2_hi)
-        if abs(residual(*seed)[0]) <= RESIDUAL_TOL:
-            break
-        level = (seed[0] - p1_lo) / (p1_hi - p1_lo) + (seed[1] - p2_lo) / (p2_hi - p2_lo)
-        if isinstance(point := _contour_point(rig, h_star, bounds, level), str):
-            break
-        q1, q2, interior = point
-        seed = q1, q2
-    return seed, "" if t_in == t else _diagnose(0.0, t_in - t)
+    p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
+    miss = stiffness(p2)[0] if p2 in (p2_min, p2_max) else 0.0  # k_star past that end
+    return (_clip(path(p2)[0], p1_lo, p1_hi), p2), _diagnose(0.0, miss) if miss else ""
 
 
 def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:

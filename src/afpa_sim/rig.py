@@ -348,19 +348,19 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d)
 
 
-def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
-                     depth: float) -> tuple[float, float]:
+def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, depth: float,
+                     dh: tuple[float, float]) -> tuple[float, float]:
     """(dk/dp1, dk/dp2) in N/mm/kPa of the ``contact_stiffness`` k at ``depth`` below eq.h2:
     k = -p2*s2(x) + d/D at x = h2 - depth, with d = -p1*s1(y), D = 1 + c*d and the probe
-    balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force
-    and slopes per kPa.  x moves by ``equilibrium_slopes``; (0, 0) out of the probe range."""
+    balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force and
+    slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; (0, 0) out of range."""
     if not 0.0 < (x := eq.h2 - depth) < eq.h2:
         return 0.0, 0.0
     y = _probe_force(rig, p1, p2, eq, x)[2]
     (a1, s1), (_, s2) = _side_force(rig.modulating, 1.0, y), _side_force(rig.morphing, 1.0, x)
     t1 = KPA_MM2_TO_N * _curvature_slope(rig.modulating, y)
     t2 = KPA_MM2_TO_N * _curvature_slope(rig.morphing, x)
-    c, (dh1, dh2) = rig.belt_compliance, equilibrium_slopes(rig, p1, p2, eq)
+    c, (dh1, dh2) = rig.belt_compliance, dh
     big_d = 1.0 - c * p1 * s1  # dd/dp: -s1 - p1*t1*dy/dp1 and -p1*t1*dy/dp2
     dd1, dd2 = -s1 - p1 * t1 * (c * a1 - dh1) / big_d, p1 * t1 * dh2 / big_d
     return -p2 * t2 * dh1 + dd1 / big_d ** 2, -s2 - p2 * t2 * dh2 + dd2 / big_d ** 2

@@ -260,6 +260,15 @@ def test_cli_feasibility_warm_starts_each_cell(tmp_path, capsys, monkeypatch):
     assert calls["_side_force"] <= 6228
 
 
+def test_cli_plan_seeds_from_the_height_contour(tmp_path, capsys, monkeypatch):
+    # each state's seed is a root of the stiffness along its height's contour,
+    # exact on the packaged rigid belt; the anti-diagonal height root and its
+    # rescaled seed took 828 side forces
+    calls = count_side_forces(monkeypatch)
+    run_cli(["plan", "--out", str(tmp_path)], capsys)
+    assert calls["_side_force"] <= 90
+
+
 def loaded_after(code: str, package: str) -> list[str]:
     """The modules of ``package`` in sys.modules after a fresh interpreter runs ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")

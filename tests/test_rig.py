@@ -304,7 +304,8 @@ def test_stiffness_slopes_match_central_difference(w1, w2, c, compliance, end_ca
     assume(all(lo < eq.h2 < hi and eq.h2 > depth for eq in eqs))
     assume(len({x1 + eq.h2 - depth < c for eq in eqs}) == 1)
     k = [contact_stiffness(rig, q1, q2, eq, eq.h2 - depth) for (q1, q2), eq in zip(stencil, eqs)]
-    slopes = stiffness_slopes(rig, p1, p2, solve_equilibrium(rig, p1, p2), depth)
+    eq = solve_equilibrium(rig, p1, p2)
+    slopes = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq))
     assert slopes[0] == pytest.approx((k[0] - k[1]) / (2 * e), rel=1e-5, abs=1e-9)
     assert slopes[1] == pytest.approx((k[2] - k[3]) / (2 * e), rel=1e-5, abs=1e-9)
 
