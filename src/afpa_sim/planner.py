@@ -21,9 +21,9 @@ from functools import cache, partial, reduce
 from typing import Sequence
 
 from .errors import AfpaSimError
-from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _rising_root,
-                  _root, _side_force, contact_stiffness, equilibrium_slopes, solve_equilibrium,
-                  stiffness_slopes)
+from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _contact_stiffness,
+                  _rising_root, _root, _side_force, contact_stiffness, equilibrium_slopes,
+                  solve_equilibrium, stiffness_slopes)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
@@ -73,19 +73,19 @@ class StateDef:
 def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,
                 guess: float | None = None) -> tuple[float, float]:
     """(equilibrium h2 solved from ``guess``, stiffness at h2 - probe_depth or 0 out of range)."""
-    eq, k = _forward_state(rig, p1, p2, probe_depth, guess)
+    eq, k, _ = _forward_state(rig, p1, p2, probe_depth, guess)
     return eq.h2, k
 
 
 def _forward_state(rig: RigSpec, p1: float, p2: float, probe_depth: float,
-                   guess: float | None) -> tuple[EquilibriumState, float]:
-    """``forward_map`` with the whole equilibrium state it solved, not only its h2."""
+                   guess: float | None) -> tuple[EquilibriumState, float, float | None]:
+    """``forward_map`` with the whole equilibrium state it solved, not only its h2, and the
+    probe balance's h1 (None out of range), which ``stiffness_slopes`` takes."""
     eq = solve_equilibrium(rig, p1, p2, guess=guess)
     try:
-        k = contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
+        return eq, *_contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
     except RigDomainError:
-        k = 0.0
-    return eq, k
+        return eq, 0.0, None
 
 
 def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
@@ -123,16 +123,18 @@ def plan_state(
     h_star, k_star, depth = _validate_target(rig, target)
     last_h = h_star  # each solve starts from the h2 of the one before
 
-    def residual(p1: float, p2: float) -> tuple[float, float, EquilibriumState, float]:
+    def residual(p1: float, p2: float) -> tuple[float, float, tuple]:
+        """Relative height and stiffness misses, and the ``_forward_state`` they come from."""
         nonlocal last_h
-        eq, k = _forward_state(rig, p1, p2, depth, last_h)
+        eq, k, _ = state = _forward_state(rig, p1, p2, depth, last_h)
         last_h = eq.h2
-        return (eq.h2 - h_star) / h_star, (k - k_star) / k_star, eq, k
+        return (eq.h2 - h_star) / h_star, (k - k_star) / k_star, state
 
-    def jacobian(p1: float, p2: float, eq: EquilibriumState) -> tuple[float, float, float, float]:
-        """The residual's slopes, row by row, at a point whose equilibrium ``residual`` solved."""
+    def jacobian(p1: float, p2: float, state: tuple) -> tuple[float, float, float, float]:
+        """The residual's slopes, row by row, at a point whose ``residual`` gave ``state``."""
+        eq, _, y = state
         dh = equilibrium_slopes(rig, p1, p2, eq)
-        dk = stiffness_slopes(rig, p1, p2, eq, depth, dh)
+        dk = stiffness_slopes(rig, p1, p2, eq, depth, dh, y)
         return dh[0] / h_star, dh[1] / h_star, dk[0] / k_star, dk[1] / k_star
 
     seed, reason = _seed(rig, h_star, k_star, depth, bounds)
@@ -216,8 +218,9 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
         def stiffness(p2: float) -> tuple[float, float]:
             """k - k_star along the path at p2, and its slope in p2."""
             p1, dp1, eq = path(p2)
-            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq))
-            return contact_stiffness(rig, p1, p2, eq, h_star - depth) - k_star, dk[0] * dp1 + dk[1]
+            k, y = _contact_stiffness(rig, p1, p2, eq, h_star - depth)
+            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq), y)
+            return k - k_star, dk[0] * dp1 + dk[1]
 
     p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
     miss = stiffness(p2)[0] if p2 in (p2_min, p2_max) else 0.0  # k_star past that end
@@ -226,12 +229,12 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
 
 def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:
     """Damped Newton from (p1, p2), each step solved from ``jacobian`` by Cramer's rule."""
-    r1, r2, eq, k = residual(p1, p2)
+    r1, r2, state = residual(p1, p2)
     norm = math.hypot(r1, r2)
     for _ in range(NEWTON_MAX_ITER):
         if norm <= RESIDUAL_TOL:
             break
-        a, b, c, d = jacobian(p1, p2, eq)
+        a, b, c, d = jacobian(p1, p2, state)
         if not (det := a * d - b * c):
             break
         step = ((b * r2 - d * r1) / det, (c * r1 - a * r2) / det)
@@ -243,13 +246,14 @@ def _refine(residual, jacobian, p1: float, p2: float, bounds) -> PlanResult:
         for i in range(12):  # damped update: halve until the residual decreases
             n1 = _clip(p1 + 0.5 ** i * step[0], *bounds[:2])
             n2 = _clip(p2 + 0.5 ** i * step[1], *bounds[2:])
-            t1, t2, teq, tk = residual(n1, n2)
+            t1, t2, tstate = residual(n1, n2)
             if (tn := math.hypot(t1, t2)) < norm:
-                p1, p2, r1, r2, eq, k, norm = n1, n2, t1, t2, teq, tk, tn
+                p1, p2, r1, r2, state, norm = n1, n2, t1, t2, tstate, tn
                 break
         else:
             break
     feasible = norm <= RESIDUAL_TOL
+    eq, k, _ = state
     return PlanResult(p1=p1, p2=p2, achieved_height=eq.h2, achieved_stiffness=k, residual_norm=norm,
                       feasible=feasible, reason="" if feasible else _diagnose(r1, r2))
 

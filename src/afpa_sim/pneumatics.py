@@ -16,11 +16,15 @@ side forces' analytic slopes (the gas law's and the stack's), from a three-point
 evaluation.  Each side force also returns the gas volume it evaluated, so the
 gauges are read from the balance record's last evaluation of each side; a slack
 chamber's free-expansion root starts from the same prediction of its height.
+A step that moves no gas keeps its balance, a function of the masses; one that
+also leaves the lagged command unchanged is at rest, and every step repeats it up
+to the next command: those rows are copied, so a hold at rest costs one step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -224,13 +228,16 @@ def step_simulate(
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
     h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors)
     past = [(h2, *free)] * 2  # the two steps before, for the three-point predictors
+    solved = masses[:]  # the masses of the last balance, a function of them alone
 
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
 
-    for i in range(1, n_steps + 1):
+    i = 0
+    while (i := i + 1) <= n_steps:
         t = i * dt
         cmds = _command_at(schedule, t)
+        start = cmd_eff + masses
         for j in (0, 1):
             valve = valves[j]
             cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / valve.command_lag
@@ -240,10 +247,18 @@ def step_simulate(
             masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
         guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip((h2, *free), *past)]
         past = [(h2, *free), past[0]]
-        h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
+        if masses != solved:
+            h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
+            solved = masses[:]
         if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
             raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
         rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+        if cmd_eff + masses == start:  # at rest: every step repeats this one until the next command
+            ts = next((s for s, _, _ in schedule if not s <= t + 1e-12), math.inf)
+            end = bisect_left(range(n_steps + 1), True, i + 1, key=lambda k: ts <= k * dt + 1e-12)
+            rows[i + 1:end] = rows[i]
+            rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
+            past, i = [(h2, *free)] * 2 if end > i + 1 else past, end - 1
     return rows
 
 

@@ -103,8 +103,9 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
     the end with the smaller value, stopping at a step within ROOT_XTOL_MM: a
     step that leaves the shrinking bracket, or is not half the one before, takes
     the Illinois false-position point, or bisection when that is not inside,
-    until the bracket is within ROOT_XTOL_MM; there a false-position point
-    rounded onto an end gives that end.
+    until the bracket is within ROOT_XTOL_MM.  A false-position point rounded
+    onto an end gives that end where the bracket is within ROOT_XTOL_MM, or
+    where a point ROOT_XTOL_MM inside that end has the other end's sign.
     """
     if fa[0] == 0.0 or fb[0] == 0.0:
         return a if fa[0] == 0.0 else b
@@ -122,10 +123,17 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
         if not newton:
             x_new = (a * yb - b * ya) / (yb - ya)
             if not (x_new - a) * (x_new - b) < 0.0:
-                # the false position rounds onto an end: within tolerance, that end
-                # is the root (an end whose value is below rounding of the other's)
+                # the false position rounds onto an end: its value is below rounding of
+                # the other's, so the root is likely within tolerance of it
+                end = a if abs(x_new - a) < abs(x_new - b) else b
                 if abs(b - a) <= ROOT_XTOL_MM:
-                    return a if abs(x_new - a) < abs(x_new - b) else b
+                    return end
+                near = end + math.copysign(ROOT_XTOL_MM, a + b - 2.0 * end)
+                if (y_near := f(near)[0]) == 0.0:
+                    return near
+                if (y_near < 0.0) == (end == b):
+                    return end
+                a, ya, b, yb = (near, y_near, b, yb) if end == a else (a, ya, near, y_near)
                 x_new = 0.5 * (a + b)
             if abs(b - a) <= ROOT_XTOL_MM:
                 return x_new
@@ -332,7 +340,13 @@ def stiffness(rig: RigSpec, p1: float, p2: float, h2: float) -> float:
 
 def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
                       h2: float) -> float:
-    """``stiffness`` below an equilibrium already solved at (p1, p2).
+    """``stiffness`` below an equilibrium already solved at (p1, p2)."""
+    return _contact_stiffness(rig, p1, p2, eq, h2)[0]
+
+
+def _contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
+                       h2: float) -> tuple[float, float]:
+    """``contact_stiffness`` and the h1 of its probe balance, which ``stiffness_slopes`` takes.
 
     F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
     implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
@@ -345,18 +359,18 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
     b = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
                      rig.belt_span, rig.belt_compliance)
     d = -_read(b.side1, b.h1, f1)[1]
-    return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d)
+    return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d), b.h1
 
 
 def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, depth: float,
-                     dh: tuple[float, float]) -> tuple[float, float]:
+                     dh: tuple[float, float], y: float | None) -> tuple[float, float]:
     """(dk/dp1, dk/dp2) in N/mm/kPa of the ``contact_stiffness`` k at ``depth`` below eq.h2:
     k = -p2*s2(x) + d/D at x = h2 - depth, with d = -p1*s1(y), D = 1 + c*d and the probe
     balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force and
-    slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; (0, 0) out of range."""
+    slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; y is the probe balance's h1
+    that ``_contact_stiffness`` returns next to k, None out of range, where this is (0, 0)."""
     if not 0.0 < (x := eq.h2 - depth) < eq.h2:
         return 0.0, 0.0
-    y = _probe_force(rig, p1, p2, eq, x)[2]
     (a1, s1), (_, s2) = _side_force(rig.modulating, 1.0, y), _side_force(rig.morphing, 1.0, x)
     t1 = KPA_MM2_TO_N * _curvature_slope(rig.modulating, y)
     t2 = KPA_MM2_TO_N * _curvature_slope(rig.morphing, x)

@@ -290,8 +290,9 @@ def test_warm_start_matches_cold_solve(widths, span, compliance, end_caps, p1, p
 def test_side_force_evaluations_per_plan(rig, monkeypatch):
     # reachable targets, images of a 3x3 pressure grid on the packaged rig
     # and on a compliant copy; with cold equilibrium solves the planner
-    # needs 338.94 side-force evaluations per plan here, and with the
-    # anti-diagonal height root 203.17
+    # needs 338.94 side-force evaluations per plan here, with the
+    # anti-diagonal height root 203.17, and solving each probe balance of the
+    # stiffness slopes twice 46.28
     rigs = (rig, dataclasses.replace(rig, belt_compliance=0.3))
     targets = [(r, *forward_map(r, p1, p2, 5.0)) for r in rigs
                for p1 in (10.0, 40.0, 80.0) for p2 in (15.0, 50.0, 100.0)]
@@ -314,8 +315,30 @@ def test_side_force_evaluations_per_plan(rig, monkeypatch):
     # anti-diagonal root)
     assert max(per_target[:9]) <= 10
     per_plan = calls / len(targets)
-    assert per_plan <= 1.02 * 46.28
+    assert per_plan <= 1.02 * 32.61
+    assert per_plan < 46.28
     assert per_plan < 338.94
+
+
+def test_compliant_plan_solves_each_probe_balance_once(rig, monkeypatch):
+    # the image of (40, 50) kPa at 0.3 mm/N: the stiffness slopes read the
+    # probe balance's h1 that contact_stiffness has just solved; solving that
+    # balance again through the probe force took 87 side forces here
+    compliant = dataclasses.replace(rig, belt_compliance=0.3)
+    h, k = forward_map(compliant, 40.0, 50.0, 5.0)
+    calls = 0
+    side_force = rig_mod._side_force
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(rig_mod, "_side_force", counted)
+    plan = plan_state(compliant, HapticTarget(target_height=h, target_stiffness=k))
+    assert plan.feasible and plan.p1 == pytest.approx(40.0) and plan.p2 == pytest.approx(50.0)
+    assert calls <= 60
+    assert calls < 87
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from afpa_sim import pneumatics
 from afpa_sim.pneumatics import (
@@ -454,41 +455,89 @@ def test_side_force_evaluations_per_step(monkeypatch):
     # a fixed 3-command schedule; the derivative-free brentq balance needs
     # 27.46 side-force evaluations per valve step here, the warm start alone
     # 7.12 and 10.71 volume evaluations, evaluating the gauges, the tension
-    # and the free-expansion roots anew 6.22 and 8.00, and a secant guess
-    # confirmed by a second evaluation 4.01 of each
+    # and the free-expansion roots anew 6.22 and 8.00, a secant guess
+    # confirmed by a second evaluation 4.01 of each, and a balance solved on
+    # every step, the first hold at rest included, 2.62
     calls = count_calls(monkeypatch, "_side_force_from_mass", "_volume_terms")
     sched = [(0.0, 10.0, 10.0), (1.0, 40.0, 60.0), (2.0, 80.0, 20.0)]
     series = step_simulate(make_rig(), make_valves(), sched, 1e-3, 3.0)
     side_forces, volumes = (n / (len(series) - 1) for n in calls.values())
-    assert side_forces <= 1.02 * 2.62
+    assert side_forces <= 1.02 * 1.96
+    assert side_forces < 2.62
     assert side_forces < 4.01
     assert side_forces < 27.46
-    assert volumes <= 1.02 * 2.62
+    assert volumes <= 1.02 * 1.96
+    assert volumes < 2.62
     assert volumes < 4.01
     assert volumes < 8.00
 
 
 def test_settled_step_evaluates_the_balance_once(monkeypatch):
-    # while a command holds, the gas masses repeat from one valve step to the
-    # next; the predicted h2 is then the root, and a step makes one residual
-    # evaluation, one side force on each side.  A guess confirmed by a second
-    # residual made 4 here
-    calls = count_calls(monkeypatch, "_side_force_from_mass", "_volume_terms")
-    per_step = []
+    # the balance is a function of the gas masses, so a step whose masses
+    # repeat those of the last balance keeps it and evaluates no side force;
+    # a balance solved anew on each such step made 2 evaluations, one a side
+    calls = count_calls(monkeypatch, "_side_force_from_mass", "_command_at")
+    solved = []
     solve_heights = pneumatics._solve_heights
 
     def logged(rig, m1, m2, *args):
-        before = dict(calls)
+        before = calls["_side_force_from_mass"]
         out = solve_heights(rig, m1, m2, *args)
-        per_step.append(((m1, m2), *(calls[n] - before[n] for n in calls)))
+        solved.append(((m1, m2), calls["_side_force_from_mass"] - before))
         return out
 
     monkeypatch.setattr(pneumatics, "_solve_heights", logged)
-    step_simulate(make_rig(), make_valves(), [(0.0, 10.0, 10.0), (0.5, 40.0, 60.0)], 1e-3, 1.0)
-    settled = [counts for (masses, *counts), (before, *_) in zip(per_step[1:], per_step)
-               if masses == before]
-    assert len(settled) >= 400
-    assert all(counts == [2, 2] for counts in settled)
+    series = step_simulate(make_rig(), make_valves(), [(0.0, 10.0, 10.0), (0.5, 40.0, 60.0)],
+                           1e-3, 1.0)
+    assert all(masses != before for (masses, _), (before, _) in zip(solved[1:], solved))
+    assert calls["_side_force_from_mass"] == sum(n for _, n in solved)
+    assert len(solved) <= len(series) - 1 - 400  # the hold before the step solves nothing
+    # a run held at rest to t_end solves its start and simulates one step
+    solved.clear()
+    calls.update(dict.fromkeys(calls, 0))
+    series = step_simulate(make_rig(), make_valves(), [(0.0, 10.0, 10.0)], 1e-3, 1.0)
+    assert len(solved) == 1 and calls["_command_at"] == 2
+    assert np.all(series[:, 1:] == series[0, 1:])
+
+
+@st.composite
+def command_schedules(draw):
+    """1-3 commands at whole milliseconds from t = 0, the first one held from rest."""
+    pressure = st.sampled_from([0.0, 3.8e-99]) | st.floats(0.0, 100.0)
+    ms, schedule = 0, []
+    for _ in range(draw(st.integers(1, 3))):
+        schedule.append((ms * 1e-3, draw(pressure), draw(pressure)))
+        ms += draw(st.integers(1, 150))
+    return schedule
+
+
+@settings(max_examples=40, deadline=None)
+@given(compliance=st.just(0.0) | st.floats(0.1, 0.5), schedule=command_schedules(),
+       dt=st.sampled_from([1e-3, 2e-3, 5e-4]), t_ends=st.tuples(st.integers(0, 300),
+                                                                  st.integers(1, 100)))
+# a command step so small that the lagged command moves for steps before any gas does
+@example(compliance=0.0, schedule=[(0.0, 10.0, 10.0), (0.01, 10.0 + 3e-12, 10.0)], dt=1e-3,
+         t_ends=(20, 100))
+def test_runs_at_rest_repeat_their_state(compliance, schedule, dt, t_ends):
+    # a hold at rest is filled with the state of its first step, not stepped
+    # through: the rows equal a step-by-step run's (no hold ever ends early),
+    # a longer run starts with the shorter one's rows, the time column is
+    # i * dt, and a run that starts at rest keeps row 0 until the command changes
+    rig = dataclasses.replace(make_rig(), belt_compliance=compliance)
+    t1, t2 = t_ends[0] * 1e-3, sum(t_ends) * 1e-3
+    short = step_simulate(rig, make_valves(), schedule, dt, t1)
+    rows = step_simulate(rig, make_valves(), schedule, dt, t2)
+    with mock.patch.object(pneumatics, "bisect_left", lambda a, x, lo, key: lo):  # fills no row
+        assert np.array_equal(step_simulate(rig, make_valves(), schedule, dt, t2), rows)
+    assert np.array_equal(rows[:len(short)], short)
+    assert np.array_equal(rows[:, 0], np.arange(len(rows)) * dt)
+    with mock.patch.object(pneumatics, "_solve_heights", wraps=pneumatics._solve_heights) as solve:
+        step_simulate(rig, make_valves(), schedule, dt, dt)
+    event(f"starts at rest: {solve.call_count == 1}")
+    if solve.call_count == 1:  # the first step moved no gas
+        change = next((t for t, *cmd in schedule if cmd != list(schedule[0][1:])), math.inf)
+        held = rows[rows[:, 0] + 1e-12 < change, 1:]
+        assert np.array_equal(held, np.broadcast_to(rows[0, 1:], held.shape))
 
 
 @settings(max_examples=200, deadline=None)

@@ -16,6 +16,7 @@ from afpa_sim.rig import (
     CalibrationError,
     RigDomainError,
     RigSpec,
+    _contact_stiffness,
     _rising_root,
     _side_force,
     belt_balance,
@@ -305,7 +306,8 @@ def test_stiffness_slopes_match_central_difference(w1, w2, c, compliance, end_ca
     assume(len({x1 + eq.h2 - depth < c for eq in eqs}) == 1)
     k = [contact_stiffness(rig, q1, q2, eq, eq.h2 - depth) for (q1, q2), eq in zip(stencil, eqs)]
     eq = solve_equilibrium(rig, p1, p2)
-    slopes = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq))
+    y = _contact_stiffness(rig, p1, p2, eq, eq.h2 - depth)[1]
+    slopes = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq), y)
     assert slopes[0] == pytest.approx((k[0] - k[1]) / (2 * e), rel=1e-5, abs=1e-9)
     assert slopes[1] == pytest.approx((k[2] - k[3]) / (2 * e), rel=1e-5, abs=1e-9)
 
@@ -380,6 +382,7 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     d = -_side_force(rig.modulating, p1, h1)[1]
     fresh = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
     assert contact_stiffness(rig, p1, p2, eq, h) == fresh
+    assert _contact_stiffness(rig, p1, p2, eq, h) == (fresh, h1)  # the h1 stiffness_slopes takes
     b = belt_balance(partial(_side_force, rig.modulating, p1),
                      partial(_side_force, rig.morphing, p2),
                      rig.modulating.free_height, min(rig.morphing.free_height, h),
@@ -406,6 +409,30 @@ def test_contact_stiffness_side_force_evaluations(monkeypatch):
     monkeypatch.setattr(rig_mod, "_side_force", counted)
     contact_stiffness(cfg.rig, 20.0, 30.0, eq, eq.h2 - cfg.probe_depth)
     assert calls == 2
+
+
+def test_root_at_a_free_height_kink_side_force_evaluations(monkeypatch):
+    # side 2 pinned at its free height by a near-zero p1: the residual's slope
+    # at that end is ~1e-110, so Newton leaves the bracket and false position
+    # rounds onto the end; one point ROOT_XTOL_MM inside it has the other
+    # end's sign.  Bisecting the bracket down to ROOT_XTOL_MM took 65 here
+    modulating, morphing = (PouchStackSpec(flat_width=w, flat_length=length,
+                                           end_cap_correction=False)
+                            for w, length in ((49.0, 300.0), (48.0, 120.0)))
+    rig = RigSpec(modulating, morphing, belt_span=92.0)
+    calls = 0
+    side_force = rig_mod._side_force
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return side_force(*args)
+
+    monkeypatch.setattr(rig_mod, "_side_force", counted)
+    eq = solve_equilibrium(rig, 1.8315932503829108e-109, 3.0)
+    assert eq.h2 == morphing.free_height and eq.branch == "pinned"
+    assert calls <= 7
+    assert calls < 65
 
 
 def test_force_displacement_side_force_evaluations(monkeypatch):
