@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig
 from .planner import StateDef, feasibility_map, state_table
 from .pneumatics import resample_16hz, step_simulate
-from .rig import (RigDomainError, contact_stiffness, force_displacement_curve,
-                  size_pressure_sweep, solve_equilibrium)
+from .rig import _probe_curve, size_pressure_sweep, solve_equilibrium
 from .study import (
     StudyDomainError,
     TrialRecord,
@@ -77,26 +76,18 @@ def _stiffness_levels(config: RunConfig) -> list[float]:
 
 
 def run_characterize_stiffness(config: RunConfig, out: Path) -> list[Path]:
-    """Probe force and stiffness vs compression depth at each p2 level."""
-    sweep = config.sweep
+    """Probe force, loading and unloading against friction, and ``contact_stiffness`` vs
+    compression depth at each p2 level, both read from one ``_probe`` per depth."""
+    sweep, f = config.sweep, config.rig.friction_force
     depth_step = sweep.probe_rate / sweep.sample_rate
-    force_rows = []
-    stiff_rows = []
+    force_rows, stiff_rows = [], []
     for p2 in _stiffness_levels(config):
         eq = solve_equilibrium(config.rig, 0.0, p2)
-        max_depth = min(sweep.compression_depth, max(depth_step, eq.h2 - 1.0))
-        n = int(round(max_depth / depth_step))
-        curve = force_displacement_curve(config.rig, 0.0, p2, n * depth_step, depth_step)
-        loading = curve[: n + 1]
-        unloading = curve[n + 1 :][::-1]
-        for (d, f_load), (_, f_unload) in zip(loading, unloading):
-            force_rows.append((p2, d, f_load, f_unload))
-            h = eq.h2 - d
-            try:
-                k = contact_stiffness(config.rig, 0.0, p2, eq, h)
-            except RigDomainError:
-                continue
-            stiff_rows.append((p2, d, k))
+        n = round(min(sweep.compression_depth, max(depth_step, eq.h2 - 1.0)) / depth_step)
+        for d, probe in _probe_curve(config.rig, 0.0, p2, n * depth_step, depth_step, eq):
+            force_rows.append((p2, d, max(0.0, probe.force + f), max(0.0, probe.force - f)))
+            if eq.h2 - d < eq.h2:  # contact_stiffness's range; the probe height is positive
+                stiff_rows.append((p2, d, probe.k))
     return [
         _write_csv(
             out / "fig3a.csv",
@@ -166,17 +157,14 @@ def run_feasibility(config: RunConfig, out: Path) -> list[Path]:
 
 
 def _records_to_lines(records: Sequence[TrialRecord], seed: int) -> list[str]:
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "trial_index": r.trial_index,
-            "presented": r.presented,
-            "responded": r.responded,
-            "response_time_s": round(r.response_time, 9),
-            "segment": r.segment,
-            "seed": seed,
-        }, sort_keys=True))
-    return lines
+    return [json.dumps({
+        "trial_index": r.trial_index,
+        "presented": r.presented,
+        "responded": r.responded,
+        "response_time_s": round(r.response_time, 9),
+        "segment": r.segment,
+        "seed": seed,
+    }, sort_keys=True) for r in records]
 
 
 def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:

@@ -21,7 +21,7 @@ from functools import cache, partial, reduce
 from typing import Sequence
 
 from .errors import AfpaSimError
-from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigDomainError, RigSpec, _contact_stiffness,
+from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigSpec, _probe,
                   _rising_root, _root, _side_force, contact_stiffness, equilibrium_slopes,
                   solve_equilibrium, stiffness_slopes)
 
@@ -29,6 +29,8 @@ DEFAULT_PROBE_DEPTH_MM = 5.0
 RESIDUAL_TOL = 1e-3
 NEWTON_MAX_ITER = 40
 GRID_N = 20  # points per axis of the fallback seed grid
+Box = tuple[float, float, float, float]  # kPa pressure bounds (p1_lo, p1_hi, p2_lo, p2_hi)
+FULL_BOX: Box = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA)
 
 
 class PlannerDomainError(AfpaSimError, ValueError):
@@ -80,15 +82,15 @@ def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,
 def _forward_state(rig: RigSpec, p1: float, p2: float, probe_depth: float,
                    guess: float | None) -> tuple[EquilibriumState, float, float | None]:
     """``forward_map`` with the whole equilibrium state it solved, not only its h2, and the
-    probe balance's h1 (None out of range), which ``stiffness_slopes`` takes."""
+    ``Probe``'s h1 (None out of range), which ``stiffness_slopes`` takes."""
     eq = solve_equilibrium(rig, p1, p2, guess=guess)
-    try:
-        return eq, *_contact_stiffness(rig, p1, p2, eq, eq.h2 - probe_depth)
-    except RigDomainError:
+    if not 0.0 < (h := eq.h2 - probe_depth) < eq.h2:  # out of contact_stiffness's range
         return eq, 0.0, None
+    probe = _probe(rig, p1, p2, eq, h)
+    return eq, probe.k, probe.h1
 
 
-def check_bounds(bounds: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+def check_bounds(bounds: Box) -> Box:
     """The pressure box (p1_lo, p1_hi, p2_lo, p2_hi) if ordered within the rig's limit."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     ok = 0.0 <= p1_lo < p1_hi <= PRESSURE_MAX_KPA and 0.0 <= p2_lo < p2_hi <= PRESSURE_MAX_KPA
@@ -110,11 +112,7 @@ def _validate_target(rig: RigSpec, target: HapticTarget) -> tuple[float, float, 
     return h, k, depth
 
 
-def plan_state(
-    rig: RigSpec,
-    target: HapticTarget,
-    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
-) -> PlanResult:
+def plan_state(rig: RigSpec, target: HapticTarget, bounds: Box = FULL_BOX) -> PlanResult:
     """Solve for (p1, p2) realizing the target; best-effort result if infeasible.
 
     bounds is (p1_lo, p1_hi, p2_lo, p2_hi) in kPa.
@@ -173,7 +171,7 @@ def _contour(rig: RigSpec, h_star: float):
 
     def point(p2: float) -> tuple[float, float, EquilibriumState]:
         a1, s1 = side1(h1 := span + c * (t := p2 * a2) - h_star)
-        eq = EquilibriumState(h1, h_star, t, True, "interior")
+        eq = EquilibriumState(h1, h_star, t, "interior")
         if not a1:  # side 1 free: no p1 holds h_star
             return math.inf, math.inf, eq
         return t / a1, a2 / a1 * (1.0 - c * t / a1 * s1), eq
@@ -186,7 +184,7 @@ def _contour(rig: RigSpec, h_star: float):
 
 
 def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
-          bounds: tuple[float, float, float, float]) -> tuple[tuple[float, float] | None, str]:
+          bounds: Box) -> tuple[tuple[float, float] | None, str]:
     """Seed pressures, or None, and why the target is out of reach, or "": the root of
     k_star along h_star's ``_contour`` in the box, whose ends are roots of its ``gap``,
     or at h_star = C < x2, the span plateau (a region, left of that contour), along
@@ -218,9 +216,10 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
         def stiffness(p2: float) -> tuple[float, float]:
             """k - k_star along the path at p2, and its slope in p2."""
             p1, dp1, eq = path(p2)
-            k, y = _contact_stiffness(rig, p1, p2, eq, h_star - depth)
-            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq), y)
-            return k - k_star, dk[0] * dp1 + dk[1]
+            probe = _probe(rig, p1, p2, eq, h_star - depth)
+            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq),
+                                  probe.h1)
+            return probe.k - k_star, dk[0] * dp1 + dk[1]
 
     p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
     miss = stiffness(p2)[0] if p2 in (p2_min, p2_max) else 0.0  # k_star past that end
@@ -284,8 +283,8 @@ def feasibility_map(
     return np.array(rows, dtype=float)
 
 
-def _plan_or_raise(rig: RigSpec, h: float, k: float, bounds: tuple[float, float, float, float],
-                   probe_depth: float, name: str) -> PlanResult:
+def _plan_or_raise(rig: RigSpec, h: float, k: float, bounds: Box, probe_depth: float,
+                   name: str) -> PlanResult:
     """``plan_state`` of one (h, k) target; InfeasibleTargetError naming it if infeasible."""
     plan = plan_state(rig, HapticTarget(h, k, probe_depth), bounds)
     if not plan.feasible:
@@ -297,7 +296,7 @@ def constant_stiffness_path(
     rig: RigSpec,
     k_star: float,
     heights: Sequence[float],
-    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
+    bounds: Box = FULL_BOX,
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[PlanResult]:
     """Per-height plans holding the stiffness constant along the path."""
@@ -313,7 +312,7 @@ def state_table(
     rig: RigSpec,
     sizes: Sequence[float],
     stiffnesses: Sequence[float],
-    bounds: tuple[float, float, float, float] = (0.0, PRESSURE_MAX_KPA, 0.0, PRESSURE_MAX_KPA),
+    bounds: Box = FULL_BOX,
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[StateDef]:
     """3x3 grid of planned states, ids 1..9 row-major (size-major)."""

@@ -5,8 +5,10 @@ can only pull.  One force balance, ``belt_balance``, with belt stretch on
 every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
 dynamics.  It returns one record, ``Balance``: heights, tension, branch and
-each side's last evaluation, which the probe and the valve gauges read back.
-Its roots, the valve model's free-expansion height and the planner's seed
+each side's last evaluation, which the valve gauges read back, and the probe
+into its own record, ``Probe``: force, belt tension, h1 and stiffness, which
+``probe_force``, ``contact_stiffness`` and ``force_displacement_curve`` read.
+The balance's roots, the valve model's free-expansion height and the planner's seed
 pressures come from the package's one root solver, the bracketed,
 safeguarded Newton ``_root``, on closed-form slopes.  Probe stiffness and
 the slopes in pressure of the height (``equilibrium_slopes``) and of the
@@ -19,6 +21,7 @@ sweep; a guess whose Newton step is within the root tolerance ends it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -74,8 +77,11 @@ class EquilibriumState:
     h1: float  # mm
     h2: float  # mm
     belt_tension: float  # N
-    taut: bool
     branch: str  # the ``Balance`` branch: slack, interior, pinned or squashed
+
+    @property
+    def taut(self) -> bool:  # the belt pulls: any branch but slack
+        return self.branch != "slack"
 
 
 def _check_pressure(p: float, name: str) -> float:
@@ -269,7 +275,7 @@ def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
                       guess: float | None = None) -> EquilibriumState:
     """Equilibrium heights and belt tension at the given gauge pressures, from ``guess`` (h2)."""
     b = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"), guess=guess)
-    return EquilibriumState(b.h1, b.h2, b.tension, b.h1 + b.h2 >= rig.belt_span - 1e-9, b.branch)
+    return EquilibriumState(b.h1, b.h2, b.tension, b.branch)
 
 
 def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
@@ -289,27 +295,53 @@ def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
     return 0.0, 0.0
 
 
+class Probe(NamedTuple):
+    """What ``_probe`` solved with a probe holding the morphing side down."""
+
+    force: float  # N, on the probe
+    tension: float  # N, of the belt
+    h1: float  # mm, of the modulating side, which ``stiffness_slopes`` takes
+    k: float  # N/mm, the stiffness dF/d(depth)
+
+
+def _probe(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, h2: float) -> Probe:
+    """The ``Probe`` holding the morphing side at h2 in (0, eq.h2 + 1e-9], below ``eq``, solved
+    at (p1, p2), else a RigDomainError naming h2 h2_forced, as ``probe_force``.  The modulating side
+    re-equilibrates against the belt, which goes slack once that side is free.  F = f2(h2) - T
+    with the belt closing at h1 = C + c*T - h2, so dF/d(depth) = -f2'(h2) + d / (1 + c*d),
+    d = -f1'(h1) (0 if slack), both slopes read back where the probe balance evaluated them."""
+    if not 0.0 < h2 <= eq.h2 + 1e-9:
+        raise RigDomainError(f"h2_forced {h2} mm not in the probe contact range "
+                             f"(0, {eq.h2:.6g}] mm")
+    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
+    b = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
+                     rig.belt_span, rig.belt_compliance)
+    force, slope = _read(b.side2, h2, f2)
+    d = -_read(b.side1, b.h1, f1)[1]
+    return Probe(max(0.0, force - b.tension), b.tension, b.h1,
+                 d / (1.0 + rig.belt_compliance * d) - slope)
+
+
 def probe_force(rig: RigSpec, p1: float, p2: float,
                 h2_forced: float) -> tuple[float, float, float]:
-    """Force on a probe holding the morphing side at ``h2_forced``.
-
-    Returns (force N, belt_tension N, h1 mm).  The modulating side
-    re-equilibrates against the belt, stretching it by the compliance; the
-    belt goes slack once the modulating side reaches its free height.
-    """
-    return _probe_force(rig, p1, p2, solve_equilibrium(rig, p1, p2), h2_forced)
+    """Force on a probe holding the morphing side at ``h2_forced``: (force N, belt_tension N,
+    h1 mm), the first three fields of its ``Probe``."""
+    return _probe(rig, p1, p2, solve_equilibrium(rig, p1, p2), h2_forced)[:3]
 
 
-def _probe_force(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
-                 h2_forced: float) -> tuple[float, float, float]:
-    """``probe_force`` below an equilibrium already solved at (p1, p2)."""
-    if not 0.0 < h2_forced <= eq.h2 + 1e-9:
-        raise RigDomainError(f"h2_forced {h2_forced} mm not in the probe contact range "
-                             f"(0, {eq.h2:.6g}] mm")
-    f2 = partial(_side_force, rig.morphing, p2)
-    b = belt_balance(partial(_side_force, rig.modulating, p1), f2, rig.modulating.free_height,
-                     min(rig.morphing.free_height, h2_forced), rig.belt_span, rig.belt_compliance)
-    return max(0.0, _read(b.side2, h2_forced, f2)[0] - b.tension), b.tension, b.h1
+def _probe_curve(rig: RigSpec, p1: float, p2: float, max_depth: float, step: float,
+                 eq: EquilibriumState | None = None) -> list[tuple[float, Probe]]:
+    """(depth, ``_probe``) every ``step`` down to ``max_depth`` (mm), which rounds to at most
+    PROBE_SAMPLES_MAX steps, below ``eq``, the equilibrium at (p1, p2), solved if None."""
+    if not 0.0 < step < math.inf:
+        raise RigDomainError(f"step must be positive and finite, got {step}")
+    if not 0.0 <= max_depth / step < PROBE_SAMPLES_MAX + 0.5:  # also NaN and inf
+        raise RigDomainError(f"max_depth {max_depth} mm not in [0, {PROBE_SAMPLES_MAX} steps]")
+    eq = eq or solve_equilibrium(rig, p1, p2)
+    if max_depth >= eq.h2:
+        raise RigDomainError(f"max_depth {max_depth} mm exceeds equilibrium height {eq.h2:.6g} mm")
+    return [(d, _probe(rig, p1, p2, eq, eq.h2 - d))
+            for d in [i * step for i in range(round(max_depth / step) + 1)]]
 
 
 def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: float, step: float,
@@ -318,19 +350,10 @@ def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: floa
 
     ``max_depth`` / ``step`` (mm) rounds to at most PROBE_SAMPLES_MAX steps.
     """
-    if not 0.0 < step < math.inf:
-        raise RigDomainError(f"step must be positive and finite, got {step}")
-    if not 0.0 <= max_depth / step < PROBE_SAMPLES_MAX + 0.5:  # also NaN and inf
-        raise RigDomainError(f"max_depth {max_depth} mm not in [0, {PROBE_SAMPLES_MAX} steps]")
-    eq = solve_equilibrium(rig, p1, p2)
-    if max_depth >= eq.h2:
-        raise RigDomainError(f"max_depth {max_depth} mm exceeds equilibrium height {eq.h2:.6g} mm")
-    n = round(max_depth / step)
-    depths = [i * step for i in range(n + 1)]
     f = rig.friction_force if with_friction else 0.0
-    curve = [(d, _probe_force(rig, p1, p2, eq, eq.h2 - d)[0]) for d in depths]
-    return ([(d, max(0.0, base + f)) for d, base in curve]
-            + [(d, max(0.0, base - f)) for d, base in reversed(curve)])
+    curve = _probe_curve(rig, p1, p2, max_depth, step)
+    return ([(d, max(0.0, probe.force + f)) for d, probe in curve]
+            + [(d, max(0.0, probe.force - f)) for d, probe in reversed(curve)])
 
 
 def stiffness(rig: RigSpec, p1: float, p2: float, h2: float) -> float:
@@ -340,26 +363,10 @@ def stiffness(rig: RigSpec, p1: float, p2: float, h2: float) -> float:
 
 def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
                       h2: float) -> float:
-    """``stiffness`` below an equilibrium already solved at (p1, p2)."""
-    return _contact_stiffness(rig, p1, p2, eq, h2)[0]
-
-
-def _contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
-                       h2: float) -> tuple[float, float]:
-    """``contact_stiffness`` and the h1 of its probe balance, which ``stiffness_slopes`` takes.
-
-    F = f2(h2) - T with the belt closing at h1 = C + c*T - h2, so by the
-    implicit-function theorem dF/d(depth) = -f2'(h2) + d / (1 + c*d), where
-    d = -f1'(h1) while the belt is taut and 0 once the modulating side is
-    slack, both slopes read back where the probe balance evaluated them.
-    """
+    """``stiffness`` below an equilibrium already solved at (p1, p2): the ``_probe``'s k."""
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
-    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
-    b = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
-                     rig.belt_span, rig.belt_compliance)
-    d = -_read(b.side1, b.h1, f1)[1]
-    return -_read(b.side2, h2, f2)[1] + d / (1.0 + rig.belt_compliance * d), b.h1
+    return _probe(rig, p1, p2, eq, h2).k
 
 
 def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, depth: float,
@@ -367,8 +374,8 @@ def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, d
     """(dk/dp1, dk/dp2) in N/mm/kPa of the ``contact_stiffness`` k at ``depth`` below eq.h2:
     k = -p2*s2(x) + d/D at x = h2 - depth, with d = -p1*s1(y), D = 1 + c*d and the probe
     balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force and
-    slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; y is the probe balance's h1
-    that ``_contact_stiffness`` returns next to k, None out of range, where this is (0, 0)."""
+    slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; y is the ``Probe``'s h1,
+    None out of range, where this is (0, 0)."""
     if not 0.0 < (x := eq.h2 - depth) < eq.h2:
         return 0.0, 0.0
     (a1, s1), (_, s2) = _side_force(rig.modulating, 1.0, y), _side_force(rig.morphing, 1.0, x)
@@ -465,8 +472,7 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec,
     if weights is None:
         weights = [1.0] * len(anchors)
 
-    x0 = [start.modulating.flat_width, start.modulating.flat_length,
-          start.morphing.flat_width, start.morphing.flat_length, start.belt_span]
+    x0 = operator.attrgetter(*_FIT_PARAMS)(start)
 
     def residuals(x):
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import AfpaSimError
-from .planner import StateDef, forward_map
+from .planner import DEFAULT_PROBE_DEPTH_MM, StateDef, forward_map
 from .rig import RigSpec
 
 # fixed actuator transition time added to every trial's latency; the
@@ -72,8 +72,14 @@ class TrialRecord:
     segment_size: int = 10  # trials per segment, the study's reps
 
     def __post_init__(self) -> None:
-        if self.response_time <= 0:
-            raise StudyDomainError("response_time must be positive")
+        # bool is a subclass of int, so the type is compared exactly
+        ids = self.trial_index, self.presented, self.responded
+        if not all(type(i) is int and i > 0 for i in ids) or max(ids[1:]) > 9:
+            raise StudyDomainError(f"trial_index {self.trial_index!r} must be a positive integer, "
+                                   f"presented {self.presented!r} and responded "
+                                   f"{self.responded!r} state ids 1..9")
+        if not 0 < self.response_time < math.inf:  # also NaN, which json reads
+            raise StudyDomainError("response_time must be positive and finite")
         if self.segment != math.ceil(self.trial_index / self.segment_size):
             raise StudyDomainError(f"trial {self.trial_index}: segment {self.segment} "
                                    f"inconsistent with segments of {self.segment_size}")
@@ -168,7 +174,7 @@ def simulate_session(
     schedule: Sequence[int],
     responder: ResponderModel,
     seed: int,
-    probe_depth: float = 5.0,
+    probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> list[TrialRecord]:
     """Run one synthetic session over the scheduled presentations."""
     import numpy as np

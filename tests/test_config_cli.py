@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -220,8 +221,10 @@ def test_cli_study_run_plans_each_state_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_stiffness_solves_each_level_once(tmp_path, capsys, monkeypatch):
-    # the stiffness rows read the equilibrium their level has solved; solving
-    # it again for each of the 640 rows took 652 solves and 4,524 side forces
+    # each of the 4 levels solves its equilibrium once, and each depth one
+    # probe balance that gives both its force and its stiffness row. Solving
+    # the equilibrium again for each of the 640 rows took 652 solves and 4,524
+    # side forces; solving each row's probe balance twice took 8 and 2,584
     calls = {"_side_force": 0, "solve_equilibrium": 0}
     for name in calls:
         def counted(*args, name=name, f=getattr(rig, name), **kwargs):
@@ -230,8 +233,54 @@ def test_cli_stiffness_solves_each_level_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(rig, name, counted)
     monkeypatch.setattr(drivers, "solve_equilibrium", rig.solve_equilibrium)
     run_cli(["characterize-stiffness", "--out", str(tmp_path)], capsys)
-    assert calls["solve_equilibrium"] <= 12
-    assert calls["_side_force"] <= 2604
+    assert calls["solve_equilibrium"] <= 4
+    assert calls["_side_force"] <= 1316
+
+
+def public_view_stiffness_rows(config: RunConfig) -> tuple[list, list]:
+    """fig3a's and fig3b's rows built from ``force_displacement_curve``, one call per level,
+    and ``contact_stiffness``, one call per row, where it accepts the depth."""
+    sweep = config.sweep
+    depth_step = sweep.probe_rate / sweep.sample_rate
+    force_rows, stiff_rows = [], []
+    for p2 in drivers._stiffness_levels(config):
+        eq = rig.solve_equilibrium(config.rig, 0.0, p2)
+        max_depth = min(sweep.compression_depth, max(depth_step, eq.h2 - 1.0))
+        n = int(round(max_depth / depth_step))
+        curve = rig.force_displacement_curve(config.rig, 0.0, p2, n * depth_step, depth_step)
+        for (d, f_load), (_, f_unload) in zip(curve[: n + 1], curve[n + 1:][::-1]):
+            force_rows.append((p2, d, f_load, f_unload))
+            try:
+                stiff_rows.append((p2, d, rig.contact_stiffness(config.rig, 0.0, p2, eq,
+                                                                eq.h2 - d)))
+            except rig.RigDomainError:
+                pass
+    return force_rows, stiff_rows
+
+
+@pytest.mark.parametrize("compliance", [None, 0.3])
+def test_stiffness_rows_match_the_public_probe_views(compliance, tmp_path, monkeypatch):
+    # one probe record per depth gives both rows bit for bit, on the packaged
+    # rigid belt and on a compliant copy
+    config = load_config(default_config_path())
+    if compliance is not None:
+        config = replace(config, rig=replace(config.rig, belt_compliance=compliance))
+    written = {}
+    monkeypatch.setattr(drivers, "_write_csv",
+                        lambda path, header, rows: written.setdefault(path.name, rows))
+    drivers.run_characterize_stiffness(config, tmp_path)
+    expected = public_view_stiffness_rows(config)
+    assert len(expected[1]) > 600
+    assert repr((written["fig3a.csv"], written["fig3b.csv"])) == repr(expected)
+
+
+def test_cli_stiffness_depth_past_equilibrium_exit_2(tmp_path, capsys):
+    # a 120 mm probe step passes every equilibrium height below the 103 mm
+    # belt span, where force_displacement_curve's max_depth check fails closed
+    cfg = write_config(tmp_path, sweep={"probe_rate": 1920.0, "compression_depth": 120.0})
+    err = assert_user_error(["characterize-stiffness", "--config", str(cfg),
+                             "--out", str(tmp_path)], capsys)
+    assert "max_depth 120.0 mm exceeds equilibrium height" in err
 
 
 def count_side_forces(monkeypatch) -> dict:
@@ -394,5 +443,18 @@ def test_cli_study_analyze_reps_mismatch_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", ['{"trial_index": 1}', "not json"])
 def test_cli_study_analyze_malformed_log_exit_2(line, tmp_path, capsys):
     (tmp_path / "trials_s00.jsonl").write_text(line + "\n", encoding="utf-8")
+    assert "trials_s00.jsonl:1" in assert_user_error(["study-analyze", "--out", str(tmp_path)],
+                                                     capsys)
+
+
+@pytest.mark.parametrize("presented", [0, 12, "3"])
+def test_cli_study_analyze_bad_state_id_exit_2(presented, tmp_path, capsys):
+    # a state id of 0 was counted as state 9 (counts[-1]) and the analysis
+    # exited 0; 12 and "3" ended in tracebacks
+    run_cli(["study-run", "--out", str(tmp_path)], capsys)
+    log = tmp_path / "trials_s00.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "presented": presented}) + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
     assert "trials_s00.jsonl:1" in assert_user_error(["study-analyze", "--out", str(tmp_path)],
                                                      capsys)

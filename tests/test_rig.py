@@ -16,7 +16,7 @@ from afpa_sim.rig import (
     CalibrationError,
     RigDomainError,
     RigSpec,
-    _contact_stiffness,
+    _probe,
     _rising_root,
     _side_force,
     belt_balance,
@@ -306,7 +306,7 @@ def test_stiffness_slopes_match_central_difference(w1, w2, c, compliance, end_ca
     assume(len({x1 + eq.h2 - depth < c for eq in eqs}) == 1)
     k = [contact_stiffness(rig, q1, q2, eq, eq.h2 - depth) for (q1, q2), eq in zip(stencil, eqs)]
     eq = solve_equilibrium(rig, p1, p2)
-    y = _contact_stiffness(rig, p1, p2, eq, eq.h2 - depth)[1]
+    y = _probe(rig, p1, p2, eq, eq.h2 - depth).h1
     slopes = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq), y)
     assert slopes[0] == pytest.approx((k[0] - k[1]) / (2 * e), rel=1e-5, abs=1e-9)
     assert slopes[1] == pytest.approx((k[2] - k[3]) / (2 * e), rel=1e-5, abs=1e-9)
@@ -376,20 +376,16 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     eq = solve_equilibrium(rig, p1, p2)
     h = frac * eq.h2
     assume(0.0 < h < eq.h2)
-    h1 = belt_balance(partial(_side_force, rig.modulating, p1),
-                      partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
-                      min(rig.morphing.free_height, h), rig.belt_span, compliance).h1
-    d = -_side_force(rig.modulating, p1, h1)[1]
-    fresh = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
-    assert contact_stiffness(rig, p1, p2, eq, h) == fresh
-    assert _contact_stiffness(rig, p1, p2, eq, h) == (fresh, h1)  # the h1 stiffness_slopes takes
     b = belt_balance(partial(_side_force, rig.modulating, p1),
-                     partial(_side_force, rig.morphing, p2),
-                     rig.modulating.free_height, min(rig.morphing.free_height, h),
-                     rig.belt_span, compliance)
-    h1, tension = b.h1, b.tension
-    fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - tension)
-    assert probe_force(rig, p1, p2, h) == (fresh_force, tension, h1)
+                     partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
+                     min(rig.morphing.free_height, h), rig.belt_span, compliance)
+    d = -_side_force(rig.modulating, p1, b.h1)[1]
+    fresh_k = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
+    fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - b.tension)
+    # one probe record holds all four, h1 the one stiffness_slopes takes
+    assert _probe(rig, p1, p2, eq, h) == (fresh_force, b.tension, b.h1, fresh_k)
+    assert contact_stiffness(rig, p1, p2, eq, h) == fresh_k
+    assert probe_force(rig, p1, p2, h) == (fresh_force, b.tension, b.h1)
 
 
 def test_contact_stiffness_side_force_evaluations(monkeypatch):

@@ -297,3 +297,18 @@ def test_record_validation():
     with pytest.raises(ValueError):
         TrialRecord(trial_index=11, presented=1, responded=1,
                     response_time=5.0, segment=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    *[("presented", v) for v in (0, 10, 12, -1, "3", 3.0, True, None)],
+    *[("responded", v) for v in (0, 10, "9", 2.0, False)],
+    *[("trial_index", v) for v in (0, -1, "1", 1.0, True)],
+    *[("response_time", v) for v in (math.nan, math.inf, 0.0)],
+])
+def test_record_rejects_out_of_model_values(field, value):
+    # a state id outside 1..9 indexed the confusion counts from the end (0 is
+    # counts[-1]) or past it; json reads NaN as a number
+    fields = dict(trial_index=1, presented=1, responded=1, response_time=5.0, segment=1)
+    with pytest.raises(StudyDomainError):
+        TrialRecord(**{**fields, field: value})
+    TrialRecord(**fields)
