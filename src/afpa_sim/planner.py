@@ -107,8 +107,8 @@ def _validate_target(rig: RigSpec, target: HapticTarget) -> tuple[float, float, 
         raise PlannerDomainError(f"target_height {h} mm outside (0, {hf:.6g}) mm")
     if not 0.0 < k < math.inf:
         raise PlannerDomainError(f"target_stiffness {k} N/mm must be positive and finite")
-    if not 0.0 < depth < h:
-        raise PlannerDomainError(f"probe_depth_ref {depth} mm outside (0, {h:.6g}) mm")
+    if not 0.0 < h - depth < h:  # the probe's contact range, as rounded
+        raise PlannerDomainError(f"probe_depth_ref {depth} mm leaves h2 outside (0, {h:.6g}) mm")
     return h, k, depth
 
 

@@ -16,9 +16,11 @@ side forces' analytic slopes (the gas law's and the stack's), from a three-point
 evaluation.  Each side force also returns the gas volume it evaluated, so the
 gauges are read from the balance record's last evaluation of each side; a slack
 chamber's free-expansion root starts from the same prediction of its height.
-A step that moves no gas keeps its balance, a function of the masses; one that
-also leaves the lagged command unchanged is at rest, and every step repeats it up
-to the next command: those rows are copied, so a hold at rest costs one step.
+Each command's first step is found once, before the steps, which then walk the
+commands in turn.  A step that moves no gas keeps its balance, a function of the
+masses; one that also leaves the lagged command unchanged is at rest, and every
+step repeats it up to the next command's first step: those rows are copied, so a
+hold at rest costs one step.
 """
 
 from __future__ import annotations
@@ -186,16 +188,6 @@ def check_step(dt: float, t_end: float) -> int:
     return int(round(t_end / dt))
 
 
-def _command_at(schedule: Sequence[tuple[float, float, float]], t: float) -> tuple[float, float]:
-    p1c, p2c = schedule[0][1], schedule[0][2]
-    for ts, c1, c2 in schedule:
-        if ts <= t + 1e-12:
-            p1c, p2c = c1, c2
-        else:
-            break
-    return p1c, p2c
-
-
 def step_simulate(
     rig: RigSpec,
     valves: tuple[ValveSpec, ValveSpec],
@@ -219,7 +211,11 @@ def step_simulate(
         _check_pressure(p1c, f"p1 at t={t} s")
         _check_pressure(p2c, f"p2 at t={t} s")
 
-    cmd_eff = list(_command_at(schedule, 0.0))
+    # each command holds from its first step, the first whose time reaches the command's to
+    # within 1e-12 s, up to the next command's; the first command holds from step 0
+    starts = [0] + [bisect_left(range(n_steps + 1), True, key=lambda k: ts <= k * dt + 1e-12)
+                    for ts in times[1:]]
+    cmd_eff = list(schedule[starts.count(0) - 1][1:])
     eq = solve_equilibrium(rig, *cmd_eff)
     masses = [(cmd + P_ATM_KPA) * 1e3 * _gas_volume(spec, h if cmd > 0.0 else MIN_HEIGHT_MM)[0]
               / (R_AIR * T_AMBIENT)  # a chamber commanded to 0 starts at its deflated residue
@@ -233,32 +229,32 @@ def step_simulate(
     rows = np.empty((n_steps + 1, 5))
     rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
 
-    i = 0
-    while (i := i + 1) <= n_steps:
-        t = i * dt
-        cmds = _command_at(schedule, t)
-        start = cmd_eff + masses
-        for j in (0, 1):
-            valve = valves[j]
-            cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / valve.command_lag
-            err = cmd_eff[j] - pressures[j]
-            opening = min(1.0, abs(err) / OPENING_BAND_KPA)
-            source = valve.supply_pressure if err > 0 else valve.exhaust_pressure  # venting: negative
-            masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
-        guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip((h2, *free), *past)]
-        past = [(h2, *free), past[0]]
-        if masses != solved:
-            h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
-            solved = masses[:]
-        if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
-            raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
-        rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
-        if cmd_eff + masses == start:  # at rest: every step repeats this one until the next command
-            ts = next((s for s, _, _ in schedule if not s <= t + 1e-12), math.inf)
-            end = bisect_left(range(n_steps + 1), True, i + 1, key=lambda k: ts <= k * dt + 1e-12)
-            rows[i + 1:end] = rows[i]
-            rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
-            past, i = [(h2, *free)] * 2 if end > i + 1 else past, end - 1
+    for (_, *cmds), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
+        for i in range(max(lo, 1), end):
+            t = i * dt
+            start = cmd_eff + masses
+            for j in (0, 1):
+                valve = valves[j]
+                cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / valve.command_lag
+                err = cmd_eff[j] - pressures[j]
+                opening = min(1.0, abs(err) / OPENING_BAND_KPA)
+                # venting (from the exhaust) makes the flow negative
+                source = valve.supply_pressure if err > 0 else valve.exhaust_pressure
+                masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
+            guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip((h2, *free), *past)]
+            past = [(h2, *free), past[0]]
+            if masses != solved:
+                h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess,
+                                                         free_guess)
+                solved = masses[:]
+            if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
+                raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
+            rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+            if cmd_eff + masses == start:  # at rest: each later step of the command repeats it
+                rows[i + 1:end] = rows[i]
+                rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
+                past = [(h2, *free)] * 2 if end > i + 1 else past
+                break
     return rows
 
 

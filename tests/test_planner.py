@@ -105,7 +105,9 @@ def test_invalid_target_rejected(rig):
     cases = [("target_height", HapticTarget(target_height=-5.0, target_stiffness=0.1)),
              ("target_stiffness", HapticTarget(target_height=50.0, target_stiffness=0.0))]
     cases += [("target_stiffness", HapticTarget(60.0, k)) for k in (math.nan, math.inf)]
-    cases += [("probe_depth_ref", HapticTarget(60.0, 0.1, d)) for d in (math.nan, -5.0, 0.0, 70.0)]
+    # a depth below the rounding of the height leaves h2 at the height
+    cases += [("probe_depth_ref", HapticTarget(60.0, 0.1, d))
+              for d in (math.nan, -5.0, 0.0, 1e-15, 70.0)]
     for field, target in cases:
         with pytest.raises(PlannerDomainError, match=field):
             plan_state(rig, target)
