@@ -19,13 +19,13 @@ from .errors import AfpaSimError
 from . import drivers
 
 _SUBCOMMANDS = {
-    "characterize-size": lambda cfg, seed, out: drivers.run_characterize_size(cfg, out),
-    "characterize-stiffness": lambda cfg, seed, out: drivers.run_characterize_stiffness(cfg, out),
-    "step": lambda cfg, seed, out: drivers.run_step(cfg, out),
-    "plan": lambda cfg, seed, out: drivers.run_plan(cfg, out),
-    "feasibility": lambda cfg, seed, out: drivers.run_feasibility(cfg, out),
-    "study-run": lambda cfg, seed, out: drivers.run_study(cfg, seed, out),
-    "study-analyze": lambda cfg, seed, out: drivers.run_study_analyze(cfg, out),
+    "characterize-size": drivers.run_characterize_size,
+    "characterize-stiffness": drivers.run_characterize_stiffness,
+    "step": drivers.run_step,
+    "plan": drivers.run_plan,
+    "feasibility": drivers.run_feasibility,
+    "study-run": drivers.run_study,
+    "study-analyze": drivers.run_study_analyze,
 }
 
 

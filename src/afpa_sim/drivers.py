@@ -1,9 +1,9 @@
 """Experiment drivers: run each protocol and emit plot-ready data files.
 
-Outputs are keyed by the figure they reproduce (fig2c.csv, fig3a.csv,
-...).  All CSVs are UTF-8 with LF line endings, `.` decimal separator,
-and unit-suffixed column names; numbers are formatted with a fixed
-shortest-round-trip rule so identical runs are byte-identical.
+Each ``run_*`` takes the CLI's (config, seed, out).  Outputs are keyed by the
+figure they reproduce (fig2c.csv, fig3a.csv, ...).  CSVs are UTF-8 with LF line
+endings, `.` decimal separator and unit-suffixed column names; numbers take a
+fixed shortest-round-trip rule, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .rig import _probe_curve, size_pressure_sweep, solve_equilibrium
 from .study import (
     StudyDomainError,
     TrialRecord,
-    box_stats,
+    accuracy_stats,
     schedule_trials,
     simulate_session,
     study_stats,
@@ -54,7 +54,7 @@ def _write_json(path: Path, doc) -> Path:
     return path
 
 
-def run_characterize_size(config: RunConfig, out: Path) -> list[Path]:
+def run_characterize_size(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Height vs p1 hysteresis sweeps, one pair of branches per p2 level."""
     sweep = config.sweep
     n = int(round(sweep.p1_max / sweep.p1_step))
@@ -75,7 +75,7 @@ def _stiffness_levels(config: RunConfig) -> list[float]:
     return [p for p in levels if p >= 0.0]
 
 
-def run_characterize_stiffness(config: RunConfig, out: Path) -> list[Path]:
+def run_characterize_stiffness(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Probe force, loading and unloading against friction, and ``contact_stiffness`` vs
     compression depth at each p2 level, both read from one ``_probe`` per depth."""
     sweep, f = config.sweep, config.rig.friction_force
@@ -98,7 +98,7 @@ def run_characterize_stiffness(config: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def run_step(config: RunConfig, out: Path) -> list[Path]:
+def run_step(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Commanded pressure step responses, full rate and 16 Hz resampled."""
     header = ("t_s", "p1_kPa", "p2_kPa", "h1_mm", "h2_mm")
     paths = []
@@ -123,7 +123,7 @@ def plan_states(config: RunConfig) -> list[StateDef]:
     )
 
 
-def run_plan(config: RunConfig, out: Path) -> list[Path]:
+def run_plan(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Plan the study states; emit the state table and its summary CSV."""
     return _write_plan(plan_states(config), out)
 
@@ -144,7 +144,7 @@ def _write_plan(states: Sequence[StateDef], out: Path) -> list[Path]:
     ]
 
 
-def run_feasibility(config: RunConfig, out: Path) -> list[Path]:
+def run_feasibility(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Forward-model map over the pressure box."""
     import numpy as np
     p1_lo, p1_hi, p2_lo, p2_hi = config.bounds
@@ -207,7 +207,7 @@ def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
     return records
 
 
-def run_study_analyze(config: RunConfig, out: Path) -> list[Path]:
+def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
     """Statistics over all trial logs found in the output directory."""
     import numpy as np
     logs = sorted(out.glob("trials_s*.jsonl"))
@@ -229,11 +229,8 @@ def run_study_analyze(config: RunConfig, out: Path) -> list[Path]:
         accs = [s.per_state_accuracy[sid] for s in stats]
         acc_rows.append((sid, float(np.mean(accs)), float(np.std(accs))))
 
-    time_rows = []
-    for sid in range(1, 10):
-        times = [r.response_time for r in pooled if r.presented == sid]
-        b = box_stats(times)
-        time_rows.append((sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high))
+    time_rows = [(sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
+                 for sid, b in accuracy_stats(pooled)[2].items()]
 
     seg_rows = []
     n_segments = len(stats[0].segment_accuracy)

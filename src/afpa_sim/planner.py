@@ -68,8 +68,8 @@ class StateDef:
     p2: float
     size_class: str  # small | medium | large
     stiffness_class: str  # soft | medium | hard
-    height: float = 0.0
-    stiffness: float = 0.0
+    height: float
+    stiffness: float
 
 
 def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,

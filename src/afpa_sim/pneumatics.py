@@ -271,10 +271,9 @@ def resample_16hz(series: np.ndarray) -> np.ndarray:
     return out
 
 
-def rise_time_90(series: np.ndarray, column: int = 4) -> float:
-    """Time from the command step to 90% of the initial-to-final change."""
-    t = series[:, 0]
-    y = series[:, column]
+def rise_time_90(series: np.ndarray) -> float:
+    """Time from the command step to 90% of h2's initial-to-final change."""
+    t, y = series[:, 0], series[:, 4]
     y0, y1 = y[0], y[-1]
     if y1 == y0:
         return 0.0

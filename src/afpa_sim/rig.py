@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -330,28 +330,27 @@ def probe_force(rig: RigSpec, p1: float, p2: float,
 
 
 def _probe_curve(rig: RigSpec, p1: float, p2: float, max_depth: float, step: float,
-                 eq: EquilibriumState | None = None) -> list[tuple[float, Probe]]:
+                 eq: EquilibriumState) -> list[tuple[float, Probe]]:
     """(depth, ``_probe``) every ``step`` down to ``max_depth`` (mm), which rounds to at most
-    PROBE_SAMPLES_MAX steps, below ``eq``, the equilibrium at (p1, p2), solved if None."""
+    PROBE_SAMPLES_MAX steps, below ``eq``, the equilibrium at (p1, p2)."""
     if not 0.0 < step < math.inf:
         raise RigDomainError(f"step must be positive and finite, got {step}")
     if not 0.0 <= max_depth / step < PROBE_SAMPLES_MAX + 0.5:  # also NaN and inf
         raise RigDomainError(f"max_depth {max_depth} mm not in [0, {PROBE_SAMPLES_MAX} steps]")
-    eq = eq or solve_equilibrium(rig, p1, p2)
     if max_depth >= eq.h2:
         raise RigDomainError(f"max_depth {max_depth} mm exceeds equilibrium height {eq.h2:.6g} mm")
     return [(d, _probe(rig, p1, p2, eq, eq.h2 - d))
             for d in [i * step for i in range(round(max_depth / step) + 1)]]
 
 
-def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: float, step: float,
-                             with_friction: bool = True) -> list[tuple[float, float]]:
+def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: float,
+                             step: float) -> list[tuple[float, float]]:
     """Loading then unloading (depth, force) samples from the equilibrium height.
 
     ``max_depth`` / ``step`` (mm) rounds to at most PROBE_SAMPLES_MAX steps.
     """
-    f = rig.friction_force if with_friction else 0.0
-    curve = _probe_curve(rig, p1, p2, max_depth, step)
+    f = rig.friction_force
+    curve = _probe_curve(rig, p1, p2, max_depth, step, solve_equilibrium(rig, p1, p2))
     return ([(d, max(0.0, probe.force + f)) for d, probe in curve]
             + [(d, max(0.0, probe.force - f)) for d, probe in reversed(curve)])
 
@@ -376,8 +375,9 @@ def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, d
     balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force and
     slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; y is the ``Probe``'s h1,
     None out of range, where this is (0, 0)."""
-    if not 0.0 < (x := eq.h2 - depth) < eq.h2:
+    if y is None:
         return 0.0, 0.0
+    x = eq.h2 - depth
     (a1, s1), (_, s2) = _side_force(rig.modulating, 1.0, y), _side_force(rig.morphing, 1.0, x)
     t1 = KPA_MM2_TO_N * _curvature_slope(rig.modulating, y)
     t2 = KPA_MM2_TO_N * _curvature_slope(rig.morphing, x)
@@ -412,6 +412,9 @@ class Anchor:
     kind: 'height'    -> observed = equilibrium h2 (mm) at (p1, p2)
           'force'     -> observed = probe force (N) at (p1, p2, h2)
           'stiffness' -> observed = probe stiffness (N/mm) at (p1, p2, h2)
+
+    An unknown kind, a force or stiffness anchor without h2, an observed value not
+    positive and finite, or a pressure outside [0, PRESSURE_MAX_KPA] raises CalibrationError.
     """
 
     kind: str
@@ -420,12 +423,31 @@ class Anchor:
     observed: float
     h2: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _PREDICT:
+            raise CalibrationError(f"unknown anchor kind {self.kind!r}, not one of "
+                                   f"{', '.join(_PREDICT)}")
+        if self.kind != "height" and self.h2 is None:
+            raise CalibrationError(f"{self.kind} anchor requires an h2 value")
+        if not 0.0 < self.observed < math.inf:  # also NaN
+            raise CalibrationError(f"anchor observed {self.observed} must be positive and finite")
+        if not all(0.0 <= p <= PRESSURE_MAX_KPA for p in (self.p1, self.p2)):
+            raise CalibrationError(f"anchor pressures ({self.p1}, {self.p2}) kPa must be in "
+                                   f"[0, {PRESSURE_MAX_KPA}] kPa")
+
+
+_PREDICT = {  # an anchor's observation predicted on a rig, by kind
+    "height": lambda rig, a: solve_equilibrium(rig, a.p1, a.p2).h2,
+    "force": lambda rig, a: probe_force(rig, a.p1, a.p2, a.h2)[0],
+    "stiffness": lambda rig, a: stiffness(rig, a.p1, a.p2, a.h2),
+}
+
 
 @dataclass
 class CalibrationResult:
     rig: RigSpec
-    residuals: list[float] = field(default_factory=list)
-    anchors: list[Anchor] = field(default_factory=list)
+    residuals: list[float]
+    anchors: list[Anchor]
 
 
 _FIT_PARAMS = ("modulating.flat_width", "modulating.flat_length",
@@ -439,20 +461,7 @@ def _rig_from_vector(x: Sequence[float], template: RigSpec) -> RigSpec:
                    morphing=replace(template.morphing, flat_width=w2, flat_length=l2))
 
 
-def _predict(rig: RigSpec, anchor: Anchor) -> float:
-    if anchor.kind == "height":
-        return solve_equilibrium(rig, anchor.p1, anchor.p2).h2
-    if anchor.kind == "force":
-        assert anchor.h2 is not None
-        return probe_force(rig, anchor.p1, anchor.p2, anchor.h2)[0]
-    if anchor.kind == "stiffness":
-        assert anchor.h2 is not None
-        return stiffness(rig, anchor.p1, anchor.p2, anchor.h2)
-    raise ValueError(f"unknown anchor kind {anchor.kind!r}")
-
-
-def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec,
-                  weights: Sequence[float] | None = None) -> CalibrationResult:
+def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec) -> CalibrationResult:
     """Least-squares fit of the five geometry parameters to the anchors.
 
     Residuals are normalized by the observed values; the fit is a damped
@@ -464,14 +473,6 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec,
         raise CalibrationError(f"need at least {len(_FIT_PARAMS) - 1} independent anchors to "
                                f"constrain parameters {', '.join(_FIT_PARAMS)}; "
                                f"got {len(anchors)}")
-    for a in anchors:
-        if a.kind in ("force", "stiffness") and a.h2 is None:
-            raise CalibrationError(f"{a.kind} anchor requires an h2 value")
-        if a.observed <= 0:
-            raise CalibrationError("anchor observations must be positive")
-    if weights is None:
-        weights = [1.0] * len(anchors)
-
     x0 = operator.attrgetter(*_FIT_PARAMS)(start)
 
     def residuals(x):
@@ -480,12 +481,12 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec,
         except ValueError:
             return [1e3] * len(anchors)
         out = []
-        for w, a in zip(weights, anchors):
+        for a in anchors:
             try:
-                pred = _predict(rig, a)
+                pred = _PREDICT[a.kind](rig, a)
             except (RigDomainError, PouchDomainError):
                 pred = 0.0
-            out.append(w * (pred - a.observed) / a.observed)
+            out.append((pred - a.observed) / a.observed)
         return out
 
     from scipy.optimize import least_squares  # scipy loads on the first calibration

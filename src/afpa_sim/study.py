@@ -12,7 +12,7 @@ segment trends) operates on the resulting trial records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AfpaSimError
@@ -108,8 +108,8 @@ class StudyStats:
     overall_accuracy: float
     per_state_accuracy: dict[int, float]
     response_time_stats: dict[int, BoxStats]
-    segment_accuracy: list[float] = field(default_factory=list)
-    segment_time: list[float] = field(default_factory=list)
+    segment_accuracy: list[float]
+    segment_time: list[float]
 
 
 def _check_states(states: Sequence[StateDef]) -> list[StateDef]:
@@ -329,6 +329,8 @@ def t_test_independent(
     y = np.asarray(b, dtype=float)
     if x.size < 2 or y.size < 2:
         raise StatisticsError("each group needs at least 2 samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise StatisticsError("samples must be finite")
     vx = float(np.var(x, ddof=1))
     vy = float(np.var(y, ddof=1))
     mx, my = float(np.mean(x)), float(np.mean(y))

@@ -24,6 +24,7 @@ from afpa_sim.config import (
 )
 from afpa_sim.pneumatics import DT_MAX_S
 from afpa_sim.rig import PRESSURE_MAX_KPA
+from afpa_sim.study import box_stats
 
 
 @pytest.fixture()
@@ -211,6 +212,23 @@ def test_cli_study_pipeline_byte_identical(tmp_path, capsys):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_cli_study_analyze_pools_the_sessions(tmp_path, capsys):
+    # fig5e's boxes hold every session's response times to a state
+    cfg = write_config(tmp_path, study={"sessions": 3, "reps": 4})
+    run_cli(["study-run", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    run_cli(["study-analyze", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    times = {}
+    for log in tmp_path.glob("trials_s*.jsonl"):
+        for doc in map(json.loads, log.read_text().splitlines()):
+            times.setdefault(doc["presented"], []).append(doc["response_time_s"])
+    expected = []
+    for sid in range(1, 10):
+        b = box_stats(times[sid])
+        values = (sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
+        expected.append(",".join("%.12g" % v for v in values))
+    assert (tmp_path / "fig5e.csv").read_text().splitlines()[1:] == expected
+
+
 def test_cli_study_run_plans_each_state_once(tmp_path, capsys, monkeypatch):
     plan_state, calls = planner.plan_state, []
     monkeypatch.setattr(planner, "plan_state", lambda *a: calls.append(a) or plan_state(*a))
@@ -268,7 +286,7 @@ def test_stiffness_rows_match_the_public_probe_views(compliance, tmp_path, monke
     written = {}
     monkeypatch.setattr(drivers, "_write_csv",
                         lambda path, header, rows: written.setdefault(path.name, rows))
-    drivers.run_characterize_stiffness(config, tmp_path)
+    drivers.run_characterize_stiffness(config, 0, tmp_path)
     expected = public_view_stiffness_rows(config)
     assert len(expected[1]) > 600
     assert repr((written["fig3a.csv"], written["fig3b.csv"])) == repr(expected)

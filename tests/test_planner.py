@@ -20,6 +20,7 @@ from afpa_sim.planner import (
     plan_state,
     state_table,
     _contour,
+    _forward_state,
 )
 from afpa_sim.pouch import PouchStackSpec
 from afpa_sim.rig import ROOT_XTOL_MM, RigSpec, _rising_root, solve_equilibrium
@@ -59,6 +60,25 @@ def test_unreachable_height_reported(rig, height, side):
     plan = plan_state(rig, HapticTarget(target_height=height, target_stiffness=0.2))
     assert not plan.feasible
     assert plan.reason == f"height unreachable (achievable height too {side})"
+
+
+@pytest.mark.parametrize("bounds, side", [((0.0, 10.0, 50.0, 150.0), "high"),
+                                          ((50.0, 150.0, 0.0, 10.0), "low")])
+def test_contour_passing_the_box_names_the_height(rig, bounds, side):
+    # the 60 mm contour passes this box on one side: at p1 <= 10 kPa and
+    # p2 >= 50 kPa every height is above it, at p1 >= 50 and p2 <= 10 below
+    plan = plan_state(rig, HapticTarget(target_height=60.0, target_stiffness=0.2), bounds)
+    assert not plan.feasible
+    assert plan.reason == f"height unreachable (achievable height too {side})"
+
+
+def test_stiffness_slopes_vanish_out_of_contact_range(rig):
+    # a depth past h2 leaves no probe contact: forward_map's stiffness is 0,
+    # and so are its slopes in the planner's Jacobian
+    eq, k, y = _forward_state(rig, 150.0, 0.0, 50.0, None)
+    assert (eq.h2 < 50.0, k, y) == (True, 0.0, None)
+    dh = rig_mod.equilibrium_slopes(rig, 150.0, 0.0, eq)
+    assert rig_mod.stiffness_slopes(rig, 150.0, 0.0, eq, 50.0, dh, y) == (0.0, 0.0)
 
 
 def test_belt_span_plateau_target_feasible():

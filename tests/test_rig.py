@@ -1,5 +1,6 @@
 """Coupled-rig equilibrium against a brute-force grid-scan oracle."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -563,6 +564,41 @@ def test_calibration_recovers_forward_generated_anchors():
             assert pred == pytest.approx(a.observed, abs=0.5)
 
 
+def test_calibration_fits_a_force_anchor():
+    # four heights and one probe force fix the five geometry parameters
+    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
+    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
+               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
+    h2 = solve_equilibrium(true_rig, 30.0, 40.0).h2 - 8.0
+    force = probe_force(true_rig, 30.0, 40.0, h2)[0]
+    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0, observed=force, h2=h2))
+    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=280.0, w2=49.0, l2=140.0, c=92.0))
+    assert max(map(abs, result.residuals)) < 1e-9
+    assert probe_force(result.rig, 30.0, 40.0, h2)[0] == pytest.approx(force, rel=1e-9)
+    assert result.rig.modulating.flat_width == pytest.approx(38.0, rel=1e-6)
+    assert result.rig.morphing.flat_length == pytest.approx(130.0, rel=1e-6)
+
+
+# a stiffness anchor without h2 is test_calibration_rejects_missing_h2's
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", "width", "unknown anchor kind 'width'"),
+    ("kind", "force", "force anchor requires an h2"),
+] + [("observed", v, "observed") for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+  + [(p, v, "pressures") for p in ("p1", "p2") for v in (-1.0, 150.5, 500.0, math.nan)])
+def test_anchor_rejects_bad_values(field, value, message):
+    # each used to reach the fit: an unknown kind or a NaN observation escaped
+    # from scipy as a bare ValueError, and a 500 kPa anchor was scored as
+    # predicting 0 while the fit went on
+    fields = {"kind": "height", "p1": 10.0, "p2": 90.0, "observed": 80.0, field: value}
+    with pytest.raises(CalibrationError, match=message):
+        Anchor(**fields)
+
+
+def test_anchor_accepts_the_pressure_limits():
+    for p in (0.0, rig_mod.PRESSURE_MAX_KPA):
+        Anchor(kind="stiffness", p1=p, p2=p, observed=1.0, h2=50.0)
+
+
 def test_calibration_requires_enough_anchors():
     with pytest.raises(CalibrationError, match="belt_span"):
         calibrate_rig(
@@ -571,9 +607,8 @@ def test_calibration_requires_enough_anchors():
 
 
 def test_calibration_rejects_missing_h2():
-    anchors = [Anchor(kind="stiffness", p1=0.0, p2=90.0, observed=1.0)] * 5
     with pytest.raises(CalibrationError, match="h2"):
-        calibrate_rig(anchors, make_rig())
+        Anchor(kind="stiffness", p1=0.0, p2=90.0, observed=1.0)
 
 
 def test_calibration_is_deterministic():

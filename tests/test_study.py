@@ -290,6 +290,15 @@ def test_t_test_degenerate_rejected():
         t_test_independent([1.0], [1.0, 2.0], True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("first", [True, False])
+def test_t_test_rejects_non_finite_samples(bad, first):
+    # a NaN once gave t = nan and p = 0.0, since max(0.0, nan) is 0
+    a, b = [1.0, 2.0, bad], [3.0, 4.0, 5.0]
+    with pytest.raises(StatisticsError, match="finite"):
+        t_test_independent(*((a, b) if first else (b, a)), True)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         TrialRecord(trial_index=1, presented=1, responded=1,
