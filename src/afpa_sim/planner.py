@@ -4,25 +4,27 @@ The forward map (p1, p2) -> (equilibrium height, probe stiffness at a
 reference depth) takes one equilibrium solve, whose closed-form slope
 gives the stiffness.  Side forces scale with pressure, so h2 = h* fixes the
 belt tension, and the contour of h* is p1 in closed form in p2 (``_contour``).
-The seed is one bracketed root of the stiffness along it within the box
-(on a rigid belt, a ray: one scaling); the contour's ends name an unreachable
-height or stiffness.  A damped Newton iteration refines it on the closed-form
-Jacobian of the forward map (``rig.equilibrium_slopes``,
-``rig.stiffness_slopes``); a coarse grid is the fallback.  Each solve of one
-``plan_state`` call starts from the h2 of the one before.  Pressure bounds
-are capped by ``rig.PRESSURE_MAX_KPA``.
+The seed is one bracketed root of the stiffness along it within the box; on
+a rigid belt the contour is a ray, along which the stiffness scales with p2,
+so its ends in the box and the seed are ratios, with no root solve.  The
+contour's ends name an unreachable height or stiffness.  A damped Newton
+iteration refines the seed on the closed-form Jacobian of the forward map
+(``rig.equilibrium_slopes``, ``rig.stiffness_slopes``); a coarse grid is the
+fallback.  Each solve of one ``plan_state`` call starts from the h2 of the
+one before.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial, reduce
+from functools import partial, reduce
+from numbers import Real
 from typing import Sequence
 
 from .errors import AfpaSimError
 from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigSpec, _probe,
-                  _rising_root, _root, _side_force, contact_stiffness, equilibrium_slopes,
+                  _rising_root, _side_force, contact_stiffness, equilibrium_slopes,
                   solve_equilibrium, stiffness_slopes)
 
 DEFAULT_PROBE_DEPTH_MM = 5.0
@@ -74,7 +76,10 @@ class StateDef:
 
 def forward_map(rig: RigSpec, p1: float, p2: float, probe_depth: float, *,
                 guess: float | None = None) -> tuple[float, float]:
-    """(equilibrium h2 solved from ``guess``, stiffness at h2 - probe_depth or 0 out of range)."""
+    """(equilibrium h2 solved from ``guess``, stiffness at h2 - probe_depth or 0 out of range,
+    at or past h2); probe_depth must be positive and finite."""
+    if not 0.0 < probe_depth < math.inf:
+        raise PlannerDomainError(f"probe_depth {probe_depth} mm must be positive and finite")
     eq, k, _ = _forward_state(rig, p1, p2, probe_depth, guess)
     return eq.h2, k
 
@@ -91,13 +96,16 @@ def _forward_state(rig: RigSpec, p1: float, p2: float, probe_depth: float,
 
 
 def check_bounds(bounds: Box) -> Box:
-    """The pressure box (p1_lo, p1_hi, p2_lo, p2_hi) if ordered within the rig's limit."""
+    """The pressure box (p1_lo, p1_hi, p2_lo, p2_hi) as floats, if real numbers (not bools)
+    ordered within the rig's limit."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    ok = 0.0 <= p1_lo < p1_hi <= PRESSURE_MAX_KPA and 0.0 <= p2_lo < p2_hi <= PRESSURE_MAX_KPA
-    if not ok:
-        raise PlannerDomainError(f"bounds {bounds} must be ordered boxes within "
+    floats = type(p1_lo) is type(p1_hi) is type(p2_lo) is type(p2_hi) is float  # the usual box
+    numbers = floats or all(isinstance(b, Real) and not isinstance(b, bool) for b in bounds)
+    if not (numbers and 0.0 <= p1_lo < p1_hi <= PRESSURE_MAX_KPA
+            and 0.0 <= p2_lo < p2_hi <= PRESSURE_MAX_KPA):
+        raise PlannerDomainError(f"bounds {bounds} must be ordered boxes of numbers within "
                                  f"[0, {PRESSURE_MAX_KPA:g}] kPa")
-    return bounds
+    return (p1_lo, p1_hi, p2_lo, p2_hi) if floats else tuple(map(float, bounds))
 
 
 def _validate_target(rig: RigSpec, target: HapticTarget) -> tuple[float, float, float]:
@@ -117,7 +125,7 @@ def plan_state(rig: RigSpec, target: HapticTarget, bounds: Box = FULL_BOX) -> Pl
 
     bounds is (p1_lo, p1_hi, p2_lo, p2_hi) in kPa.
     """
-    check_bounds(bounds)
+    bounds = check_bounds(bounds)
     h_star, k_star, depth = _validate_target(rig, target)
     last_h = h_star  # each solve starts from the h2 of the one before
 
@@ -164,10 +172,14 @@ def _contour(rig: RigSpec, h_star: float):
     """h2 = h_star on the balance's interior branch, max(0, C - x1) < h_star < min(x2, C):
     side forces are p*a(h), so T = p2*a2(h_star) and p1 = T / a1(C + c*T - h_star) rises
     with p2.  Two functions of p2: ``point``, (p1, dp1/dp2 = (a2/a1)*(1 - c*p1*s1), the
-    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P."""
+    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P.  On a
+    rigid belt h1 = C - h_star, so side 1 is evaluated once and ``gap`` is affine in p2."""
     span, c = rig.belt_span, rig.belt_compliance
     a2 = _side_force(rig.morphing, 1.0, h_star)[0]
-    side1 = cache(partial(_side_force, rig.modulating, 1.0))  # (a1, s1) by h1: one if rigid
+    memo: dict[float, tuple[float, float]] = {}  # (a1, s1) by h1: one entry if rigid
+
+    def side1(h1: float) -> tuple[float, float]:
+        return memo.get(h1) or memo.setdefault(h1, _side_force(rig.modulating, 1.0, h1))
 
     def point(p2: float) -> tuple[float, float, EquilibriumState]:
         a1, s1 = side1(h1 := span + c * (t := p2 * a2) - h_star)
@@ -183,35 +195,50 @@ def _contour(rig: RigSpec, h_star: float):
     return point, gap
 
 
+def _line_root(y0: float, slope: float, lo: float, hi: float) -> float:
+    """Root -y0 / slope in [lo, hi] of the rising line y0 + slope*x, with ``_rising_root``'s
+    ends: hi if the line is <= 0 at hi, lo if it is >= 0 at lo."""
+    if y0 + slope * hi <= 0.0:
+        return hi
+    if y0 + slope * lo >= 0.0:
+        return lo
+    return _clip(-y0 / slope, lo, hi)
+
+
 def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
           bounds: Box) -> tuple[tuple[float, float] | None, str]:
     """Seed pressures, or None, and why the target is out of reach, or "": the root of
     k_star along h_star's ``_contour`` in the box, whose ends are roots of its ``gap``,
     or at h_star = C < x2, the span plateau (a region, left of that contour), along
-    p1 = p1_lo.  A rigid belt's contour is a ray, along which k scales with p2.  The end
-    that k_star passes names an unreachable stiffness."""
+    p1 = p1_lo.  On a rigid belt ``gap`` is affine in p2 and the contour is a ray, along
+    which k scales with p2: the ends and k_star's root on it are ratios (``_line_root``).
+    The end that k_star passes names an unreachable stiffness."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     top = min(rig.morphing.free_height, rig.belt_span)
     if not max(0.0, rig.belt_span - rig.modulating.free_height) < h_star <= top:
         return None, _diagnose(top - h_star, 0.0)
     contour, gap = _contour(rig, h_star)
-    p2_min, p2_max = (_rising_root(partial(gap, p1=p), p2_lo, None, p2_hi, None)
-                      for p in (p1_lo, p1_hi))
+    if rig.belt_compliance:
+        p2_min, p2_max = (_rising_root(partial(gap, p1=p), p2_lo, None, p2_hi, None)
+                          for p in (p1_lo, p1_hi))
+    else:
+        p2_min, p2_max = (_line_root(*gap(0.0, p), p2_lo, p2_hi) for p in (p1_lo, p1_hi))
     if (g := gap(p2_max, p1_lo)[0]) < 0.0 or (h_star < top and gap(p2_min, p1_hi)[0] > 0.0):
         return None, _diagnose(g, 0.0)  # the contour passes the box on one side
     if h_star == top:  # the span plateau, a region left of the contour
         p2_max = p2_hi
         def path(p2: float) -> tuple[float, float, EquilibriumState]:
             return p1_lo, 0.0, solve_equilibrium(rig, p1_lo, p2, guess=h_star)
-    elif contour(p2_max)[0] == math.inf:  # side 1 free within the root tolerance of p1_hi
+    elif (end := contour(p2_max))[0] == math.inf:  # side 1 free at p1_hi's end of the contour
         return None, ""
     else:
         path = contour
     if path is contour and not rig.belt_compliance:  # a ray, along which k scales with p2
-        p1, _, eq = contour(p2_max)
+        p1, _, eq = end
         k_max = contact_stiffness(rig, p1, p2_max, eq, h_star - depth)
         def stiffness(p2: float) -> tuple[float, float]:
             return k_max * p2 / p2_max - k_star, k_max / p2_max
+        p2 = _line_root(-p2_max * k_star, k_max, p2_min, p2_max)  # p2_max times k_star / k_max
     else:
         def stiffness(p2: float) -> tuple[float, float]:
             """k - k_star along the path at p2, and its slope in p2."""
@@ -220,8 +247,7 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
             dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq),
                                   probe.h1)
             return probe.k - k_star, dk[0] * dp1 + dk[1]
-
-    p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
+        p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
     miss = stiffness(p2)[0] if p2 in (p2_min, p2_max) else 0.0  # k_star past that end
     return (_clip(path(p2)[0], p1_lo, p1_hi), p2), _diagnose(0.0, miss) if miss else ""
 

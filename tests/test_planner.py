@@ -6,9 +6,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from afpa_sim import rig as rig_mod
+from afpa_sim import planner as planner_mod, rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
 from afpa_sim.planner import (
     HapticTarget,
@@ -131,9 +131,24 @@ def test_invalid_target_rejected(rig):
     for field, target in cases:
         with pytest.raises(PlannerDomainError, match=field):
             plan_state(rig, target)
-    with pytest.raises(PlannerDomainError):
-        plan_state(rig, HapticTarget(target_height=50.0, target_stiffness=0.1),
-                   bounds=(100.0, 50.0, 0.0, 150.0))
+    # a bool once passed as the pressure 0 or 1 kPa
+    for bounds in [(100.0, 50.0, 0.0, 150.0), (False, True, 0.0, 150.0), (0.0, 150.0, 0.0, True),
+                   (np.True_, 150.0, 0.0, 150.0), ("0", 150.0, 0.0, 150.0)]:
+        with pytest.raises(PlannerDomainError, match="bounds"):
+            plan_state(rig, HapticTarget(target_height=50.0, target_stiffness=0.1), bounds)
+
+
+def test_forward_map_rejects_bad_probe_depth(rig):
+    # a NaN or negative depth once gave a stiffness of 0, as for no contact
+    for depth in (math.nan, -5.0, 0.0, math.inf):
+        with pytest.raises(PlannerDomainError, match="probe_depth"):
+            forward_map(rig, 10.0, 10.0, depth)
+        with pytest.raises(PlannerDomainError, match="probe_depth"):
+            feasibility_map(rig, [0.0, 10.0], [0.0, 10.0], probe_depth=depth)
+    h, k = forward_map(rig, 10.0, 10.0, 5.0)
+    assert k > 0.0
+    assert forward_map(rig, 10.0, 10.0, h) == (h, 0.0)  # a depth at h2 leaves no contact
+    assert forward_map(rig, 10.0, 10.0, 200.0) == (h, 0.0)
 
 
 def test_off_reach_stiffness_reported_too_low():
@@ -271,6 +286,11 @@ def test_plan_fields_are_python_floats(rig):
     assert plan.feasible
     for name in ("p1", "p2", "achieved_height", "achieved_stiffness", "residual_norm"):
         assert type(getattr(plan, name)) is float, name
+    # integer bounds, on which the best-effort plan ends, once gave p1 = 50, an int
+    plan = plan_state(rig, HapticTarget(target_height=60.0, target_stiffness=1.0), (50, 150, 0, 10))
+    assert (plan.feasible, plan.p1, plan.p2) == (False, 50.0, 10.0)
+    for name in ("p1", "p2", "achieved_height", "achieved_stiffness", "residual_norm"):
+        assert type(getattr(plan, name)) is float, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,28 +338,52 @@ def test_side_force_evaluations_per_plan(rig, monkeypatch):
     rigs = (rig, dataclasses.replace(rig, belt_compliance=0.3))
     targets = [(r, *forward_map(r, p1, p2, 5.0)) for r in rigs
                for p1 in (10.0, 40.0, 80.0) for p2 in (15.0, 50.0, 100.0)]
-    calls = 0
+    calls = {rig_mod: 0, planner_mod: 0}  # by the module that calls _side_force
     side_force = rig_mod._side_force
+
+    def counting(module):
+        def counted(*args):
+            calls[module] += 1
+            return side_force(*args)
+        return counted
+
+    for module in calls:
+        monkeypatch.setattr(module, "_side_force", counting(module))
+    per_target = []
+    for r, h, k in targets:
+        before = sum(calls.values())
+        assert plan_state(r, HapticTarget(target_height=h, target_stiffness=k)).feasible
+        per_target.append(sum(calls.values()) - before)
+    # on the rigid belt h*'s contour is a ray, along which k scales with p2: a1
+    # and a2, the seed's own two side forces, give its ends as ratios and one
+    # stiffness evaluation an exact seed (82 side forces with the anti-diagonal
+    # root)
+    assert max(per_target[:9]) <= 8
+    per_plan = calls[rig_mod] / len(targets)
+    assert per_plan <= 1.02 * 32.61
+    assert per_plan < 46.28
+    assert per_plan < 338.94
+
+
+def test_rigid_seed_solves_no_root(rig, monkeypatch):
+    # a rigid reachable plan seeds from ratios: _seed makes no root solve,
+    # where a compliant plan roots both box ends and the stiffness
+    compliant = dataclasses.replace(rig, belt_compliance=0.3)
+    calls = 0
+    rising_root = planner_mod._rising_root
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return side_force(*args)
+        return rising_root(*args)
 
-    monkeypatch.setattr(rig_mod, "_side_force", counted)
-    per_target = []
-    for r, h, k in targets:
-        before = calls
-        assert plan_state(r, HapticTarget(target_height=h, target_stiffness=k)).feasible
-        per_target.append(calls - before)
-    # on the rigid belt h*'s contour is a ray, along which k scales with p2: one
-    # stiffness evaluation seeds an exact plan (82 side forces with the
-    # anti-diagonal root)
-    assert max(per_target[:9]) <= 10
-    per_plan = calls / len(targets)
-    assert per_plan <= 1.02 * 32.61
-    assert per_plan < 46.28
-    assert per_plan < 338.94
+    monkeypatch.setattr(planner_mod, "_rising_root", counted)
+    for r, roots in ((rig, 0), (compliant, 3)):
+        for p1, p2 in ((10.0, 15.0), (40.0, 50.0), (80.0, 100.0)):
+            h, k = forward_map(r, p1, p2, 5.0)
+            calls = 0
+            assert plan_state(r, HapticTarget(target_height=h, target_stiffness=k)).feasible
+            assert calls == roots, (r.belt_compliance, p1, p2)
 
 
 def test_compliant_plan_solves_each_probe_balance_once(rig, monkeypatch):
@@ -399,3 +443,85 @@ def test_contour_holds_the_target_height(widths, lengths, span, compliance, end_
     e = 1e-3 * min(p2, q1 / slope)
     diff = (point(p2 + e)[0] - point(p2 - e)[0]) / (2 * e)
     assert h_star - lo < 1e-4 or slope == pytest.approx(diff, rel=1e-5)
+
+
+@pytest.mark.parametrize("y0, slope", [(-20.0, 1.0), (5.0, 1.0), (-5.0, 1.0), (0.0, 1.0),
+                                       (-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+def test_line_root_takes_the_rising_roots_ends(y0, slope):
+    # the ratio takes _rising_root's ends: a1 = 0 gives y0 = 0, and a2 = 0 or k_max = 0 a
+    # flat line
+    want = _rising_root(lambda x: (y0 + slope * x, slope), 0.0, None, 10.0, None)
+    assert planner_mod._line_root(y0, slope, 0.0, 10.0) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    widths=st.tuples(st.floats(20.0, 60.0), st.floats(40.0, 70.0)),
+    lengths=st.tuples(st.floats(100.0, 2000.0), st.floats(100.0, 2000.0)),
+    span=st.floats(60.0, 130.0),
+    end_caps=st.booleans(),
+    u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    # no bound near 1e-300 kPa, where a force is subnormal and stops scaling with pressure
+    p1s=st.tuples(st.just(0.0) | st.floats(1e-9, 150.0), st.floats(1e-9, 150.0)),
+    p2s=st.tuples(st.just(0.0) | st.floats(1e-9, 150.0), st.floats(1e-9, 150.0)),
+    depth=st.sampled_from([2.0, 5.0, 8.0]),
+    w=st.floats(0.0, 1.0),
+    scale=st.floats(0.2, 3.0),
+)
+def test_rigid_seed_ratios_match_the_root_solves(widths, lengths, span, end_caps, u, p1s, p2s,
+                                                 depth, w, scale):
+    # on a rigid belt h*'s contour is a ray: its box ends and k_star's root on it
+    # are ratios, each equal to the bracketed root of the contour's gap, or of the
+    # stiffness probed afresh along the ray, and at the same end where the
+    # contour or k_star passes the box
+    specs = [PouchStackSpec(flat_width=wd, flat_length=length, end_cap_correction=end_caps)
+             for wd, length in zip(widths, lengths)]
+    rig = RigSpec(specs[0], specs[1], belt_span=span)
+    (p1_lo, p1_hi), (p2_lo, p2_hi) = sorted(p1s), sorted(p2s)
+    assume(p1_lo < p1_hi and p2_lo < p2_hi)
+    bounds = (p1_lo, p1_hi, p2_lo, p2_hi)
+    lo, top = max(0.0, span - specs[0].free_height), min(specs[1].free_height, span)
+    h_star = lo + u * (top - lo)
+    assume(lo < h_star < top and 0.0 < h_star - depth)
+    point, gap = _contour(rig, h_star)
+    ends = [_rising_root(partial(gap, p1=p), p2_lo, None, p2_hi, None) for p in (p1_lo, p1_hi)]
+    ratios = [planner_mod._line_root(*gap(0.0, p), p2_lo, p2_hi) for p in (p1_lo, p1_hi)]
+    assert ratios == pytest.approx(ends, rel=0.0, abs=ROOT_XTOL_MM)
+    for ratio, end in zip(ratios, ends):
+        assert ratio not in (p2_lo, p2_hi) or ratio == end
+    p2_min, p2_max = ends
+    if (g := gap(p2_max, p1_lo)[0]) < 0.0 or gap(p2_min, p1_hi)[0] > 0.0:
+        event("the contour passes the box")
+        assert planner_mod._seed(rig, h_star, 1.0, depth, bounds) == (
+            None, planner_mod._diagnose(g, 0.0))
+        return
+    if point(p2_max)[0] == math.inf:
+        assert planner_mod._seed(rig, h_star, 1.0, depth, bounds) == (None, "")
+        return
+
+    def probed(p2):  # k along the ray and its slope in p2, by a probe at p2
+        p1, dp1, eq = point(p2)
+        probe = rig_mod._probe(rig, p1, p2, eq, h_star - depth)
+        dk = rig_mod.stiffness_slopes(rig, p1, p2, eq, depth,
+                                      rig_mod.equilibrium_slopes(rig, p1, p2, eq), probe.h1)
+        return probe.k, dk[0] * dp1 + dk[1]
+
+    def stiffness(p2):
+        k, slope = probed(p2)
+        return k - k_star, slope
+
+    # a multiple of the stiffness at a point of the ray in the box
+    k_star = scale * probed(p2_min + w * (p2_max - p2_min))[0]
+    assume(k_star > 0.0)
+    p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
+    seed, reason = planner_mod._seed(rig, h_star, k_star, depth, bounds)
+    assert seed[1] == pytest.approx(p2, rel=0.0, abs=ROOT_XTOL_MM)
+    p1, slope, _ = point(p2)
+    assert seed[0] == pytest.approx(min(max(p1, p1_lo), p1_hi), rel=0.0,
+                                    abs=ROOT_XTOL_MM * (1.0 + slope))
+    if p2 in (p2_min, p2_max) and abs(miss := stiffness(p2)[0]) > 1e-9 * k_star:
+        event("k_star passes an end")
+        assert reason == planner_mod._diagnose(0.0, miss)  # k_star passes that end
+    elif p2_min + ROOT_XTOL_MM < p2 < p2_max - ROOT_XTOL_MM:
+        event("k_star's root inside the box")
+        assert reason == ""
