@@ -177,10 +177,8 @@ class _Section:
         return tuple(_finite(x, f"{self._at(key)}[{i}]") * scale for i, x in enumerate(v))
 
     def finish(self) -> None:
-        unknown = sorted(set(self.data) - self.seen)
-        if unknown:
-            where = self.path or "<root>"
-            raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        if unknown := sorted(set(self.data) - self.seen):
+            raise ConfigError(f"unknown keys in {self.path or '<root>'}: {', '.join(unknown)}")
 
 
 def _value(tp: Any, sec: _Section, key: str, unit: float) -> Any:

@@ -49,8 +49,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 
 def _write_json(path: Path, doc) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -107,8 +106,8 @@ def run_step(config: RunConfig, seed: int, out: Path) -> list[Path]:
         series = step_simulate(
             config.rig, config.valves, schedule, config.step.dt, config.step.t_end
         )
-        paths.append(_write_csv(out / f"{stem}.csv", header, series))
-        paths.append(_write_csv(out / f"{stem}_16hz.csv", header, resample_16hz(series)))
+        paths += [_write_csv(out / f"{stem}.csv", header, series),
+                  _write_csv(out / f"{stem}_16hz.csv", header, resample_16hz(series))]
     return paths
 
 
@@ -180,8 +179,7 @@ def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
         )
         log = out / f"trials_s{s:02d}.jsonl"
         with open(log, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(_records_to_lines(records, session_seed)))
-            fh.write("\n")
+            fh.write("\n".join(_records_to_lines(records, session_seed)) + "\n")
         paths.append(log)
     return paths
 
@@ -232,14 +230,9 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
     time_rows = [(sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
                  for sid, b in accuracy_stats(pooled)[2].items()]
 
-    seg_rows = []
-    n_segments = len(stats[0].segment_accuracy)
-    for seg in range(n_segments):
-        seg_rows.append((
-            seg + 1,
-            float(np.mean([s.segment_accuracy[seg] for s in stats])),
-            float(np.mean([s.segment_time[seg] for s in stats])),
-        ))
+    seg_rows = [(seg + 1, float(np.mean([s.segment_accuracy[seg] for s in stats])),
+                 float(np.mean([s.segment_time[seg] for s in stats])))
+                for seg in range(len(stats[0].segment_accuracy))]
 
     overall = [s.overall_accuracy for s in stats]
     summary = {

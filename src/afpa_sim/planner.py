@@ -17,10 +17,10 @@ one before.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from numbers import Real
-from typing import Sequence
 
 from .errors import AfpaSimError
 from .rig import (PRESSURE_MAX_KPA, EquilibriumState, RigSpec, _probe,
@@ -98,6 +98,9 @@ def _forward_state(rig: RigSpec, p1: float, p2: float, probe_depth: float,
 def check_bounds(bounds: Box) -> Box:
     """The pressure box (p1_lo, p1_hi, p2_lo, p2_hi) as floats, if real numbers (not bools)
     ordered within the rig's limit."""
+    if not ((type(bounds) is tuple or isinstance(bounds, Sequence)) and len(bounds) == 4):
+        raise PlannerDomainError(f"bounds {bounds!r} must be a sequence of 4 pressures "
+                                 "(p1_lo, p1_hi, p2_lo, p2_hi)")
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
     floats = type(p1_lo) is type(p1_hi) is type(p2_lo) is type(p2_hi) is float  # the usual box
     numbers = floats or all(isinstance(b, Real) and not isinstance(b, bool) for b in bounds)

@@ -20,14 +20,17 @@ Each command's first step is found once, before the steps, which then walk the
 commands in turn.  A step that moves no gas keeps its balance, a function of the
 masses; one that also leaves the lagged command unchanged is at rest, and every
 step repeats it up to the next command's first step: those rows are copied, so a
-hold at rest costs one step.
+hold at rest costs one step.  Each step evaluates each valve's flow once, from the
+valves' constants read once per run; only a step that solves forms the prediction,
+checks for a non-finite state and builds a new row, and one that moves no gas writes
+the row before it at its own time.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Sequence
 
@@ -60,6 +63,9 @@ class ValveSpec:
     command_lag: float = 0.05  # s
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # each comparison below lets a NaN through
+            if not math.isfinite(value := getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.sonic_conductance < 0:
             raise ValueError("sonic_conductance must be >= 0")
         if not (0.0 < self.critical_ratio < 1.0):
@@ -81,8 +87,8 @@ def valve_mass_flow(
     """
     if not (0.0 <= opening <= 1.0):
         raise ValueError(f"opening must be in [0, 1], got {opening}")
-    if upstream < downstream:
-        return -valve_mass_flow(valve, downstream, upstream, opening)
+    if upstream < downstream:  # venting: the same flow from the higher side, sign flipped
+        upstream, downstream, opening = downstream, upstream, -opening
     if opening == 0.0 or upstream == downstream:
         return 0.0
     r = downstream / upstream
@@ -99,7 +105,7 @@ MIN_HEIGHT_MM = 1e-6
 
 def _gas_volume(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
     """Chamber gas volume (m^3) at a height (mm), with the stack's dV/dH (mm^2) and d2V/dH2 (mm)."""
-    v, area, curvature = _volume_terms(spec, max(MIN_HEIGHT_MM, height))
+    v, area, curvature = _volume_terms(spec, height if height > MIN_HEIGHT_MM else MIN_HEIGHT_MM)
     return v * 1e-9 + DEAD_VOLUME_M3, area, curvature
 
 
@@ -165,18 +171,25 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     the roots.  Each gauge's gas volume is ``_carried`` from the balance's last
     evaluation of its side, else evaluated anew (a gas volume is never 0).
     """
-    specs, masses = (rig.modulating, rig.morphing), (m1, m2)
-    free = [spec.free_height if m >= fill else _free_expansion_height(spec, m, floor, g)
-            for spec, m, fill, floor, g in zip(specs, masses, fills, floors, free_guess)]
+    spec1, spec2 = rig.modulating, rig.morphing
+    x1 = (spec1.free_height if m1 >= fills[0]
+          else _free_expansion_height(spec1, m1, floors[0], free_guess[0]))
+    x2 = (spec2.free_height if m2 >= fills[1]
+          else _free_expansion_height(spec2, m2, floors[1], free_guess[1]))
     cap = rig.belt_span - MIN_HEIGHT_MM
-    b = belt_balance(partial(_side_force_from_mass, rig.modulating, m1),
-                     partial(_side_force_from_mass, rig.morphing, m2), min(free[0], cap),
-                     min(free[1], cap), rig.belt_span, rig.belt_compliance, guess=guess)
-    return b.h1, b.h2, [
-        0.0 if h == x < spec.free_height
-        else _abs_pressure(m, _carried(last, 2, h) or _gas_volume(spec, h)[0]) - P_ATM_KPA
-        for spec, m, h, x, last in zip(specs, masses, (b.h1, b.h2), free, (b.side1, b.side2))
-    ], free
+    h1, h2, _, _, last1, last2 = belt_balance(
+        partial(_side_force_from_mass, spec1, m1), partial(_side_force_from_mass, spec2, m2),
+        min(x1, cap), min(x2, cap), rig.belt_span, rig.belt_compliance, guess=guess)
+    return h1, h2, [_gauge(spec1, m1, h1, x1, last1), _gauge(spec2, m2, h2, x2, last2)], [x1, x2]
+
+
+def _gauge(spec: PouchStackSpec, mass: float, height: float, free: float,
+           last: tuple | None) -> float:
+    """Gauge (kPa) of a chamber at its balanced height, given its free-expansion height."""
+    if height == free < spec.free_height:
+        return 0.0
+    gas = _carried(last, 2, height) or _gas_volume(spec, height)[0]  # a volume is never 0
+    return _abs_pressure(mass, gas) - P_ATM_KPA
 
 
 def check_step(dt: float, t_end: float) -> int:
@@ -223,37 +236,39 @@ def step_simulate(
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
     h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors)
-    past = [(h2, *free)] * 2  # the two steps before, for the three-point predictors
+    past = ((h2, *free),) * 3  # the predicted values at the last three steps, latest first
     solved = masses[:]  # the masses of the last balance, a function of them alone
+    row = (pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+    terms = [(v, v.command_lag, v.supply_pressure, v.exhaust_pressure) for v in valves]
 
     rows = np.empty((n_steps + 1, 5))
-    rows[0] = (0.0, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+    rows[0] = (0.0, *row)
 
     for (_, *cmds), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
         for i in range(max(lo, 1), end):
             t = i * dt
             start = cmd_eff + masses
-            for j in (0, 1):
-                valve = valves[j]
-                cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / valve.command_lag
+            for j, (valve, lag, supply, exhaust) in enumerate(terms):
+                cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / lag
                 err = cmd_eff[j] - pressures[j]
                 opening = min(1.0, abs(err) / OPENING_BAND_KPA)
                 # venting (from the exhaust) makes the flow negative
-                source = valve.supply_pressure if err > 0 else valve.exhaust_pressure
-                masses[j] += valve_mass_flow(valve, source, pressures[j] + P_ATM_KPA, opening) * dt
-            guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip((h2, *free), *past)]
-            past = [(h2, *free), past[0]]
-            if masses != solved:
+                masses[j] += valve_mass_flow(valve, supply if err > 0 else exhaust,
+                                             pressures[j] + P_ATM_KPA, opening) * dt
+            if masses != solved:  # else no gas moved: the balance and its row stand
+                guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip(*past)]
                 h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess,
                                                          free_guess)
                 solved = masses[:]
-            if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
-                raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
-            rows[i] = (t, pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+                if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
+                    raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
+                row = (pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+            past = (h2, *free), past[0], past[1]
+            rows[i] = (t, *row)
             if cmd_eff + masses == start:  # at rest: each later step of the command repeats it
                 rows[i + 1:end] = rows[i]
                 rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
-                past = [(h2, *free)] * 2 if end > i + 1 else past
+                past = past if end == i + 1 else (past[0],) * 3
                 break
     return rows
 
@@ -262,13 +277,8 @@ def resample_16hz(series: np.ndarray) -> np.ndarray:
     """Resample a (t, ...) series onto a 16 Hz grid by linear interpolation."""
     import numpy as np
     t = series[:, 0]
-    duration = t[-1]
-    grid = np.arange(0.0, math.floor(duration * 16.0 + 1e-9) + 1) / 16.0
-    out = np.empty((grid.size, series.shape[1]))
-    out[:, 0] = grid
-    for col in range(1, series.shape[1]):
-        out[:, col] = np.interp(grid, t, series[:, col])
-    return out
+    grid = np.arange(0.0, math.floor(t[-1] * 16.0 + 1e-9) + 1) / 16.0
+    return np.column_stack([grid] + [np.interp(grid, t, column) for column in series.T[1:]])
 
 
 def rise_time_90(series: np.ndarray) -> float:

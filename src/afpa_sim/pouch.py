@@ -62,10 +62,13 @@ class PouchStackSpec:
         return 2.0 * self.pouch_count * self.flat_width / math.pi
 
     @cached_property
-    def _shape_terms(self) -> tuple[float, float]:
-        """L * contact_width lost per mm of compression, and the end-cap decay length, mm."""
+    def _shape_terms(self) -> tuple[float, ...]:
+        """L * contact_width lost per mm of compression, the end-cap decay length (mm), and of
+        the free height x_free: the largest height taken, x_free * (1 + 1e-12), x_free^3 and
+        6 x_free, which ``_volume_terms`` would otherwise compute on every call."""
+        x_free = self.free_height
         return (math.pi * self.flat_length / (2.0 * self.pouch_count),
-                ECAP_DECAY_FRACTION * self.free_height)
+                ECAP_DECAY_FRACTION * x_free, x_free * (1.0 + 1e-12), x_free ** 3, 6.0 * x_free)
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,13 @@ def free_height(spec: PouchStackSpec) -> float:
 def _volume_terms(spec: PouchStackSpec, height: float) -> tuple[float, float, float]:
     """(V mm^3, dV/dH mm^2, d2V/dH2 mm) at the given height, closed form in both modes."""
     x_free = spec.free_height
-    if not math.isfinite(height) or height <= 0.0 or height > x_free * (1.0 + 1e-12):
+    slope, lam, top, x_free3, x_free6 = spec._shape_terms  # lam: the end-cap decay length
+    if not 0.0 < height <= top:  # NaN fails too
         raise PouchDomainError(
             f"height {height} mm outside (0, {x_free:.6g}] mm for this spec"
         )
-    height = min(height, x_free)
-    slope, lam = spec._shape_terms  # lam: the end-cap decay length
+    if height > x_free:
+        height = x_free
     if not spec.end_cap_correction:
         n, length = spec.pouch_count, spec.flat_length
         # L * contact_width falls at a constant rate until the contact vanishes
@@ -102,7 +106,7 @@ def _volume_terms(spec: PouchStackSpec, height: float) -> tuple[float, float, fl
     x0 = x_free - height  # compression from the free height
     decay = math.exp(-height / lam)
     # V integrates the effective area V' from x0 to x_free; V'' is its slope
-    return (slope * (q * (x_free ** 3 - x0 ** 3) / (6.0 * x_free)
+    return (slope * (q * (x_free3 - x0 ** 3) / x_free6
                      + lam * lam * (1.0 - decay) - lam * _ECAP_FREE_DECAY * height),
             slope * (q * x0 * x0 / (2.0 * x_free) + lam * (decay - _ECAP_FREE_DECAY)),
             -slope * (q * x0 / x_free + decay))
@@ -113,7 +117,7 @@ def _curvature_slope(spec: PouchStackSpec, height: float) -> float:
     ``_volume_terms``' return, which every valve step evaluates."""
     if not spec.end_cap_correction or height >= spec.free_height:
         return 0.0
-    slope, lam = spec._shape_terms
+    slope, lam = spec._shape_terms[:2]
     return slope * (ECAP_QUADRATIC_FRACTION / spec.free_height + math.exp(-height / lam) / lam)
 
 
@@ -137,10 +141,8 @@ def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:
     v = volume(spec, height)
     t = min(height, spec.free_height) / spec.pouch_count
     cw = max(0.0, spec.flat_width - math.pi * t / 2.0)
-    if spec.end_cap_correction:
-        cl = max(0.0, spec.flat_length - math.pi * t / 2.0)
-    else:
-        cl = spec.flat_length
+    cl = (max(0.0, spec.flat_length - math.pi * t / 2.0) if spec.end_cap_correction
+          else spec.flat_length)
     return CrossSection(
         thickness=t,
         contact_width=cw,

@@ -199,8 +199,10 @@ class Balance(NamedTuple):
 def _carried(last: tuple | None, i: int, x: float) -> float | None:
     """Value i of ``last``, a side's last evaluation (at, values), carried to x by value
     i + 1, its slope, where at is within ROOT_XTOL_MM and values hold both; else None."""
-    if last and len(last[1]) > i + 1 and abs(x - last[0]) <= ROOT_XTOL_MM:
-        return last[1][i] + last[1][i + 1] * (x - last[0])
+    if last:
+        at, values = last
+        if len(values) > i + 1 and -ROOT_XTOL_MM <= x - at <= ROOT_XTOL_MM:
+            return values[i] + values[i + 1] * (x - at)
     return None
 
 
@@ -247,7 +249,7 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
     h1 = span - h2
     if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
         last1 = h1, f1(h1)
-    tension, k1 = last1[1][0], last1[1][1]
+    tension, k1 = last1[1][:2]
     if compliance > 0.0 and tension > 0.0:
         def stretch(t: float) -> tuple[float, float]:
             nonlocal last1

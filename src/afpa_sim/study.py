@@ -144,11 +144,9 @@ def _perceptual_coords(
     if np.any(hk <= 0.0):
         raise StudyDomainError("every state must have positive height and stiffness")
     logs = np.log(hk)
-    heights = sorted({round(v, 9) for v in logs[:, 0]})
-    stiffs = sorted({round(v, 9) for v in logs[:, 1]})
-    # normalize by the mean log spacing between adjacent classes
-    sh = (heights[-1] - heights[0]) / max(1, len(heights) - 1)
-    sk = (stiffs[-1] - stiffs[0]) / max(1, len(stiffs) - 1)
+    # normalize by the mean log spacing between adjacent classes of height and of stiffness
+    classes = [sorted({round(v, 9) for v in column}) for column in logs.T]
+    sh, sk = ((c[-1] - c[0]) / max(1, len(c) - 1) for c in classes)
     if sh <= 0 or sk <= 0:
         raise StudyDomainError("state grid is degenerate in height or stiffness")
     return logs, sh, sk
@@ -273,13 +271,9 @@ def segment_analysis(
             f"record count {len(records)} not divisible by segment size {segment_size}"
         )
     ordered = sorted(records, key=lambda r: r.trial_index)
-    out = []
-    for start in range(0, len(ordered), segment_size):
-        block = ordered[start : start + segment_size]
-        acc = float(np.mean([r.responded == r.presented for r in block]))
-        mean_t = float(np.mean([r.response_time for r in block]))
-        out.append((acc, mean_t))
-    return out
+    blocks = (ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size))
+    return [(float(np.mean([r.responded == r.presented for r in block])),
+             float(np.mean([r.response_time for r in block]))) for block in blocks]
 
 
 def study_stats(records: Sequence[TrialRecord], segment_size: int = 10) -> StudyStats:
@@ -325,15 +319,13 @@ def t_test_independent(
 ) -> TTestResult:
     """Two-sample t-test: pooled (Student) or Welch, two-sided p."""
     import numpy as np
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x, y = (np.asarray(v, dtype=float) for v in (a, b))
     if x.size < 2 or y.size < 2:
         raise StatisticsError("each group needs at least 2 samples")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise StatisticsError("samples must be finite")
-    vx = float(np.var(x, ddof=1))
-    vy = float(np.var(y, ddof=1))
-    mx, my = float(np.mean(x)), float(np.mean(y))
+    vx, vy = (float(np.var(v, ddof=1)) for v in (x, y))
+    mx, my = (float(np.mean(v)) for v in (x, y))
     if vx == 0.0 and vy == 0.0:
         if mx == my:
             raise StatisticsError("degenerate: zero variance and equal means")

@@ -14,6 +14,7 @@ from afpa_sim.planner import (
     HapticTarget,
     InfeasibleTargetError,
     PlannerDomainError,
+    check_bounds,
     constant_stiffness_path,
     feasibility_map,
     forward_map,
@@ -136,6 +137,22 @@ def test_invalid_target_rejected(rig):
                    (np.True_, 150.0, 0.0, 150.0), ("0", 150.0, 0.0, 150.0)]:
         with pytest.raises(PlannerDomainError, match="bounds"):
             plan_state(rig, HapticTarget(target_height=50.0, target_stiffness=0.1), bounds)
+
+
+@pytest.mark.parametrize("bounds", [(), (0.0, 150.0), (0.0, 150.0, 0.0),
+                                    (0.0, 150.0, 0.0, 150.0, 0.0), 150.0, None,
+                                    {0.0: 1.0, 50.0: 1.0, 100.0: 1.0, 150.0: 1.0}])
+def test_bounds_not_a_box_of_four_rejected(rig, bounds):
+    # the box was unpacked before it was checked: a wrong length raised a bare
+    # ValueError ("not enough values to unpack") that did not name bounds
+    with pytest.raises(PlannerDomainError, match="bounds"):
+        plan_state(rig, HapticTarget(60.0, 0.1), bounds)
+    with pytest.raises(PlannerDomainError, match="bounds"):
+        check_bounds(bounds)
+
+
+def test_bounds_as_a_list_accepted():
+    assert check_bounds([0.0, 150, 0.0, 150.0]) == (0.0, 150.0, 0.0, 150.0)
 
 
 def test_forward_map_rejects_bad_probe_depth(rig):

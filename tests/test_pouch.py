@@ -157,11 +157,23 @@ def test_cross_section_fields_consistent():
     assert cs.volume == pytest.approx(volume(spec, 20.0))
 
 
-@pytest.mark.parametrize("height", [-1.0, 0.0, 1e9, float("nan")])
+@pytest.mark.parametrize("height", [-1.0, 0.0, 1e9, float("nan"), float("inf"), -float("inf")])
 def test_invalid_height_rejected(height):
     spec = PouchStackSpec(flat_width=50.0, flat_length=100.0)
     with pytest.raises(PouchDomainError):
         volume(spec, height)
+
+
+@pytest.mark.parametrize("end_caps", [True, False])
+def test_height_just_above_free_height_reads_as_free_height(end_caps):
+    # the range check allows 1e-12 relative above the free height, which the
+    # closed forms then take as the free height itself
+    spec = PouchStackSpec(flat_width=50.0, flat_length=100.0, end_cap_correction=end_caps)
+    hf = spec.free_height
+    for f in (volume, volume_gradient, volume_curvature):
+        assert f(spec, hf * (1.0 + 1e-12)) == f(spec, hf)
+    with pytest.raises(PouchDomainError):
+        volume(spec, hf * (1.0 + 3e-12))
 
 
 def test_negative_pressure_rejected():
