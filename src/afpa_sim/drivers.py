@@ -156,14 +156,11 @@ def run_feasibility(config: RunConfig, seed: int, out: Path) -> list[Path]:
 
 
 def _records_to_lines(records: Sequence[TrialRecord], seed: int) -> list[str]:
-    return [json.dumps({
-        "trial_index": r.trial_index,
-        "presented": r.presented,
-        "responded": r.responded,
-        "response_time_s": round(r.response_time, 9),
-        "segment": r.segment,
-        "seed": seed,
-    }, sort_keys=True) for r in records]
+    """One ``json.dumps(..., sort_keys=True)`` line per record, from one format string."""
+    line = ('{"presented": %r, "responded": %r, "response_time_s": %r, "seed": %r, '
+            '"segment": %r, "trial_index": %r}')
+    return [line % (r.presented, r.responded, round(r.response_time, 9), seed, r.segment,
+                    r.trial_index) for r in records]
 
 
 def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
@@ -185,6 +182,8 @@ def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
 
 
 def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
+    if not path.is_file():
+        raise StudyDomainError(f"{path}: missing trial log")
     records = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -206,13 +205,15 @@ def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
 
 
 def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Statistics over all trial logs found in the output directory."""
+    """Statistics over the trial logs of the configured sessions, trials_s00 on."""
     import numpy as np
-    logs = sorted(out.glob("trials_s*.jsonl"))
-    if not logs:
+    if not (logs := {p.name for p in out.glob("trials_s*.jsonl")}):
         raise FileNotFoundError(f"no trial logs (trials_s*.jsonl) in {out}")
+    names = [f"trials_s{s:02d}.jsonl" for s in range(config.study.sessions)]
+    if extra := sorted(logs - set(names)):  # such as an earlier run's with more sessions
+        raise StudyDomainError(f"{out / extra[0]}: not one of {len(names)} sessions' trial logs")
     segment_size = config.study.reps  # 9 x reps trials -> 9 segments
-    per_session = [_load_records(p, segment_size) for p in logs]
+    per_session = [_load_records(out / name, segment_size) for name in names]
     pooled = [r for recs in per_session for r in recs]
     stats = [study_stats(recs, segment_size) for recs in per_session]
 

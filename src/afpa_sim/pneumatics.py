@@ -21,9 +21,12 @@ commands in turn.  A step that moves no gas keeps its balance, a function of the
 masses; one that also leaves the lagged command unchanged is at rest, and every
 step repeats it up to the next command's first step: those rows are copied, so a
 hold at rest costs one step.  Each step evaluates each valve's flow once, from the
-valves' constants read once per run; only a step that solves forms the prediction,
-checks for a non-finite state and builds a new row, and one that moves no gas writes
-the row before it at its own time.
+valves' constants read once per run.  The step loop holds each chamber's lagged
+command, gas mass and gauge in a plain float and writes the two valve updates out;
+the balance stays in ``rig.belt_balance``, which holds most of a step's time.  Only a
+step that solves forms the prediction from the last three steps' values, checks for a
+non-finite state and builds a new row; one that moves no gas writes the row before
+it at its own time.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     h1, h2, _, _, last1, last2 = belt_balance(
         partial(_side_force_from_mass, spec1, m1), partial(_side_force_from_mass, spec2, m2),
         min(x1, cap), min(x2, cap), rig.belt_span, rig.belt_compliance, guess=guess)
-    return h1, h2, [_gauge(spec1, m1, h1, x1, last1), _gauge(spec2, m2, h2, x2, last2)], [x1, x2]
+    return h1, h2, (_gauge(spec1, m1, h1, x1, last1), _gauge(spec2, m2, h2, x2, last2)), (x1, x2)
 
 
 def _gauge(spec: PouchStackSpec, mass: float, height: float, free: float,
@@ -228,44 +231,44 @@ def step_simulate(
     # within 1e-12 s, up to the next command's; the first command holds from step 0
     starts = [0] + [bisect_left(range(n_steps + 1), True, key=lambda k: ts <= k * dt + 1e-12)
                     for ts in times[1:]]
-    cmd_eff = list(schedule[starts.count(0) - 1][1:])
-    eq = solve_equilibrium(rig, *cmd_eff)
-    masses = [(cmd + P_ATM_KPA) * 1e3 * _gas_volume(spec, h if cmd > 0.0 else MIN_HEIGHT_MM)[0]
+    c1, c2 = cmd_eff = schedule[starts.count(0) - 1][1:]  # each chamber's lagged command
+    eq = solve_equilibrium(rig, c1, c2)
+    m1, m2 = [(cmd + P_ATM_KPA) * 1e3 * _gas_volume(spec, h if cmd > 0.0 else MIN_HEIGHT_MM)[0]
               / (R_AIR * T_AMBIENT)  # a chamber commanded to 0 starts at its deflated residue
               for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
-    h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors)
+    h1, h2, (g1, g2), free = _solve_heights(rig, m1, m2, fills, floors)
     past = ((h2, *free),) * 3  # the predicted values at the last three steps, latest first
-    solved = masses[:]  # the masses of the last balance, a function of them alone
-    row = (pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
-    terms = [(v, v.command_lag, v.supply_pressure, v.exhaust_pressure) for v in valves]
+    solved = m1, m2  # the masses of the last balance, a function of them alone
+    row = g1, g2, h1, max(h2, rig.deflated_floor)
+    (v1, lag1, sup1, exh1), (v2, lag2, sup2, exh2) = [
+        (v, v.command_lag, v.supply_pressure, v.exhaust_pressure) for v in valves]
 
     rows = np.empty((n_steps + 1, 5))
-    rows[0] = (0.0, *row)
+    rows[0] = 0.0, *row
 
-    for (_, *cmds), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
+    for (_, u1, u2), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
         for i in range(max(lo, 1), end):
-            t = i * dt
-            start = cmd_eff + masses
-            for j, (valve, lag, supply, exhaust) in enumerate(terms):
-                cmd_eff[j] += dt * (cmds[j] - cmd_eff[j]) / lag
-                err = cmd_eff[j] - pressures[j]
-                opening = min(1.0, abs(err) / OPENING_BAND_KPA)
-                # venting (from the exhaust) makes the flow negative
-                masses[j] += valve_mass_flow(valve, supply if err > 0 else exhaust,
-                                             pressures[j] + P_ATM_KPA, opening) * dt
-            if masses != solved:  # else no gas moved: the balance and its row stand
-                guess, *free_guess = [3.0 * x - 3.0 * x1 + x2 for x, x1, x2 in zip(*past)]
-                h1, h2, pressures, free = _solve_heights(rig, *masses, fills, floors, guess,
-                                                         free_guess)
-                solved = masses[:]
-                if not all(map(math.isfinite, (*pressures, *masses, h1, h2))):
-                    raise IntegrationError(f"non-finite state at t={t:.4f} s with dt={dt} s")
-                row = (pressures[0], pressures[1], h1, max(h2, rig.deflated_floor))
+            start = c1, c2, m1, m2
+            c1 += dt * (u1 - c1) / lag1  # a chamber above its command vents: a negative flow
+            m1 += valve_mass_flow(v1, sup1 if c1 > g1 else exh1, g1 + P_ATM_KPA,
+                                  min(1.0, abs(c1 - g1) / OPENING_BAND_KPA)) * dt
+            c2 += dt * (u2 - c2) / lag2
+            m2 += valve_mass_flow(v2, sup2 if c2 > g2 else exh2, g2 + P_ATM_KPA,
+                                  min(1.0, abs(c2 - g2) / OPENING_BAND_KPA)) * dt
+            if (m1, m2) != solved:  # else no gas moved: the balance and its row stand
+                (y, a, b), (y1, a1, b1), (y2, a2, b2) = past
+                h1, h2, (g1, g2), free = _solve_heights(
+                    rig, m1, m2, fills, floors, 3.0 * y - 3.0 * y1 + y2,
+                    (3.0 * a - 3.0 * a1 + a2, 3.0 * b - 3.0 * b1 + b2))
+                solved = m1, m2
+                if not all(map(math.isfinite, (g1, g2, m1, m2, h1, h2))):
+                    raise IntegrationError(f"non-finite state at t={i * dt:.4f} s with dt={dt} s")
+                row = g1, g2, h1, max(h2, rig.deflated_floor)
             past = (h2, *free), past[0], past[1]
-            rows[i] = (t, *row)
-            if cmd_eff + masses == start:  # at rest: each later step of the command repeats it
+            rows[i] = i * dt, *row
+            if (c1, c2, m1, m2) == start:  # at rest: each later step of the command repeats it
                 rows[i + 1:end] = rows[i]
                 rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
                 past = past if end == i + 1 else (past[0],) * 3

@@ -188,31 +188,26 @@ def simulate_session(
     z = logs / np.array([sh, sk])  # normalized perceptual coordinates
     # noise magnitudes in normalized units
     noise = np.array([responder.size_noise / sh, responder.stiffness_noise / sk])
-    crowd = z * 1.0
-    if noise.max() > 0:
-        crowd = logs / np.maximum(noise * np.array([sh, sk]), 1e-12)
+    crowd = logs / np.maximum(noise * np.array([sh, sk]), 1e-12) if noise.max() > 0 else z
     conf = [_confusability(crowd, i) for i in range(len(states))]
 
     # a schedule presents each state reps times, and a segment is reps trials
     segment_size = max(1, len(schedule) // len(states))
     rng = np.random.default_rng(seed)
+    coords, (nh, nk) = z.tolist(), noise.tolist()
     records: list[TrialRecord] = []
     for t_idx, sid in enumerate(schedule, start=1):
         i = by_id[sid]
-        lapse = min(
-            0.999, responder.lapse_rate + responder.lapse_drift * (t_idx - 1)
-        )
+        lapse = min(0.999, responder.lapse_rate + responder.lapse_drift * (t_idx - 1))
         if lapse > 0.0 and rng.random() < lapse:
             answer = int(rng.integers(1, 10))
-        else:
-            percept = z[i] + noise * rng.standard_normal(2)
-            d2 = np.sum((z - percept) ** 2, axis=1)
-            answer = states[int(np.argmin(d2))].id
-        latency = (
-            TRANSITION_TIME_S
-            + responder.base_time
-            + responder.time_per_confusability * conf[i]
-        )
+        else:  # the percept, its squared distance to each state and the first nearest
+            eh, ek = rng.standard_normal(2).tolist()
+            ph, pk = coords[i][0] + nh * eh, coords[i][1] + nk * ek
+            d2 = [(h - ph) * (h - ph) + (k - pk) * (k - pk) for h, k in coords]
+            answer = states[d2.index(min(d2))].id
+        latency = (TRANSITION_TIME_S + responder.base_time
+                   + responder.time_per_confusability * conf[i])
         if responder.time_noise > 0:
             latency *= math.exp(responder.time_noise * rng.standard_normal())
         records.append(

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from afpa_sim.config import (
 )
 from afpa_sim.pneumatics import DT_MAX_S
 from afpa_sim.rig import PRESSURE_MAX_KPA
-from afpa_sim.study import box_stats
+from afpa_sim.study import TrialRecord, box_stats
 
 
 @pytest.fixture()
@@ -463,6 +464,50 @@ def test_cli_study_analyze_malformed_log_exit_2(line, tmp_path, capsys):
     (tmp_path / "trials_s00.jsonl").write_text(line + "\n", encoding="utf-8")
     assert "trials_s00.jsonl:1" in assert_user_error(["study-analyze", "--out", str(tmp_path)],
                                                      capsys)
+
+
+def test_cli_study_analyze_stale_or_missing_log_exit_2(tmp_path, capsys):
+    # a 10-session run, then a 3-session one into the same directory: the
+    # analysis pooled all 10 logs, 7 of them left from the first run
+    run_cli(["study-run", "--seed", "1", "--out", str(tmp_path)], capsys)
+    cfg = write_config(tmp_path, study={"sessions": 3})
+    run_cli(["study-run", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)], capsys)
+    analyze = ["study-analyze", "--config", str(cfg), "--out", str(tmp_path)]
+    assert "trials_s03.jsonl" in assert_user_error(analyze, capsys)
+    assert not (tmp_path / "study_summary.json").exists()
+    for log in tmp_path.glob("trials_s*.jsonl"):
+        if log.name > "trials_s02.jsonl":
+            log.unlink()
+    run_cli(analyze, capsys)
+    assert json.loads((tmp_path / "study_summary.json").read_text())["sessions"] == 3
+    (tmp_path / "trials_s01.jsonl").unlink()
+    assert "trials_s01.jsonl" in assert_user_error(analyze, capsys)
+
+
+# response times that print in exponent form, and u64 seeds at both ends
+TIMES = st.sampled_from([1e-05, 1.5e+16, 1e-09, 2.0]) | st.floats(1e-9, 1e17)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       trials=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), TIMES), min_size=1,
+                       max_size=12),
+       segment_size=st.integers(1, 5))
+def test_trial_log_lines_are_json_dumps(seed, trials, segment_size):
+    # each line is json.dumps(..., sort_keys=True) byte for byte, and reads back
+    # as the record it was written from, its time rounded to 9 decimals
+    records = [TrialRecord(k, presented, responded, time, math.ceil(k / segment_size), segment_size)
+               for k, (presented, responded, time) in enumerate(trials, 1)]
+    lines = drivers._records_to_lines(records, seed)
+    assert lines == [json.dumps({"trial_index": r.trial_index, "presented": r.presented,
+                                 "responded": r.responded, "segment": r.segment, "seed": seed,
+                                 "response_time_s": round(r.response_time, 9)}, sort_keys=True)
+                     for r in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "trials_s00.jsonl"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = drivers._load_records(log, segment_size)
+    assert loaded == [replace(r, response_time=round(r.response_time, 9)) for r in records]
 
 
 @pytest.mark.parametrize("presented", [0, 12, "3"])

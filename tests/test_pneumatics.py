@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from afpa_sim import pneumatics
+from afpa_sim.config import default_config_path, load_config
 from afpa_sim.pneumatics import (
     P_ATM_KPA,
     R_AIR,
     RHO_REF,
     T_AMBIENT,
+    IntegrationError,
     ValveSpec,
     MIN_HEIGHT_MM,
     _abs_pressure,
@@ -664,6 +666,17 @@ def test_gas_volume_evaluations_per_deflated_step(monkeypatch):
     assert per_step < 7.54
 
 
+def test_runaway_mass_update_raises_integration_error():
+    # a conductance so large that the first step's flow carries each chamber's
+    # mass above 1e287 kg and the next vents it to -inf: that step stops the
+    # run, while its gauges and heights, at the deflated floor, are finite
+    config = load_config(default_config_path())
+    valve = ValveSpec(sonic_conductance=1e300)
+    with pytest.raises(IntegrationError, match=r"t=0\.0020 s with dt=0\.001 s"):
+        step_simulate(config.rig, (valve, valve), [(0.0, 10.0, 10.0), (0.01, 90.0, 10.0)],
+                      1e-3, 0.05)
+
+
 def test_deflated_start_reports_floor_height():
     rig = make_rig()
     series = step_simulate(rig, make_valves(), [(0.0, 0.0, 0.0)], 1e-3, 0.5)
@@ -696,3 +709,19 @@ def test_rise_time_of_exponential():
     # 90% of the 0 -> (1 - e^-10) swing
     expected = -tau * math.log(1.0 - 0.9 * (1.0 - math.exp(-10.0)))
     assert rise_time_90(series) == pytest.approx(expected, abs=0.01)
+
+
+def test_rise_time_of_flat_series_is_zero():
+    # no change of h2, so no 90% point: 0, not the first sample's time
+    t = np.linspace(0.5, 2.0, 7)
+    series = np.column_stack([t, np.zeros((7, 3)), np.full(7, 40.0)])
+    assert rise_time_90(series) == 0.0
+
+
+def test_rise_time_of_overflowing_change_is_inf():
+    # the one way to a fraction that never reaches 0.9: h2's change overflows,
+    # so the last sample's fraction is inf / inf, NaN, rather than exactly 1
+    t = np.array([0.0, 1.0, 2.0])
+    series = np.column_stack([t, np.zeros((3, 3)), [-1e308, 0.0, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rise_time_90(series) == math.inf

@@ -9,14 +9,18 @@ and ``perfbench/workloads.py`` (imported, never edited):
 - the artifacts that the seven subcommands write at seed 7;
 - the stdout of each demo;
 - every plan of the plan-stream workload on seeds 1-10;
-- every valve-step row of the step-stream workload on seeds 1-3.
+- every valve-step row of the step-stream workload on seeds 1-10;
+- every trial record of ``simulate_session`` on session seeds 1-100, over the
+  packaged config's planned states.
 
 Prints, for each artifact and demo, whether it is identical; for a CSV that
 differs, the largest absolute and relative change of each column that moved.
 For the plans it prints how many are bit-identical (``repr``), how many
 changed outcome or reason, and how far the pressures of the rest moved; for
 the step rows, how many schedules are byte-identical and the largest change
-of each column.  Exits 1 if anything differs, else 0.
+of each column; for the sessions, how many are identical (``repr``), how many
+answers changed and the largest response-time change.  Exits 1 if anything
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 PLAN_SEEDS = range(1, 11)
-STEP_SEEDS = range(1, 4)
+STEP_SEEDS = range(1, 11)
+SESSION_SEEDS = range(1, 101)
 STEP_COLUMNS = ("t", "p1", "p2", "h1", "h2")
 
 
@@ -46,7 +51,8 @@ def dump(tree: Path, out: Path) -> None:
 
     import numpy as np
     import workloads
-    from afpa_sim import cli, planner, pneumatics
+    from afpa_sim import cli, drivers, planner, pneumatics, study
+    from afpa_sim.config import default_config_path, load_config
 
     artifacts = out / "artifacts"
     for sub in workloads.SUBCOMMANDS:
@@ -72,6 +78,15 @@ def dump(tree: Path, out: Path) -> None:
             rows[f"{seed}-{j}"] = pneumatics.step_simulate(x.rig, steps.valves, x.schedule,
                                                            steps.dt, x.t_end)
     np.savez(out / "steps.npz", **rows)
+    config = load_config(default_config_path())
+    states = drivers.plan_states(config)
+    with open(out / "sessions.jsonl", "w") as fh:
+        for seed in SESSION_SEEDS:
+            schedule = study.schedule_trials(states, config.study.reps, seed)
+            records = study.simulate_session(config.rig, states, schedule,
+                                             config.study.responder, seed, config.probe_depth)
+            fh.write(json.dumps([seed, [[repr(r), r.responded, r.response_time]
+                                        for r in records]]) + "\n")
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -160,6 +175,19 @@ def compare_steps(old: Path, new: Path) -> bool:
     return len(same) == len(keys)
 
 
+def compare_sessions(old: Path, new: Path) -> bool:
+    with open(old) as fa, open(new) as fb:
+        pairs = [(json.loads(a)[1], json.loads(b)[1]) for a, b in zip(fa, fb, strict=True)]
+    identical = sum(a == b for a, b in pairs)
+    trials = [(x, y) for a, b in pairs for x, y in zip(a, b)]
+    answers = sum(x[1] != y[1] for x, y in trials)
+    moved = max((abs(y[2] - x[2]) for x, y in trials), default=0.0)
+    print(f"study sessions, seeds {SESSION_SEEDS[0]}-{SESSION_SEEDS[-1]}: {len(pairs)} sessions, "
+          f"{identical} identical; {answers} of {len(trials)} answers changed; largest "
+          f"response-time change {moved:.3g} s")
+    return identical == len(pairs)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--dump":
         sys.path[:0] = [str(Path(argv[1]) / "src"), str(Path(argv[1]) / "perfbench")]
@@ -185,7 +213,8 @@ def main(argv: list[str]) -> int:
         same = [compare_files("artifacts", old / "artifacts", new / "artifacts"),
                 compare_files("demos", old / "demos", new / "demos"),
                 compare_plans(old / "plans.jsonl", new / "plans.jsonl"),
-                compare_steps(old / "steps.npz", new / "steps.npz")]
+                compare_steps(old / "steps.npz", new / "steps.npz"),
+                compare_sessions(old / "sessions.jsonl", new / "sessions.jsonl")]
     return 0 if all(same) else 1
 
 
