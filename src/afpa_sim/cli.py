@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed < 0 or args.seed > 2**64 - 1:
+    if not 0 <= args.seed < 2**64:
         print(f"error: seed must fit in u64, got {args.seed}", file=sys.stderr)
         return 2
     config_path = args.config if args.config is not None else default_config_path()

@@ -12,8 +12,12 @@ The file declares its pressure/length units up front.  The pressure fields
 (``PRESSURE_FIELDS``: the valves' supply_pressure and exhaust_pressure,
 planner bounds and max_characterized_p2, sweep p2_levels, p1_max and
 p1_step) may be given in Pa and are normalized to kPa on load.  Every
-number must be finite, and unknown keys anywhere in the document are
-rejected so a typo cannot silently fall back to a default calibration.
+number must be finite.  The keys an object allows are its dataclass's
+field names: for the root, the fields outside ``planner`` with ``planner``
+and ``units``, and ``modulating`` and ``morphing`` for the valve pair.  Any
+other key is rejected, so a typo cannot silently fall back to a default
+calibration.  The reader is a few functions on the parsed JSON objects and
+their field paths, such as ``planner.bounds[1]``, which each error names.
 """
 
 from __future__ import annotations
@@ -48,11 +52,12 @@ class SweepSettings:
     sample_rate: float = 16.0  # Hz
 
     def __post_init__(self) -> None:
-        if not self.p2_levels or any(p < 0 for p in self.p2_levels):
+        if not self.p2_levels or not all(0.0 <= p < math.inf for p in self.p2_levels):
             raise ValueError("p2_levels needs at least one non-negative level")
-        if self.p1_step <= 0 or self.p1_max <= 0:
+        if not all(0.0 < x < math.inf for x in (self.p1_step, self.p1_max)):  # also NaN
             raise ValueError("p1_step and p1_max must be positive")
-        if self.compression_depth <= 0 or self.probe_rate <= 0 or self.sample_rate <= 0:
+        if not all(0.0 < x < math.inf
+                   for x in (self.compression_depth, self.probe_rate, self.sample_rate)):
             raise ValueError("probe settings must be positive")
         if self.p1_max / self.p1_step > SWEEP_POINTS_MAX:
             raise ValueError(f"p1_max / p1_step must be at most {SWEEP_POINTS_MAX} points")
@@ -136,101 +141,87 @@ def _finite(v: Any, path: str) -> float:
     return x
 
 
-class _Section:
-    """One JSON object with strict key checking and a running field path."""
-
-    def __init__(self, data: Any, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or '<root>'}: expected an object, got {type(data).__name__}")
-        self.data = data
-        self.path = path
-        self.seen: set[str] = set()
-
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def child(self, key: str) -> "_Section":
-        return _Section(self.take(key), self._at(key))
-
-    def take(self, key: str) -> Any:
-        self.seen.add(key)
-        if key not in self.data:
-            raise ConfigError(f"missing required field {self._at(key)}")
-        return self.data[key]
-
-    def number(self, key: str, scale: float = 1.0) -> float:
-        return _finite(self.take(key), self._at(key)) * scale
-
-    def exact(self, key: str, tp: type) -> Any:
-        """A JSON integer (not a boolean) for ``int``, a boolean for ``bool``."""
-        v = self.take(key)
-        if type(v) is not tp:
-            raise ConfigError(f"{self._at(key)}: expected {_TYPE_NAMES[tp]}, got {v!r}")
-        return v
-
-    def numbers(self, key: str, scale: float = 1.0, length: int | None = None) -> tuple[float, ...]:
-        v = self.take(key)
-        if not isinstance(v, list):
-            raise ConfigError(f"{self._at(key)}: expected an array of numbers, got {v!r}")
-        if length is not None and len(v) != length:
-            raise ConfigError(f"{self._at(key)}: expected {length} values, got {len(v)}")
-        return tuple(_finite(x, f"{self._at(key)}[{i}]") * scale for i, x in enumerate(v))
-
-    def finish(self) -> None:
-        if unknown := sorted(set(self.data) - self.seen):
-            raise ConfigError(f"unknown keys in {self.path or '<root>'}: {', '.join(unknown)}")
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _value(tp: Any, sec: _Section, key: str, unit: float) -> Any:
-    """Field ``key`` of type ``tp`` from ``sec``; ``unit`` scales pressures to kPa."""
+def _object(data: Any, path: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or '<root>'}: expected an object, got {type(data).__name__}")
+    return data
+
+
+def _take(obj: dict, path: str, key: str) -> Any:
+    if key not in obj:
+        raise ConfigError(f"missing required field {_at(path, key)}")
+    return obj[key]
+
+
+def _known(obj: dict, path: str, keys: Any) -> None:
+    """Reject the keys of ``obj`` that are not in ``keys``."""
+    if unknown := sorted(set(obj).difference(keys)):
+        raise ConfigError(f"unknown keys in {path or '<root>'}: {', '.join(unknown)}")
+
+
+def _value(tp: Any, v: Any, key: str, path: str, unit: float) -> Any:
+    """Field ``key`` of type ``tp`` from its JSON value ``v`` at ``path``; ``unit`` scales
+    pressures to kPa."""
     if is_dataclass(tp):
-        return _parse(tp, sec.child(key), unit)
+        return _parse(tp, v, path, unit)
     scale = unit if key in PRESSURE_FIELDS else 1.0
     if tp is float:
-        return sec.number(key, scale)
-    if tp in _TYPE_NAMES:
-        return sec.exact(key, tp)
+        return _finite(v, path) * scale
+    if tp in _TYPE_NAMES:  # a JSON integer (not a boolean) for int, a boolean for bool
+        if type(v) is not tp:
+            raise ConfigError(f"{path}: expected {_TYPE_NAMES[tp]}, got {v!r}")
+        return v
     args = get_args(tp)
-    if args[-1] is Ellipsis:
-        return sec.numbers(key, scale)
     if is_dataclass(args[0]):
-        pair = sec.child(key)
-        value = tuple(_parse(a, pair.child(k), unit) for a, k in zip(args, _PAIR_KEYS))
-        pair.finish()
+        pair = _object(v, path)
+        value = tuple(_parse(a, _take(pair, path, k), _at(path, k), unit)
+                      for a, k in zip(args, _PAIR_KEYS))
+        _known(pair, path, _PAIR_KEYS)
         return value
-    return sec.numbers(key, scale, len(args))
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected an array of numbers, got {v!r}")
+    if args[-1] is not Ellipsis and len(v) != len(args):
+        raise ConfigError(f"{path}: expected {len(args)} values, got {len(v)}")
+    return tuple(_finite(x, f"{path}[{i}]") * scale for i, x in enumerate(v))
 
 
-def _parse(cls: type, sec: _Section, unit: float) -> Any:
+def _parse(cls: type, data: Any, path: str, unit: float) -> Any:
     """Build dataclass ``cls`` from its JSON object; absent fields take their defaults."""
-    planner = sec.child("planner") if cls is RunConfig else None
+    obj, planner, names = _object(data, path), None, [f.name for f in fields(cls)]
+    if cls is RunConfig:
+        planner = _object(_take(obj, path, "planner"), "planner")
+        names = [n for n in names if n not in PLANNER_FIELDS] + ["planner", "units"]
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
-        src = planner if planner is not None and f.name in PLANNER_FIELDS else sec
-        if f.name in src.data or f.default is MISSING:
-            values[f.name] = _value(hints[f.name], src, f.name, unit)
-    sec.finish()
+        src, at = (obj, path) if f.name in names else (planner, "planner")
+        if f.name in src or f.default is MISSING:
+            values[f.name] = _value(hints[f.name], _take(src, at, f.name), f.name,
+                                    _at(at, f.name), unit)
+    _known(obj, path, names)
     if planner is not None:
-        planner.finish()
+        _known(planner, "planner", PLANNER_FIELDS)
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{sec.path}: {exc}" if sec.path else str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def parse_config(doc: Any) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    root = _Section(doc, "")
-    units = root.child("units")
-    p_unit = units.take("pressure")
+    units = _object(_take(_object(doc, ""), "", "units"), "units")
+    p_unit = _take(units, "units", "pressure")
     if not isinstance(p_unit, str) or p_unit not in _PRESSURE_SCALE:
         raise ConfigError(f"units.pressure: expected one of {sorted(_PRESSURE_SCALE)}, got {p_unit!r}")
-    l_unit = units.take("length")
+    l_unit = _take(units, "units", "length")
     if l_unit != "mm":
         raise ConfigError(f"units.length: only 'mm' is supported, got {l_unit!r}")
-    units.finish()
-    return _parse(RunConfig, root, _PRESSURE_SCALE[p_unit])
+    _known(units, "units", ("pressure", "length"))
+    return _parse(RunConfig, doc, "", _PRESSURE_SCALE[p_unit])
 
 
 def load_config(path: str | Path) -> RunConfig:

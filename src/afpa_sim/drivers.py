@@ -70,8 +70,8 @@ def run_characterize_size(config: RunConfig, seed: int, out: Path) -> list[Path]
 
 
 def _stiffness_levels(config: RunConfig) -> list[float]:
-    levels = sorted(set(config.sweep.p2_levels) | {config.max_characterized_p2})
-    return [p for p in levels if p >= 0.0]
+    """The sweep's p2 levels and max_characterized_p2, which the config keeps >= 0, sorted."""
+    return sorted(set(config.sweep.p2_levels) | {config.max_characterized_p2})
 
 
 def run_characterize_stiffness(config: RunConfig, seed: int, out: Path) -> list[Path]:

@@ -8,14 +8,15 @@ dynamics.  It returns one record, ``Balance``: heights, tension, branch and
 each side's last evaluation, which the valve gauges read back, and the probe
 into its own record, ``Probe``: force, belt tension, h1 and stiffness, which
 ``probe_force``, ``contact_stiffness`` and ``force_displacement_curve`` read.
-The balance's roots, the valve model's free-expansion height and the planner's seed
-pressures come from the package's one root solver, the bracketed,
-safeguarded Newton ``_root``, on closed-form slopes.  Probe stiffness and
-the slopes in pressure of the height (``equilibrium_slopes``) and of the
-stiffness (``stiffness_slopes``) are closed-form implicit derivatives of
-the balance.  It starts from a ``guess`` of h2 where one is known: the
-valve step's prediction, or a nearby solve's in the planner and the size
-sweep; a guess whose Newton step is within the root tolerance ends it.
+Probe stiffness and the slopes in pressure of the height
+(``equilibrium_slopes``) and of the stiffness (``stiffness_slopes``) are
+closed-form implicit derivatives of the balance.  The balance's roots (the
+interior h2 and the belt stretch), the valve model's free-expansion height
+and the planner's seed pressures come from the package's one root solver,
+``_rising_root``: bracketed, safeguarded Newton on a rising function with a
+closed-form slope.  It starts from a ``guess`` where one is known: the valve
+step's prediction, or a nearby solve's in the planner and the size sweep; a
+guess whose Newton step is within the root tolerance ends it.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ class RigSpec:
     def __post_init__(self) -> None:
         if not (self.belt_span > 0 and math.isfinite(self.belt_span)):
             raise ValueError(f"belt_span must be positive, got {self.belt_span}")
-        if self.belt_compliance < 0:
+        if not 0.0 <= self.belt_compliance < math.inf:  # also NaN
             raise ValueError("belt_compliance must be >= 0")
-        if self.friction_force < 0:
+        if not 0.0 <= self.friction_force < math.inf:
             raise ValueError("friction_force must be >= 0")
-        if self.deflated_floor < 0:
+        if not 0.0 <= self.deflated_floor < math.inf:
             raise ValueError("deflated_floor must be >= 0")
 
 
@@ -101,23 +102,37 @@ def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> tuple[f
     return force, pressure * curvature * KPA_MM2_TO_N
 
 
-def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, float],
-          b: float, fb: tuple[float, float]) -> float:
-    """Root of f, which returns (value, slope), between a and b, given fa = f(a), fb = f(b).
+def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
+                 f_lo: tuple[float, float] | None, hi: float, guess: float | None) -> float:
+    """Root of a rising f, which returns (value, slope), in [lo, hi], given f_lo = f(lo) or
+    None: hi if f(hi) <= 0, lo if f(lo) >= 0.
 
-    An end where f is exactly 0 is the root.  Otherwise safeguarded Newton from
-    the end with the smaller value, stopping at a step within ROOT_XTOL_MM: a
-    step that leaves the shrinking bracket, or is not half the one before, takes
-    the Illinois false-position point, or bisection when that is not inside,
-    until the bracket is within ROOT_XTOL_MM.  A false-position point rounded
-    onto an end gives that end where the bracket is within ROOT_XTOL_MM, or
-    where a point ROOT_XTOL_MM inside that end has the other end's sign.
+    A guess inside (lo, hi) whose Newton step is within ROOT_XTOL_MM, to a point
+    inside (lo, hi), gives that point, an exact zero with a slope the guess
+    itself.  Otherwise the guess replaces an end, and so does its Newton point
+    pushed ROOT_XTOL_MM / 2 further.  Then safeguarded Newton from the end with
+    the smaller value, stopping at a step within ROOT_XTOL_MM: a step that
+    leaves the shrinking bracket, or is not half the one before, takes the
+    Illinois false-position point, or bisection when that is not inside, until
+    the bracket is within ROOT_XTOL_MM.  A false-position point rounded onto an
+    end gives that end where the bracket is within ROOT_XTOL_MM, or where a
+    point ROOT_XTOL_MM inside that end has the other end's sign.
     """
-    if fa[0] == 0.0 or fb[0] == 0.0:
-        return a if fa[0] == 0.0 else b
-    if fa[0] > 0.0:
-        a, fa, b, fb = b, fb, a, fa  # f(a) < 0 < f(b) from here on
-    (ya, ka), (yb, kb) = fa, fb
+    f_hi = None
+    if guess is not None and lo < guess < hi:
+        r = f(guess)  # a zero value without a slope tests hi first, as a cold start does
+        if r[1] and abs((x := guess - r[0] / r[1]) - guess) <= ROOT_XTOL_MM and lo < x < hi:
+            return x
+        lo, f_lo, hi, f_hi = (guess, r, hi, f_hi) if r[0] <= 0.0 else (lo, f_lo, guess, r)
+        if r[0] and r[1]:
+            x -= math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])  # pushed past the root
+            if lo < x < hi and (r := f(x))[0]:
+                lo, f_lo, hi, f_hi = (x, r, hi, f_hi) if r[0] < 0.0 else (lo, f_lo, x, r)
+    if f_hi is None and (f_hi := f(hi))[0] <= 0.0:
+        return hi
+    if (f_lo := f_lo or f(lo))[0] >= 0.0:  # a given f_lo is at most 0: an exact zero
+        return lo
+    a, (ya, ka), b, (yb, kb) = lo, f_lo, hi, f_hi  # f(a) < 0 < f(b) from here on
     x, y, k = (a, ya, ka) if -ya <= yb else (b, yb, kb)
     last_step, side = abs(b - a), 0  # side: the end replaced last, -1 for a, +1 for b
     for _ in range(ROOT_MAX_ITER):
@@ -154,32 +169,6 @@ def _root(f: Callable[[float], tuple[float, float]], a: float, fa: tuple[float, 
             ya *= 0.5 if side > 0 and not newton else 1.0
             b, yb, side = x, y, 1
     raise EquilibriumError(f"root finding did not converge in {ROOT_MAX_ITER} steps")
-
-
-def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
-                 f_lo: tuple[float, float] | None, hi: float, guess: float | None) -> float:
-    """Root of a rising f in [lo, hi], f_lo = f(lo) or None: hi if f(hi) <= 0, lo if f(lo) >= 0.
-
-    A guess inside (lo, hi) takes ``_root``'s stopping rule: a Newton step from
-    it within ROOT_XTOL_MM, to a point inside (lo, hi), gives that point, an
-    exact zero with a slope the guess itself.  Otherwise the guess replaces an
-    end, and so does its Newton point pushed ROOT_XTOL_MM / 2 further.
-    """
-    f_hi = None
-    if guess is not None and lo < guess < hi:
-        r = f(guess)  # a zero value without a slope tests hi first, as a cold start does
-        if r[1] and abs((x := guess - r[0] / r[1]) - guess) <= ROOT_XTOL_MM and lo < x < hi:
-            return x
-        lo, f_lo, hi, f_hi = (guess, r, hi, f_hi) if r[0] <= 0.0 else (lo, f_lo, guess, r)
-        if r[0] and r[1]:
-            x -= math.copysign(0.5 * ROOT_XTOL_MM, r[0] * r[1])  # pushed past the root
-            if lo < x < hi and (r := f(x))[0]:
-                lo, f_lo, hi, f_hi = (x, r, hi, f_hi) if r[0] < 0.0 else (lo, f_lo, x, r)
-    if f_hi is None and (f_hi := f(hi))[0] <= 0.0:
-        return hi
-    if f_lo is None and (f_lo := f(lo))[0] >= 0.0:
-        return lo
-    return _root(f, lo, f_lo, hi, f_hi)
 
 
 class Balance(NamedTuple):
@@ -251,14 +240,13 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
         last1 = h1, f1(h1)
     tension, k1 = last1[1][:2]
     if compliance > 0.0 and tension > 0.0:
-        def stretch(t: float) -> tuple[float, float]:
+        def stretch(t: float) -> tuple[float, float]:  # rises from -tension at t = 0
             nonlocal last1
             h = h1 + compliance * t
             last1 = h, (r := f1(h))
-            return r[0] - t, compliance * r[1] - 1.0
+            return t - r[0], 1.0 - compliance * r[1]
 
-        if (s_hi := stretch(tension))[0] < 0.0:  # else the stretch is below rounding
-            tension = _root(stretch, 0.0, (tension, compliance * k1 - 1.0), tension, s_hi)
+        tension = _rising_root(stretch, 0.0, (-tension, 1.0 - compliance * k1), tension, None)
         h1 += compliance * tension
     return Balance(min(x1, h1), h2, tension, "pinned" if h2 == hi else "squashed",
                    last1, last2)
@@ -415,8 +403,9 @@ class Anchor:
           'force'     -> observed = probe force (N) at (p1, p2, h2)
           'stiffness' -> observed = probe stiffness (N/mm) at (p1, p2, h2)
 
-    An unknown kind, a force or stiffness anchor without h2, an observed value not
-    positive and finite, or a pressure outside [0, PRESSURE_MAX_KPA] raises CalibrationError.
+    An unknown kind, a force or stiffness anchor without h2, an h2 or an observed value
+    not positive and finite, or a pressure outside [0, PRESSURE_MAX_KPA] raises
+    CalibrationError.
     """
 
     kind: str
@@ -431,6 +420,8 @@ class Anchor:
                                    f"{', '.join(_PREDICT)}")
         if self.kind != "height" and self.h2 is None:
             raise CalibrationError(f"{self.kind} anchor requires an h2 value")
+        if self.h2 is not None and not 0.0 < self.h2 < math.inf:
+            raise CalibrationError(f"anchor h2 {self.h2} mm must be positive and finite")
         if not 0.0 < self.observed < math.inf:  # also NaN
             raise CalibrationError(f"anchor observed {self.observed} must be positive and finite")
         if not all(0.0 <= p <= PRESSURE_MAX_KPA for p in (self.p1, self.p2)):
@@ -452,8 +443,11 @@ class CalibrationResult:
     anchors: list[Anchor]
 
 
-_FIT_PARAMS = ("modulating.flat_width", "modulating.flat_length",
-               "morphing.flat_width", "morphing.flat_length", "belt_span")
+_FIT_PARAMS = {  # each fitted parameter, in ``_rig_from_vector``'s order, and its box
+    "modulating.flat_width": (1.0, 500.0), "modulating.flat_length": (1.0, 2000.0),
+    "morphing.flat_width": (1.0, 500.0), "morphing.flat_length": (1.0, 2000.0),
+    "belt_span": (10.0, 500.0),
+}
 
 
 def _rig_from_vector(x: Sequence[float], template: RigSpec) -> RigSpec:
@@ -467,8 +461,11 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec) -> CalibrationResul
     """Least-squares fit of the five geometry parameters to the anchors.
 
     Residuals are normalized by the observed values; the fit is a damped
-    Gauss-Newton (trust-region) descent from the given starting rig and
-    is deterministic.
+    Gauss-Newton (trust-region) descent from the given starting rig, whose
+    parameters must lie in their boxes (``_FIT_PARAMS``), and is
+    deterministic.  It evaluates rigs only inside the boxes, where every rig
+    is valid; an anchor whose prediction fails there, such as a probe above
+    the equilibrium height, is scored as predicting 0.
     """
     anchors = list(anchors)
     if len(anchors) < len(_FIT_PARAMS) - 1:
@@ -476,12 +473,12 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec) -> CalibrationResul
                                f"constrain parameters {', '.join(_FIT_PARAMS)}; "
                                f"got {len(anchors)}")
     x0 = operator.attrgetter(*_FIT_PARAMS)(start)
+    for name, x, (lo, hi) in zip(_FIT_PARAMS, x0, _FIT_PARAMS.values()):
+        if not lo <= x <= hi:
+            raise CalibrationError(f"start {name} {x} not in the fit box [{lo}, {hi}]")
 
     def residuals(x):
-        try:
-            rig = _rig_from_vector(x, start)
-        except ValueError:
-            return [1e3] * len(anchors)
+        rig = _rig_from_vector(x, start)
         out = []
         for a in anchors:
             try:
@@ -493,10 +490,6 @@ def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec) -> CalibrationResul
 
     from scipy.optimize import least_squares  # scipy loads on the first calibration
 
-    sol = least_squares(
-        residuals, x0, method="trf",
-        bounds=([1.0, 1.0, 1.0, 1.0, 10.0], [500.0, 2000.0, 500.0, 2000.0, 500.0]),
-        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400,
-    )
-    rig = _rig_from_vector(sol.x, start)
-    return CalibrationResult(rig=rig, residuals=list(sol.fun), anchors=anchors)
+    sol = least_squares(residuals, x0, method="trf", bounds=tuple(zip(*_FIT_PARAMS.values())),
+                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400)
+    return CalibrationResult(_rig_from_vector(sol.x, start), list(sol.fun), anchors)

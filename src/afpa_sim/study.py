@@ -52,14 +52,17 @@ class ResponderModel:
     lapse_drift: float = 0.0  # per-trial lapse_rate increment
 
     def __post_init__(self) -> None:
-        if self.size_noise < 0 or self.stiffness_noise < 0:
+        # each check fails a NaN and an infinity
+        if not all(0.0 <= x < math.inf for x in (self.size_noise, self.stiffness_noise)):
             raise ValueError("noise values must be >= 0")
         if not (0.0 <= self.lapse_rate < 1.0):
             raise ValueError("lapse_rate must be in [0, 1)")
-        if self.base_time <= 0:
+        if not 0.0 < self.base_time < math.inf:
             raise ValueError("base_time must be positive")
-        if self.time_per_confusability < 0 or self.time_noise < 0:
+        if not all(0.0 <= x < math.inf for x in (self.time_per_confusability, self.time_noise)):
             raise ValueError("time parameters must be >= 0")
+        if not math.isfinite(self.lapse_drift):  # may be negative
+            raise ValueError("lapse_drift must be finite")
 
 
 @dataclass(frozen=True)

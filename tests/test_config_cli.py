@@ -18,6 +18,7 @@ from afpa_sim.cli import main
 from afpa_sim.config import (
     ConfigError,
     RunConfig,
+    SweepSettings,
     canonical_form,
     default_config_path,
     load_config,
@@ -55,6 +56,20 @@ def test_unknown_key_rejected(default_doc):
 def test_unknown_nested_key_rejected(default_doc):
     default_doc["study"]["responder"]["extra"] = 1
     with pytest.raises(ConfigError, match=r"study\.responder.*extra"):
+        parse_config(default_doc)
+
+
+@pytest.mark.parametrize("path", [(), ("units",), ("planner",), ("valves",),
+                                  ("valves", "morphing"), ("study", "responder")])
+def test_unknown_key_named_in_each_object(default_doc, path):
+    # each object allows its dataclass's field names, the root also planner
+    # and units, and the valve pair modulating and morphing
+    node = default_doc
+    for key in path:
+        node = node[key]
+    node["zz"] = 1
+    where = ".".join(path) or "<root>"
+    with pytest.raises(ConfigError, match=rf"^unknown keys in {where}: zz$"):
         parse_config(default_doc)
 
 
@@ -446,6 +461,14 @@ def assert_user_error(args, capsys) -> str:
     return err
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_cli_seed_outside_u64_exit_2(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert "u64" in assert_user_error(["plan", "--seed", str(seed), "--out", str(out)], capsys)
+    assert not out.exists()
+    run_cli(["plan", "--seed", str(2**64 - 1), "--out", str(out)], capsys)  # the largest
+
+
 @pytest.mark.parametrize("command", ["plan", "study-run"])
 def test_cli_unreachable_sizes_exit_2(command, tmp_path, capsys):
     cfg = write_config(tmp_path, study={"sizes": [20.0, 75.0, 140.0]})
@@ -521,3 +544,17 @@ def test_cli_study_analyze_bad_state_id_exit_2(presented, tmp_path, capsys):
     log.write_text("".join(lines), encoding="utf-8")
     assert "trials_s00.jsonl:1" in assert_user_error(["study-analyze", "--out", str(tmp_path)],
                                                      capsys)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p1_step", math.nan), ("p1_step", math.inf), ("p1_max", math.nan), ("p1_max", math.inf),
+    ("p2_levels", (0.0, math.nan)), ("p2_levels", (math.inf,)), ("p2_levels", (-1.0,)),
+    *[(f, v) for f in ("compression_depth", "probe_rate", "sample_rate")
+      for v in (math.nan, math.inf, 0.0)],
+])
+def test_sweep_settings_reject_non_finite_fields(field, value):
+    # a NaN p1_step or p2 level passed each comparison; the config reader
+    # rejects non-finite numbers before these checks, so only the API saw it
+    sweep = load_config(default_config_path()).sweep
+    with pytest.raises(ValueError, match="p1_step|p2_levels|probe settings"):
+        replace(sweep, **{field: value})

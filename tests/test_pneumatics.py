@@ -31,7 +31,7 @@ from afpa_sim.pneumatics import (
     valve_mass_flow,
 )
 from afpa_sim.pouch import KPA_MM2_TO_N, PouchStackSpec, free_height
-from afpa_sim.rig import (ROOT_XTOL_MM, RigDomainError, RigSpec, _root, belt_balance,
+from afpa_sim.rig import (ROOT_XTOL_MM, RigDomainError, RigSpec, _rising_root, belt_balance,
                           solve_equilibrium)
 
 
@@ -223,11 +223,7 @@ def cold_free_expansion(spec: PouchStackSpec, mass: float) -> float:
         gas, area, _ = _gas_volume(spec, h)
         return gas - target, area * 1e-9
 
-    if (at_free := excess(spec.free_height))[0] <= 0.0:
-        return spec.free_height
-    if (at_floor := excess(MIN_HEIGHT_MM))[0] >= 0.0:
-        return MIN_HEIGHT_MM
-    return _root(excess, MIN_HEIGHT_MM, at_floor, spec.free_height, at_free)
+    return _rising_root(excess, MIN_HEIGHT_MM, None, spec.free_height, None)
 
 
 def floor_gas(rig: RigSpec) -> list[tuple[float, float, float]]:
@@ -446,7 +442,7 @@ NEAR_ROOT = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-1.0, 1.0)
 def test_guess_near_the_root_matches_cold_solve(widths, lengths, counts, end_caps, span_frac,
                                                 compliance, gauges, fractions, offsets):
     # a guess whose Newton step is within ROOT_XTOL_MM is taken as the root
-    # after one evaluation, as _root takes such a step: from guesses at and
+    # after one evaluation, as the bracket loop takes such a step: from guesses at and
     # around the cold roots the heights stay within the tolerance of the cold
     # solve's, and the gauges read from that one evaluation match fresh ones
     specs = [PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,

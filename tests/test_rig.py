@@ -351,6 +351,27 @@ def test_balance_branch_labels_hold(w1, w2, c, compliance, end_caps, p1, p2, off
     assert (equilibrium_slopes(rig, p1, p2, eq) == (0.0, 0.0)) == (eq.branch != "interior")
 
 
+def test_belt_stretch_root_from_an_exact_tie():
+    # a linear side 1, force k*(x1 - h), pinned against a stop: with c*k >= 1 it
+    # leaves contact within the full stretch c*T, so the stretch root t - f1(h1 + c*t)
+    # reads -T at t = 0 and exactly T at t = T, a tie of the ends' sizes.  Newton
+    # from t = 0 on the slope 1 + c*k lands on the root in one step
+    k, c, x1, span, stop = 1.0, 2.0, 8.0, 10.0, 4.0
+    seen = []
+
+    def f1(h):
+        seen.append(h)
+        return (k * (x1 - h), -k) if h < x1 else (0.0, 0.0)
+
+    b = belt_balance(f1, lambda h: (5.0, 0.0), x1, stop, span, c)
+    h1 = span - stop
+    assert (b.branch, b.h2) == ("pinned", stop)
+    assert b.tension == pytest.approx(k * (x1 - h1) / (1.0 + c * k), rel=1e-15)
+    assert b.h1 == h1 + c * b.tension
+    # the residual at the stop, f1 at h1, then the stretch at t = T and at the root
+    assert seen[1:3] == [h1, h1 + c * k * (x1 - h1)] and len(seen) == 4
+
+
 def test_equilibrium_slopes_vanish_at_the_belt_span():
     rig = make_rig()
     eq = solve_equilibrium(rig, 0.0, 30.0)  # no p1: the morphing side rides the belt
@@ -464,7 +485,7 @@ def rising_line(root: float) -> tuple:
 
 
 def test_rising_root_takes_a_converged_guess_after_one_evaluation():
-    # _root's own stopping rule: a Newton step within ROOT_XTOL_MM is the root
+    # the bracket loop's own stopping rule: a Newton step within ROOT_XTOL_MM is the root
     for guess in (5.0, 5.0 + 0.5 * ROOT_XTOL_MM, 5.0 - 0.9 * ROOT_XTOL_MM):
         f, seen = rising_line(5.0)
         assert _rising_root(f, 0.0, None, 10.0, guess) == 5.0
@@ -543,6 +564,18 @@ def test_belt_compliance_raises_height_sum():
     )
 
 
+@pytest.mark.parametrize("field, value", [
+    (f, v) for f in ("belt_compliance", "friction_force", "deflated_floor")
+    for v in (math.nan, math.inf, -1.0)])
+def test_rig_spec_rejects_non_finite_fields(field, value):
+    # each passed a plain comparison with NaN: friction_force=nan made every
+    # force_displacement_curve force 0, and a NaN compliance failed later as a
+    # pouch "height nan"
+    with pytest.raises(ValueError, match=field):
+        make_rig(**{field: value})
+    make_rig(**{field: 0.0})
+
+
 # --- calibration -----------------------------------------------------------
 
 def test_calibration_recovers_forward_generated_anchors():
@@ -594,6 +627,14 @@ def test_anchor_rejects_bad_values(field, value, message):
         Anchor(**fields)
 
 
+@pytest.mark.parametrize("kind", ["height", "force", "stiffness"])
+@pytest.mark.parametrize("h2", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_anchor_rejects_an_h2_not_positive_and_finite(kind, h2):
+    # a NaN h2 constructed, and a force anchor with it was scored as predicting 0
+    with pytest.raises(CalibrationError, match="anchor h2"):
+        Anchor(kind=kind, p1=10.0, p2=90.0, observed=1.0, h2=h2)
+
+
 def test_anchor_accepts_the_pressure_limits():
     for p in (0.0, rig_mod.PRESSURE_MAX_KPA):
         Anchor(kind="stiffness", p1=p, p2=p, observed=1.0, h2=50.0)
@@ -620,3 +661,41 @@ def test_calibration_is_deterministic():
     r2 = calibrate_rig(anchors, make_rig())
     assert r1.rig == r2.rig
     assert r1.residuals == r2.residuals
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(c=600.0), r"start belt_span 600.0 not in the fit box \[10.0, 500.0\]"),
+    (dict(l1=2500.0), r"start modulating.flat_length 2500.0 not in the fit box \[1.0, 2000.0\]"),
+    (dict(w2=0.5), r"start morphing.flat_width 0.5 not in the fit box \[1.0, 500.0\]"),
+])
+def test_calibration_rejects_a_start_outside_the_fit_box(edit, message):
+    # scipy raised a bare ValueError, "Initial guess is outside of provided bounds"
+    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=obs)
+               for p1, p2, obs in [(0, 90, 85.0), (100, 90, 45.0), (30, 40, 60.0), (10, 70, 75.0)]]
+    with pytest.raises(CalibrationError, match=message):
+        calibrate_rig(anchors, make_rig(**edit))
+
+
+def test_calibration_fits_from_a_start_on_the_fit_box():
+    # the packaged flat_length, 2000 mm, is the box's upper bound
+    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
+    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
+               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
+    h2 = solve_equilibrium(true_rig, 30.0, 40.0).h2 - 8.0
+    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0,
+                          observed=probe_force(true_rig, 30.0, 40.0, h2)[0], h2=h2))
+    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=2000.0, w2=49.0, l2=140.0, c=92.0))
+    assert max(map(abs, result.residuals)) < 1e-9
+    assert result.rig.modulating.flat_length == pytest.approx(320.0, rel=1e-6)
+
+
+def test_calibration_scores_a_failed_prediction_as_zero():
+    # a force anchor above every rig's equilibrium height: the probe raises a
+    # RigDomainError on each rig the fit tries, so its residual stays -1
+    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
+    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
+               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
+    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0, observed=1.0, h2=1000.0))
+    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=280.0, w2=49.0, l2=140.0, c=92.0))
+    assert result.residuals[-1] == -1.0
+    assert max(map(abs, result.residuals[:-1])) < 1e-9

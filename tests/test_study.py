@@ -191,6 +191,20 @@ def test_drifting_lapse_degrades_segments(setup):
     assert np.mean(accs[:3]) > np.mean(accs[-3:])
 
 
+@pytest.mark.parametrize("field, value", [
+    *[(f, v) for f in ("size_noise", "stiffness_noise", "time_per_confusability", "time_noise")
+      for v in (math.nan, math.inf, -1.0)],
+    *[("base_time", v) for v in (math.nan, math.inf, 0.0)],
+    *[("lapse_drift", v) for v in (math.nan, math.inf, -math.inf)],
+])
+def test_responder_rejects_non_finite_fields(field, value):
+    # size_noise=nan constructed and answered state 1 on every trial; an
+    # infinite lapse_drift or base_time constructed too
+    with pytest.raises(ValueError, match="noise|time|lapse_drift"):
+        ResponderModel(**{"size_noise": 0.1, "stiffness_noise": 0.1, field: value})
+    ResponderModel(size_noise=0.1, stiffness_noise=0.1, lapse_drift=-0.01)  # a falling lapse rate
+
+
 # --- box stats -------------------------------------------------------------
 
 def test_box_stats_hand_case():
@@ -229,6 +243,12 @@ def test_box_stats_ordering_invariant():
 def test_box_stats_empty_rejected():
     with pytest.raises(StatisticsError):
         box_stats([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_stats_rejects_non_finite_samples(bad):
+    with pytest.raises(StatisticsError, match="finite"):
+        box_stats([1.0, 2.0, bad])
 
 
 # --- t test ----------------------------------------------------------------
@@ -281,6 +301,16 @@ def test_t_test_welch_equals_pooled_for_balanced_equal_variance():
     welch = t_test_independent(a, b, False)
     assert welch.dof == pytest.approx(pooled.dof)
     assert welch.t == pytest.approx(pooled.t)
+
+
+@pytest.mark.parametrize("equal_variance", [True, False])
+def test_t_test_zero_variance_unequal_means(equal_variance):
+    # no spread in either group, so any difference of the means is infinitely significant
+    for a, b, sign in (([1, 1], [2, 2], -1.0), ([2.0, 2.0, 2.0], [1.0, 1.0], 1.0)):
+        r = t_test_independent(a, b, equal_variance)
+        assert r.t == sign * math.inf
+        assert r.p_two_sided == 0.0
+        assert r.dof == len(a) + len(b) - 2
 
 
 def test_t_test_degenerate_rejected():
