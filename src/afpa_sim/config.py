@@ -87,6 +87,9 @@ class StudySettings:
     responder: ResponderModel
 
     def __post_init__(self) -> None:
+        for name in ("sizes", "stiffnesses"):
+            if not all(0.0 < x < math.inf for x in getattr(self, name)):  # also NaN
+                raise ValueError(f"{name} must be positive and finite")
         if self.reps < 1 or self.sessions < 1:
             raise ValueError("reps and sessions must be >= 1")
         if 9 * self.reps * self.sessions > TRIALS_MAX:
@@ -113,8 +116,8 @@ class RunConfig:
             check_bounds(self.bounds)
         except PlannerDomainError as exc:
             raise ValueError(f"planner.bounds: {exc}") from None
-        if self.probe_depth <= 0:
-            raise ValueError("planner.probe_depth: must be positive")
+        if not 0.0 < self.probe_depth < math.inf:  # also NaN
+            raise ValueError("planner.probe_depth: must be positive and finite")
         if not self.bounds[2] < self.max_characterized_p2 <= self.bounds[3]:
             raise ValueError("planner.max_characterized_p2: must lie inside the p2 bounds")
 

@@ -18,15 +18,13 @@ gauges are read from the balance record's last evaluation of each side; a slack
 chamber's free-expansion root starts from the same prediction of its height.
 Each command's first step is found once, before the steps, which then walk the
 commands in turn.  A step that moves no gas keeps its balance, a function of the
-masses; one that also leaves the lagged command unchanged is at rest, and every
-step repeats it up to the next command's first step: those rows are copied, so a
-hold at rest costs one step.  Each step evaluates each valve's flow once, from the
-valves' constants read once per run.  The step loop holds each chamber's lagged
-command, gas mass and gauge in a plain float and writes the two valve updates out;
-the balance stays in ``rig.belt_balance``, which holds most of a step's time.  Only a
-step that solves forms the prediction from the last three steps' values, checks for a
-non-finite state and builds a new row; one that moves no gas writes the row before
-it at its own time.
+masses, and its row; one that also leaves the lagged command unchanged is at rest,
+and every step up to the next command's first step repeats it in one copy.  The loop
+holds each chamber's lagged command, gas mass and gauge in a plain float, evaluates
+each valve's flow once from constants read once per run, and stores each row through
+a flat memoryview; each bound is a conditional expression that picks the operand
+``min`` or ``max`` would, NaN and ties included.  Only a step that solves forms the
+prediction, checks for a non-finite state and floors the reported h2.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ def valve_mass_flow(
     if r <= b:
         phi = 1.0
     else:
-        phi = math.sqrt(max(0.0, 1.0 - ((r - b) / (1.0 - b)) ** 2))
+        phi = math.sqrt(s if (s := 1.0 - ((r - b) / (1.0 - b)) ** 2) > 0.0 else 0.0)
     return opening * valve.sonic_conductance * RHO_REF * (upstream * 1e3) * phi
 
 
@@ -182,7 +180,8 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _, _, last1, last2 = belt_balance(
         partial(_side_force_from_mass, spec1, m1), partial(_side_force_from_mass, spec2, m2),
-        min(x1, cap), min(x2, cap), rig.belt_span, rig.belt_compliance, guess=guess)
+        cap if cap < x1 else x1, cap if cap < x2 else x2, rig.belt_span, rig.belt_compliance,
+        guess=guess)
     return h1, h2, (_gauge(spec1, m1, h1, x1, last1), _gauge(spec2, m2, h2, x2, last2)), (x1, x2)
 
 
@@ -241,22 +240,23 @@ def step_simulate(
     h1, h2, (g1, g2), free = _solve_heights(rig, m1, m2, fills, floors)
     past = ((h2, *free),) * 3  # the predicted values at the last three steps, latest first
     solved = m1, m2  # the masses of the last balance, a function of them alone
-    row = g1, g2, h1, max(h2, rig.deflated_floor)
+    top = low if (low := rig.deflated_floor) > h2 else h2  # the reported h2
     (v1, lag1, sup1, exh1), (v2, lag2, sup2, exh2) = [
         (v, v.command_lag, v.supply_pressure, v.exhaust_pressure) for v in valves]
 
     rows = np.empty((n_steps + 1, 5))
-    rows[0] = 0.0, *row
+    rows[0] = 0.0, g1, g2, h1, top
+    flat = memoryview(rows.reshape(-1))  # row i is flat[5 * i:5 * i + 5]
 
     for (_, u1, u2), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
         for i in range(max(lo, 1), end):
             start = c1, c2, m1, m2
             c1 += dt * (u1 - c1) / lag1  # a chamber above its command vents: a negative flow
             m1 += valve_mass_flow(v1, sup1 if c1 > g1 else exh1, g1 + P_ATM_KPA,
-                                  min(1.0, abs(c1 - g1) / OPENING_BAND_KPA)) * dt
+                                  o if (o := abs(c1 - g1) / OPENING_BAND_KPA) < 1.0 else 1.0) * dt
             c2 += dt * (u2 - c2) / lag2
             m2 += valve_mass_flow(v2, sup2 if c2 > g2 else exh2, g2 + P_ATM_KPA,
-                                  min(1.0, abs(c2 - g2) / OPENING_BAND_KPA)) * dt
+                                  o if (o := abs(c2 - g2) / OPENING_BAND_KPA) < 1.0 else 1.0) * dt
             if (m1, m2) != solved:  # else no gas moved: the balance and its row stand
                 (y, a, b), (y1, a1, b1), (y2, a2, b2) = past
                 h1, h2, (g1, g2), free = _solve_heights(
@@ -265,9 +265,10 @@ def step_simulate(
                 solved = m1, m2
                 if not all(map(math.isfinite, (g1, g2, m1, m2, h1, h2))):
                     raise IntegrationError(f"non-finite state at t={i * dt:.4f} s with dt={dt} s")
-                row = g1, g2, h1, max(h2, rig.deflated_floor)
+                top = low if low > h2 else h2
             past = (h2, *free), past[0], past[1]
-            rows[i] = i * dt, *row
+            k = 5 * i
+            flat[k], flat[k + 1], flat[k + 2], flat[k + 3], flat[k + 4] = i * dt, g1, g2, h1, top
             if (c1, c2, m1, m2) == start:  # at rest: each later step of the command repeats it
                 rows[i + 1:end] = rows[i]
                 rows[i + 1:end, 0] = np.arange(i + 1, end) * dt

@@ -228,13 +228,13 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
         last1, last2 = (h1, r1), (h2, r2)
         return r1[0] - r2[0] - offset, r1[1] * (compliance * r2[1] - 1.0) - r2[1]
 
-    lo, hi = max(1e-9, span - x1), min(x2, span)
+    lo, hi = d if (d := span - x1) > 1e-9 else 1e-9, span if span < x2 else x2
     if lo < (h2 := _rising_root(residual, lo, None, hi, guess)) < hi:
         if (tension := _carried(last2, 0, h2)) is None:  # f2 is evaluated anew, and kept
             last2 = h2, f2(h2)
             tension = last2[1][0]
-        return Balance(min(x1, span + compliance * tension - h2), h2, tension, "interior",
-                       last1, last2)
+        h1 = h if (h := span + compliance * tension - h2) < x1 else x1
+        return Balance(h1, h2, tension, "interior", last1, last2)
     h1 = span - h2
     if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
         last1 = h1, f1(h1)

@@ -144,6 +144,20 @@ def test_physical_limit_rejected(default_doc, section, key, value, path):
         parse_config(default_doc)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param((), [], "<root>: expected an object, got list", id="root"),
+    pytest.param(("study", "sizes"), 55.0, r"study\.sizes: expected an array of numbers",
+                 id="array"),
+    pytest.param(("study", "sizes"), [55.0, 75.0], r"study\.sizes: expected 3 values, got 2",
+                 id="length"),
+])
+def test_shape_errors_named(default_doc, path, value, message):
+    if path:
+        default_doc[path[0]][path[1]] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(default_doc if path else value)
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, child in node.items():
@@ -558,3 +572,16 @@ def test_sweep_settings_reject_non_finite_fields(field, value):
     sweep = load_config(default_config_path()).sweep
     with pytest.raises(ValueError, match="p1_step|p2_levels|probe settings"):
         replace(sweep, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("probe_depth", math.nan), ("probe_depth", math.inf), ("probe_depth", 0.0),
+    ("sizes", (math.nan, 70.0, 90.0)), ("sizes", (-5.0, 70.0, 90.0)),
+    ("stiffnesses", (math.inf, 1.0, 2.0)), ("stiffnesses", (0.0, 1.0, 2.0)),
+])
+def test_run_and_study_settings_reject_out_of_model_fields(field, value):
+    # the config reader rejects non-finite numbers before these checks, so
+    # only a dataclass built in Python can carry a NaN or an infinity here
+    config = load_config(default_config_path())
+    with pytest.raises(ValueError, match=field):
+        replace(config if field == "probe_depth" else config.study, **{field: value})

@@ -1,6 +1,7 @@
 """Protocol scheduling, synthetic responders, and the statistics battery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,3 +352,51 @@ def test_record_rejects_out_of_model_values(field, value):
     with pytest.raises(StudyDomainError):
         TrialRecord(**{**fields, field: value})
     TrialRecord(**fields)
+
+
+# --- state, schedule and record checks -------------------------------------
+
+def test_states_need_ids_one_to_nine(setup):
+    _, states = setup
+    with pytest.raises(StudyDomainError, match=r"ids 1\.\.9"):
+        schedule_trials(states[:8], 1, seed=1)
+
+
+def test_states_need_a_complete_class_grid(setup):
+    _, states = setup
+    first = states[0]
+    twins = [replace(s, size_class=first.size_class, stiffness_class=first.stiffness_class)
+             if s.id == 2 else s for s in states]
+    with pytest.raises(StudyDomainError, match="class grid must be complete"):
+        schedule_trials(twins, 1, seed=1)
+
+
+def test_session_rejects_a_state_without_stiffness(setup):
+    # a probe deeper than every state's height reads a stiffness of 0
+    rig, states = setup
+    with pytest.raises(StudyDomainError, match="positive height and stiffness"):
+        simulate_session(rig, states, [1], perfect(), seed=1, probe_depth=1000.0)
+
+
+def test_session_rejects_a_degenerate_state_grid(setup):
+    # nine class labels on one pressure pair: every state renders the same
+    rig, states = setup
+    same = [replace(s, p1=states[0].p1, p2=states[0].p2) for s in states]
+    with pytest.raises(StudyDomainError, match="degenerate"):
+        simulate_session(rig, same, [1], perfect(), seed=1)
+
+
+def test_session_rejects_an_empty_schedule(setup):
+    rig, states = setup
+    with pytest.raises(StudyDomainError, match="schedule must not be empty"):
+        simulate_session(rig, states, [], perfect(), seed=1)
+
+
+def test_accuracy_rejects_no_records():
+    with pytest.raises(StudyDomainError, match="records must not be empty"):
+        accuracy_stats([])
+
+
+def test_segment_size_must_be_positive():
+    with pytest.raises(StudyDomainError, match="segment_size must be >= 1"):
+        segment_analysis(make_records([(1, 1)] * 10), segment_size=0)
