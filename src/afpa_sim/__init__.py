@@ -64,6 +64,7 @@ from .study import (
     schedule_trials,
     segment_analysis,
     simulate_session,
+    simulate_sessions,
     study_stats,
     t_test_independent,
 )

@@ -2,8 +2,9 @@
 
 Each ``run_*`` takes the CLI's (config, seed, out).  Outputs are keyed by the
 figure they reproduce (fig2c.csv, fig3a.csv, ...).  CSVs are UTF-8 with LF line
-endings, `.` decimal separator and unit-suffixed column names; numbers take a
-fixed shortest-round-trip rule, so identical runs are byte-identical.
+endings, `.` decimal separator and unit-suffixed column names; numbers take
+``"%.12g"``, 12 significant digits, which does not round-trip every float but is
+fixed, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .study import (
     TrialRecord,
     accuracy_stats,
     schedule_trials,
-    simulate_session,
+    simulate_sessions,
     study_stats,
 )
 
@@ -35,15 +36,14 @@ FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """One comma-joined line per row, an array via tolist; numbers by ``"%.12g"``."""
-    formats: dict[tuple, str] = {}  # a row's ``%`` string, by the types of its values
+    """The header and one comma-joined line per row, an array via tolist, from one ``%``
+    operation: a column is text in every row or in none, and the first row's cells give
+    ``%s`` for text and ``"%.12g"`` for a number."""
+    rows = rows.tolist() if hasattr(rows, "tolist") else list(rows)
+    line = ",".join(["%s" if isinstance(v, str) else "%.12g" for v in rows[0]]) if rows else ""
+    cells = tuple([v for row in rows for v in row])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows.tolist() if hasattr(rows, "tolist") else rows:
-            if (line := formats.get(types := tuple(map(type, row)))) is None:
-                line = formats[types] = ",".join(["%s" if issubclass(t, str) else "%.12g"
-                                                  for t in types]) + "\n"
-            fh.write(line % tuple(row))
+        fh.write(",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
     return path
 
 
@@ -164,19 +164,17 @@ def _records_to_lines(records: Sequence[TrialRecord], seed: int) -> list[str]:
 
 
 def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Simulate the configured sessions; one JSONL trial log per session."""
+    """Simulate the configured sessions over one set of per-run terms; a JSONL log each."""
     states = plan_states(config)
     paths = _write_plan(states, out)
-    for s in range(config.study.sessions):
-        session_seed = seed + s
-        schedule = schedule_trials(states, config.study.reps, session_seed)
-        records = simulate_session(
-            config.rig, states, schedule, config.study.responder,
-            session_seed, config.probe_depth,
-        )
+    sessions = ((schedule_trials(states, config.study.reps, seed + s), seed + s)
+                for s in range(config.study.sessions))
+    runs = simulate_sessions(config.rig, states, sessions, config.study.responder,
+                             config.probe_depth)
+    for s, records in enumerate(runs):
         log = out / f"trials_s{s:02d}.jsonl"
         with open(log, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(_records_to_lines(records, session_seed)) + "\n")
+            fh.write("\n".join(_records_to_lines(records, seed + s)) + "\n")
         paths.append(log)
     return paths
 

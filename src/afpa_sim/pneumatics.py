@@ -82,14 +82,16 @@ def valve_mass_flow(
 ) -> float:
     """Mass flow (kg/s) through the valve, positive downstream.
 
-    Pressures are absolute kPa.  Choked below the critical ratio,
-    elliptic subsonic correction above it; antisymmetric in the
-    pressure gradient.
+    Pressures are absolute kPa, positive and finite.  Choked below the
+    critical ratio, elliptic subsonic correction above it; antisymmetric in
+    the pressure gradient.
     """
     if not (0.0 <= opening <= 1.0):
         raise ValueError(f"opening must be in [0, 1], got {opening}")
     if upstream < downstream:  # venting: the same flow from the higher side, sign flipped
         upstream, downstream, opening = downstream, upstream, -opening
+    if not 0.0 < downstream <= upstream < math.inf:  # also a NaN
+        raise ValueError(f"pressures must be positive and finite, got {upstream}, {downstream} kPa")
     if opening == 0.0 or upstream == downstream:
         return 0.0
     r = downstream / upstream

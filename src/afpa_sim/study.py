@@ -7,13 +7,19 @@ answers with the nearest state in a normalized log-log perceptual
 space, with an occasional uniform lapse.  The statistics battery
 (confusion matrix, accuracies, box statistics, independent t-test,
 segment trends) operates on the resulting trial records.
+
+The sessions of a study share their per-run terms: ``simulate_sessions``
+computes the states' perceptual coordinates and pre-jitter latencies once,
+and ``simulate_session`` is its one-session case.  ``box_stats`` takes
+numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
+floats, bit for bit, and a 0/1 accuracy is a count over a length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AfpaSimError
 from .planner import DEFAULT_PROBE_DEPTH_MM, StateDef, forward_map
@@ -169,61 +175,60 @@ def _confusability(z: np.ndarray, idx: int) -> float:
     return float(np.sum(score) - 1.0)  # drop the self term
 
 
-def simulate_session(
-    rig: RigSpec,
-    states: Sequence[StateDef],
-    schedule: Sequence[int],
-    responder: ResponderModel,
-    seed: int,
-    probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
-) -> list[TrialRecord]:
-    """Run one synthetic session over the scheduled presentations."""
+def simulate_sessions(rig: RigSpec, states: Sequence[StateDef],
+                      sessions: Iterable[tuple[Sequence[int], int]], responder: ResponderModel,
+                      probe_depth: float = DEFAULT_PROBE_DEPTH_MM
+                      ) -> Iterator[list[TrialRecord]]:
+    """Run synthetic sessions, each a (schedule, seed) pair, and yield each one's records.
+
+    The per-run terms, each state's perceptual coordinates and its latency
+    before the jitter, are computed once, before the first session.
+    """
     import numpy as np
     states = _check_states(states)
-    if not schedule:
-        raise StudyDomainError("schedule must not be empty")
     by_id = {s.id: i for i, s in enumerate(states)}
-    unknown = [sid for sid in schedule if sid not in by_id]
-    if unknown:
-        raise StudyDomainError(f"schedule references unknown state ids {sorted(set(unknown))}")
-
     logs, sh, sk = _perceptual_coords(rig, states, probe_depth)
     z = logs / np.array([sh, sk])  # normalized perceptual coordinates
     # noise magnitudes in normalized units
     noise = np.array([responder.size_noise / sh, responder.stiffness_noise / sk])
     crowd = logs / np.maximum(noise * np.array([sh, sk]), 1e-12) if noise.max() > 0 else z
-    conf = [_confusability(crowd, i) for i in range(len(states))]
-
-    # a schedule presents each state reps times, and a segment is reps trials
-    segment_size = max(1, len(schedule) // len(states))
-    rng = np.random.default_rng(seed)
+    latencies = [TRANSITION_TIME_S + responder.base_time
+                 + responder.time_per_confusability * _confusability(crowd, i)
+                 for i in range(len(states))]
     coords, (nh, nk) = z.tolist(), noise.tolist()
-    records: list[TrialRecord] = []
-    for t_idx, sid in enumerate(schedule, start=1):
-        i = by_id[sid]
-        lapse = min(0.999, responder.lapse_rate + responder.lapse_drift * (t_idx - 1))
-        if lapse > 0.0 and rng.random() < lapse:
-            answer = int(rng.integers(1, 10))
-        else:  # the percept, its squared distance to each state and the first nearest
-            eh, ek = rng.standard_normal(2).tolist()
-            ph, pk = coords[i][0] + nh * eh, coords[i][1] + nk * ek
-            d2 = [(h - ph) * (h - ph) + (k - pk) * (k - pk) for h, k in coords]
-            answer = states[d2.index(min(d2))].id
-        latency = (TRANSITION_TIME_S + responder.base_time
-                   + responder.time_per_confusability * conf[i])
-        if responder.time_noise > 0:
-            latency *= math.exp(responder.time_noise * rng.standard_normal())
-        records.append(
-            TrialRecord(
-                trial_index=t_idx,
-                presented=sid,
-                responded=answer,
-                response_time=latency,
-                segment=math.ceil(t_idx / segment_size),
-                segment_size=segment_size,
-            )
-        )
-    return records
+    for schedule, seed in sessions:
+        if not schedule:
+            raise StudyDomainError("schedule must not be empty")
+        unknown = [sid for sid in schedule if sid not in by_id]
+        if unknown:
+            raise StudyDomainError(f"schedule references unknown state ids {sorted(set(unknown))}")
+        # a schedule presents each state reps times, and a segment is reps trials
+        segment_size = max(1, len(schedule) // len(states))
+        rng = np.random.default_rng(seed)
+        records: list[TrialRecord] = []
+        for t_idx, sid in enumerate(schedule, start=1):
+            i = by_id[sid]
+            lapse = min(0.999, responder.lapse_rate + responder.lapse_drift * (t_idx - 1))
+            if lapse > 0.0 and rng.random() < lapse:
+                answer = int(rng.integers(1, 10))
+            else:  # the percept, its squared distance to each state and the first nearest
+                eh, ek = rng.standard_normal(2).tolist()
+                ph, pk = coords[i][0] + nh * eh, coords[i][1] + nk * ek
+                d2 = [(h - ph) * (h - ph) + (k - pk) * (k - pk) for h, k in coords]
+                answer = states[d2.index(min(d2))].id
+            latency = latencies[i]
+            if responder.time_noise > 0:
+                latency *= math.exp(responder.time_noise * rng.standard_normal())
+            records.append(TrialRecord(t_idx, sid, answer, latency,
+                                       math.ceil(t_idx / segment_size), segment_size))
+        yield records
+
+
+def simulate_session(rig: RigSpec, states: Sequence[StateDef], schedule: Sequence[int],
+                     responder: ResponderModel, seed: int,
+                     probe_depth: float = DEFAULT_PROBE_DEPTH_MM) -> list[TrialRecord]:
+    """Run one synthetic session over the scheduled presentations."""
+    return next(simulate_sessions(rig, states, [(schedule, seed)], responder, probe_depth))
 
 
 def confusion_matrix(records: Sequence[TrialRecord]) -> np.ndarray:
@@ -239,38 +244,35 @@ def confusion_matrix(records: Sequence[TrialRecord]) -> np.ndarray:
     return counts / row_sums[:, None]
 
 
-def accuracy_stats(
-    records: Sequence[TrialRecord],
-) -> tuple[float, dict[int, float], dict[int, BoxStats]]:
-    """(overall accuracy, per-state accuracy, per-state latency box stats)."""
-    import numpy as np
+def accuracy_stats(records: Sequence[TrialRecord]
+                   ) -> tuple[float, dict[int, float], dict[int, BoxStats]]:
+    """(overall accuracy, per-state accuracy, per-state latency box stats); a 0/1 mean is
+    its count over its length, which is exact."""
     if not records:
         raise StudyDomainError("records must not be empty")
-    hits: dict[int, list[int]] = {}
+    hits: dict[int, list[bool]] = {}
     times: dict[int, list[float]] = {}
     for r in records:
-        hits.setdefault(r.presented, []).append(int(r.responded == r.presented))
+        hits.setdefault(r.presented, []).append(r.responded == r.presented)
         times.setdefault(r.presented, []).append(r.response_time)
-    per_state = {sid: float(np.mean(h)) for sid, h in sorted(hits.items())}
+    per_state = {sid: sum(h) / len(h) for sid, h in sorted(hits.items())}
     time_stats = {sid: box_stats(ts) for sid, ts in sorted(times.items())}
-    overall = float(np.mean([r.responded == r.presented for r in records]))
+    overall = sum(r.responded == r.presented for r in records) / len(records)
     return overall, per_state, time_stats
 
 
-def segment_analysis(
-    records: Sequence[TrialRecord], segment_size: int = 10
-) -> list[tuple[float, float]]:
+def segment_analysis(records: Sequence[TrialRecord],
+                     segment_size: int = 10) -> list[tuple[float, float]]:
     """Per-segment (accuracy, mean response time) in presentation order."""
     import numpy as np
     if segment_size < 1:
         raise StudyDomainError("segment_size must be >= 1")
     if not records or len(records) % segment_size != 0:
-        raise StudyDomainError(
-            f"record count {len(records)} not divisible by segment size {segment_size}"
-        )
+        raise StudyDomainError(f"record count {len(records)} not divisible by segment "
+                               f"size {segment_size}")
     ordered = sorted(records, key=lambda r: r.trial_index)
     blocks = (ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size))
-    return [(float(np.mean([r.responded == r.presented for r in block])),
+    return [(sum(r.responded == r.presented for r in block) / segment_size,
              float(np.mean([r.response_time for r in block]))) for block in blocks]
 
 
@@ -278,38 +280,35 @@ def study_stats(records: Sequence[TrialRecord], segment_size: int = 10) -> Study
     """Full statistics bundle over one session's records."""
     overall, per_state, time_stats = accuracy_stats(records)
     segments = segment_analysis(records, segment_size)
-    return StudyStats(
-        confusion=confusion_matrix(records),
-        overall_accuracy=overall,
-        per_state_accuracy=per_state,
-        response_time_stats=time_stats,
-        segment_accuracy=[a for a, _ in segments],
-        segment_time=[t for _, t in segments],
-    )
+    return StudyStats(confusion_matrix(records), overall, per_state, time_stats,
+                      segment_accuracy=[a for a, _ in segments],
+                      segment_time=[t for _, t in segments])
+
+
+def _quantile(xs: list[float], q: float) -> float:
+    """numpy's ``linear`` quantile (Hyndman & Fan type 7) of sorted xs, bit for bit."""
+    v = (len(xs) - 1) * q  # the virtual index; the last value from the last index on
+    if v >= len(xs) - 1:
+        return xs[-1]
+    a, b = xs[i := int(v)], xs[i + 1]
+    g, d = v - i, b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g  # numpy's two-sided lerp
 
 
 def box_stats(samples: Sequence[float]) -> BoxStats:
-    """Median/quartiles (inclusive linear interpolation) and 1.5 IQR whiskers."""
-    import numpy as np
-    if len(samples) == 0:
+    """Median/quartiles (inclusive linear interpolation) and 1.5 IQR whiskers, on the
+    samples as a sorted list of floats."""
+    xs = sorted(map(float, samples))
+    if not xs:
         raise StatisticsError("box_stats requires at least one sample")
-    arr = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, xs)):
         raise StatisticsError("samples must be finite")
-    q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
+    q1, med, q3 = (_quantile(xs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
-    outliers = tuple(float(v) for v in sorted(arr[(arr < lo_fence) | (arr > hi_fence)]))
-    return BoxStats(
-        median=med,
-        q1=q1,
-        q3=q3,
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        outliers=outliers,
-    )
+    lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    inside = [x for x in xs if lo_fence <= x <= hi_fence]
+    return BoxStats(med, q1, q3, whisker_low=inside[0], whisker_high=inside[-1],
+                    outliers=tuple(x for x in xs if not lo_fence <= x <= hi_fence))
 
 
 def t_test_independent(

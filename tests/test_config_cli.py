@@ -10,6 +10,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,6 +321,29 @@ def test_stiffness_rows_match_the_public_probe_views(compliance, tmp_path, monke
     expected = public_view_stiffness_rows(config)
     assert len(expected[1]) > 600
     assert repr((written["fig3a.csv"], written["fig3b.csv"])) == repr(expected)
+
+
+def per_row_csv(header, rows) -> str:
+    """CSV text by the per-row rule: each row's cells formatted by their own types."""
+    lines = [",".join(header)]
+    for row in rows.tolist() if hasattr(rows, "tolist") else rows:
+        lines.append(",".join([("%s" if isinstance(v, str) else "%.12g") % v for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[0.0, 1.0 / 3.0, -2.5e-300], [1e300, 123456789.123456789, 7.0]]),
+    [(1, "small", "soft", 0.27, 30.0), (9, "large", "stiff", 1.0 / 3.0, 2 ** 40)],
+    [[i + 1] + list(np.array([0.1, 0.2 / 3.0, 0.0])) for i in range(3)],  # fig5c's float64
+    [(1, 2), (-3, 10 ** 15)],
+    [],
+], ids=["array", "text", "float64", "ints", "none"])
+def test_write_csv_matches_the_per_row_rule(rows, tmp_path):
+    # one format for the whole file, from the first row's column kinds; no rows
+    # give the header alone
+    header = ("a_mm", "b_s", "c_N")
+    path = drivers._write_csv(tmp_path / "t.csv", header, rows)
+    assert path.read_bytes() == per_row_csv(header, rows).encode()
 
 
 def test_cli_stiffness_depth_past_equilibrium_exit_2(tmp_path, capsys):

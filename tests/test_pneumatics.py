@@ -94,6 +94,17 @@ def test_invalid_opening_rejected():
         valve_mass_flow(v, 400.0, 100.0, 1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0])
+@pytest.mark.parametrize("side", ["upstream", "downstream"])
+def test_flow_rejects_out_of_model_pressures(side, bad):
+    # a NaN downstream gave 0.0, a NaN upstream NaN, an infinite one inf, and
+    # non-positive absolute pressures a finite flow
+    v = ValveSpec(sonic_conductance=1.3e-10)
+    up, down = (bad, 100.0) if side == "upstream" else (400.0, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        valve_mass_flow(v, up, down, 0.5)
+
+
 def test_invalid_valve_spec_rejected():
     with pytest.raises(ValueError):
         ValveSpec(sonic_conductance=-1.0)

@@ -510,6 +510,33 @@ def test_rising_root_keeps_a_newton_point_past_an_end_out():
     assert _rising_root(f, 0.0, None, 10.0, 0.25 * ROOT_XTOL_MM) == 0.0
 
 
+def slopeless_step(at: float):
+    """A rising step at ``at`` with no slope, so every step is false position; its
+    values are so uneven that the false position rounds onto the lower end."""
+    seen = []
+
+    def f(x: float) -> tuple[float, float]:
+        seen.append(x)
+        return (-1e-300 if x < at else 1e300), 0.0
+
+    return f, seen
+
+
+def test_rising_root_continues_past_a_near_end_of_the_same_sign():
+    # the false position rounds onto 0, and the point ROOT_XTOL_MM inside it is
+    # still below the root: it replaces that end and the bracket is halved
+    f, seen = slopeless_step(0.7)
+    assert _rising_root(f, 0.0, None, 1.0, None) == pytest.approx(0.7, abs=ROOT_XTOL_MM)
+    assert ROOT_XTOL_MM in seen
+
+
+def test_rising_root_raises_when_the_bracket_outlasts_its_steps():
+    # halving a 1e30 mm bracket to ROOT_XTOL_MM takes about 123 steps
+    f, _ = slopeless_step(3e29)
+    with pytest.raises(rig_mod.EquilibriumError, match="did not converge in 100 steps"):
+        _rising_root(f, 0.0, None, 1e30, None)
+
+
 def test_stiffness_scales_with_pressure_level():
     rig = make_rig()
     eq = solve_equilibrium(rig, 20.0, 40.0)

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
+from afpa_sim import drivers
 from afpa_sim.config import default_config_path, load_config
 from afpa_sim.drivers import plan_states
 from afpa_sim.study import (
+    BoxStats,
     ResponderModel,
     StatisticsError,
     StudyDomainError,
@@ -97,6 +100,21 @@ def test_session_deterministic(setup):
     a = simulate_session(rig, states, sched, resp, seed=6)
     b = simulate_session(rig, states, sched, resp, seed=6)
     assert a == b
+
+
+def test_study_logs_are_each_sessions_one_session_run(tmp_path):
+    # run_study computes the per-run terms once; each log is simulate_session's
+    # records at its session seed
+    config = load_config(default_config_path())
+    states = plan_states(config)
+    drivers.run_study(config, 5, tmp_path)
+    assert len(list(tmp_path.glob("trials_s*.jsonl"))) == config.study.sessions
+    for s in range(config.study.sessions):
+        schedule = schedule_trials(states, config.study.reps, 5 + s)
+        records = simulate_session(config.rig, states, schedule, config.study.responder,
+                                   5 + s, config.probe_depth)
+        expected = "\n".join(drivers._records_to_lines(records, 5 + s)) + "\n"
+        assert (tmp_path / f"trials_s{s:02d}.jsonl").read_text() == expected
 
 
 def test_session_rejects_unknown_ids(setup):
@@ -239,6 +257,35 @@ def test_box_stats_ordering_invariant():
     assert b.whisker_low <= b.q1 <= b.median <= b.q3 <= b.whisker_high
     for o in b.outliers:
         assert o < b.whisker_low or o > b.whisker_high
+
+
+def numpy_box_stats(samples) -> BoxStats:
+    """box_stats by numpy's percentile and masks: the reference for the sorted-list rule."""
+    arr = np.asarray(samples, dtype=float)
+    q1, med, q3 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
+    iqr = q3 - q1
+    lo_fence = q1 - 1.5 * iqr
+    hi_fence = q3 + 1.5 * iqr
+    inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
+    outliers = tuple(float(v) for v in sorted(arr[(arr < lo_fence) | (arr > hi_fence)]))
+    return BoxStats(med, q1, q3, float(inside.min()), float(inside.max()), outliers)
+
+
+SAMPLE = st.one_of(st.floats(-1e300, 1e300), st.integers(-10**18, 10**18),
+                   st.sampled_from([-1e300, -1.0, 0.0, 2.5, 7, 1e300]))  # ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(SAMPLE, min_size=1, max_size=130))
+@example(samples=[3.0])  # one sample: every virtual index is n - 1
+@example(samples=[0.7, 0.1])  # the median at g = 0.5 takes the lerp's upper form
+@example(samples=[1e300, -1e300, 0.0, 5])
+def test_box_stats_matches_numpy(samples):
+    assert box_stats(samples) == numpy_box_stats(samples)
+    # numpy picks between the equal zeros 0.0 and -0.0 by its own sort order, so
+    # the bit-for-bit comparison is made with the signs of zeros dropped
+    unsigned = [x + 0 for x in samples]
+    assert repr(box_stats(unsigned)) == repr(numpy_box_stats(unsigned))
 
 
 def test_box_stats_empty_rejected():
