@@ -11,11 +11,11 @@ import numpy as np
 from afpa_sim import (
     default_config_path,
     load_config,
+    accuracy_stats,
     confusion_matrix,
     schedule_trials,
     segment_analysis,
     simulate_session,
-    study_stats,
     t_test_independent,
 )
 from afpa_sim.drivers import plan_states
@@ -26,19 +26,19 @@ responder = config.study.responder
 
 sched = schedule_trials(states, reps=10, seed=1)
 records = simulate_session(config.rig, states, sched, responder, seed=1)
-stats = study_stats(records)
+overall, per_state, time_stats = accuracy_stats(records)
 
-print(f"one session: {len(records)} trials, accuracy {stats.overall_accuracy:.1%}")
+print(f"one session: {len(records)} trials, accuracy {overall:.1%}")
 print("\nconfusion matrix (rows = presented, cols = responded):")
-print(np.array_str(stats.confusion, precision=2, suppress_small=True))
+print(np.array_str(confusion_matrix(records), precision=2, suppress_small=True))
 
 # Errors land almost entirely between stiffness levels of the same size:
 # relative stiffness steps are harder to feel than 20 mm size steps.
-print("\nper-state accuracy:", {k: round(v, 2) for k, v in stats.per_state_accuracy.items()})
+print("\nper-state accuracy:", {k: round(v, 2) for k, v in per_state.items()})
 
 # Latency carries information too: crowded states take longer to answer.
 print("\nresponse time medians (s):",
-      {k: round(v.median, 1) for k, v in stats.response_time_stats.items()})
+      {k: round(v.median, 1) for k, v in time_stats.items()})
 
 # Compare the easiest and hardest states' latencies with an independent
 # t-test, exactly as one would on real subject data.

@@ -55,7 +55,6 @@ from .study import (
     ResponderModel,
     StatisticsError,
     StudyDomainError,
-    StudyStats,
     TrialRecord,
     TTestResult,
     accuracy_stats,
@@ -65,7 +64,6 @@ from .study import (
     segment_analysis,
     simulate_session,
     simulate_sessions,
-    study_stats,
     t_test_independent,
 )
 from .config import (

@@ -22,9 +22,10 @@ from .study import (
     StudyDomainError,
     TrialRecord,
     accuracy_stats,
+    confusion_matrix,
     schedule_trials,
+    segment_analysis,
     simulate_sessions,
-    study_stats,
 )
 
 # canonical step protocols, in the order they run: (label, initial (p1, p2), stepped (p1, p2))
@@ -213,33 +214,35 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
     segment_size = config.study.reps  # 9 x reps trials -> 9 segments
     per_session = [_load_records(out / name, segment_size) for name in names]
     pooled = [r for recs in per_session for r in recs]
-    stats = [study_stats(recs, segment_size) for recs in per_session]
+    confusions = [confusion_matrix(recs) for recs in per_session]
+    segments = [segment_analysis(recs, segment_size) for recs in per_session]
+    overall = [sum(r.responded == r.presented for r in recs) / len(recs) for recs in per_session]
 
-    confusion = np.mean([s.confusion for s in stats], axis=0)
+    confusion = np.mean(confusions, axis=0)
     conf_rows = [
         [i + 1] + list(confusion[i]) for i in range(9)
     ]
     conf_header = ["presented_id"] + [f"p_resp_{j}_frac" for j in range(1, 10)]
 
+    # a state's accuracy in a session is its confusion matrix's diagonal entry
     acc_rows = []
-    for sid in range(1, 10):
-        accs = [s.per_state_accuracy[sid] for s in stats]
-        acc_rows.append((sid, float(np.mean(accs)), float(np.std(accs))))
+    for i in range(9):
+        accs = [c[i, i] for c in confusions]
+        acc_rows.append((i + 1, float(np.mean(accs)), float(np.std(accs))))
 
     time_rows = [(sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
                  for sid, b in accuracy_stats(pooled)[2].items()]
 
-    seg_rows = [(seg + 1, float(np.mean([s.segment_accuracy[seg] for s in stats])),
-                 float(np.mean([s.segment_time[seg] for s in stats])))
-                for seg in range(len(stats[0].segment_accuracy))]
+    # each segment's (accuracy, mean time) in every session, averaged per column
+    seg_rows = [(seg, *(float(np.mean(col)) for col in zip(*blocks)))
+                for seg, blocks in enumerate(zip(*segments), 1)]
 
-    overall = [s.overall_accuracy for s in stats]
     summary = {
-        "sessions": len(stats),
+        "sessions": len(per_session),
         "trials_per_session": len(per_session[0]),
         "overall_accuracy_mean": float(np.mean(overall)),
         "overall_accuracy_std": float(np.std(overall)),
-        "overall_accuracy_per_session": [float(a) for a in overall],
+        "overall_accuracy_per_session": overall,
         "mean_response_time_s": float(np.mean([r.response_time for r in pooled])),
     }
     return [

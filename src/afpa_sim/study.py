@@ -111,16 +111,6 @@ class TTestResult:
     p_two_sided: float
 
 
-@dataclass
-class StudyStats:
-    confusion: np.ndarray  # 9x9 row-normalized
-    overall_accuracy: float
-    per_state_accuracy: dict[int, float]
-    response_time_stats: dict[int, BoxStats]
-    segment_accuracy: list[float]
-    segment_time: list[float]
-
-
 def _check_states(states: Sequence[StateDef]) -> list[StateDef]:
     states = sorted(states, key=lambda s: s.id)
     ids = [s.id for s in states]
@@ -274,15 +264,6 @@ def segment_analysis(records: Sequence[TrialRecord],
     blocks = (ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size))
     return [(sum(r.responded == r.presented for r in block) / segment_size,
              float(np.mean([r.response_time for r in block]))) for block in blocks]
-
-
-def study_stats(records: Sequence[TrialRecord], segment_size: int = 10) -> StudyStats:
-    """Full statistics bundle over one session's records."""
-    overall, per_state, time_stats = accuracy_stats(records)
-    segments = segment_analysis(records, segment_size)
-    return StudyStats(confusion_matrix(records), overall, per_state, time_stats,
-                      segment_accuracy=[a for a, _ in segments],
-                      segment_time=[t for _, t in segments])
 
 
 def _quantile(xs: list[float], q: float) -> float:
