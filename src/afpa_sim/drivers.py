@@ -5,6 +5,10 @@ figure they reproduce (fig2c.csv, fig3a.csv, ...).  CSVs are UTF-8 with LF line
 endings, `.` decimal separator and unit-suffixed column names; numbers take
 ``"%.12g"``, 12 significant digits, which does not round-trip every float but is
 fixed, so identical runs are byte-identical.
+
+``run_study_analyze`` takes each configured session's log, which must hold
+trials 1..9*reps in order, and builds fig5c-g from each session's confusion
+matrix, segment trends and hit rate, and one pooled ``accuracy_stats``.
 """
 
 from __future__ import annotations
@@ -213,6 +217,9 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
         raise StudyDomainError(f"{out / extra[0]}: not one of {len(names)} sessions' trial logs")
     segment_size = config.study.reps  # 9 x reps trials -> 9 segments
     per_session = [_load_records(out / name, segment_size) for name in names]
+    for name, recs in zip(names, per_session):  # one whole session each, in trial order
+        if [r.trial_index for r in recs] != list(range(1, 9 * segment_size + 1)):
+            raise StudyDomainError(f"{out / name}: trials are not 1..{9 * segment_size} in order")
     pooled = [r for recs in per_session for r in recs]
     confusions = [confusion_matrix(recs) for recs in per_session]
     segments = [segment_analysis(recs, segment_size) for recs in per_session]

@@ -5,8 +5,10 @@ of times in seeded random order.  A synthetic responder perceives the
 state's (height, stiffness) pair through multiplicative noise and
 answers with the nearest state in a normalized log-log perceptual
 space, with an occasional uniform lapse.  The statistics battery
-(confusion matrix, accuracies, box statistics, independent t-test,
-segment trends) operates on the resulting trial records.
+(confusion matrix, accuracies with latency box statistics, independent
+t-test, segment trends) operates on the resulting trial records, one
+function per statistic, so a caller computes only what it reads.  A
+record's segment_size, like its ids, is a positive int.
 
 The sessions of a study share their per-run terms: ``simulate_sessions``
 computes the states' perceptual coordinates and pre-jitter latencies once,
@@ -89,6 +91,8 @@ class TrialRecord:
                                    f"{self.responded!r} state ids 1..9")
         if not 0 < self.response_time < math.inf:  # also NaN, which json reads
             raise StudyDomainError("response_time must be positive and finite")
+        if type(self.segment_size) is not int or self.segment_size < 1:
+            raise StudyDomainError(f"segment_size {self.segment_size!r} must be a positive integer")
         if self.segment != math.ceil(self.trial_index / self.segment_size):
             raise StudyDomainError(f"trial {self.trial_index}: segment {self.segment} "
                                    f"inconsistent with segments of {self.segment_size}")

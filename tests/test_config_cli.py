@@ -545,6 +545,21 @@ def test_cli_study_analyze_stale_or_missing_log_exit_2(tmp_path, capsys):
     assert "trials_s01.jsonl" in assert_user_error(analyze, capsys)
 
 
+@pytest.mark.parametrize("log, edit", [
+    ("trials_s00.jsonl", lambda lines: lines * 2), ("trials_s04.jsonl", lambda lines: lines * 2),
+    ("trials_s02.jsonl", lambda lines: lines[:5] + lines[6:7] + lines[6:]),
+], ids=["s00-twice", "s04-twice", "s02-trial-7-over-6"])
+def test_cli_study_analyze_rejects_a_log_that_is_not_one_session(log, edit, tmp_path, capsys):
+    # each line is a valid record: a log written twice ended in an IndexError
+    # at s00 and passed at s04, and a trial lost to its neighbour's copy passed
+    run_cli(["study-run", "--seed", "3", "--out", str(tmp_path)], capsys)
+    path = tmp_path / log
+    path.write_text("".join(edit(path.read_text(encoding="utf-8").splitlines(keepends=True))),
+                    encoding="utf-8")
+    assert log in assert_user_error(["study-analyze", "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "study_summary.json").exists()
+
+
 # response times that print in exponent form, and u64 seeds at both ends
 TIMES = st.sampled_from([1e-05, 1.5e+16, 1e-09, 2.0]) | st.floats(1e-9, 1e17)
 

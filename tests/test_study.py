@@ -391,13 +391,18 @@ def test_record_validation():
     *[("responded", v) for v in (0, 10, "9", 2.0, False)],
     *[("trial_index", v) for v in (0, -1, "1", 1.0, True)],
     *[("response_time", v) for v in (math.nan, math.inf, 0.0)],
+    *[("segment_size", v) for v in (0, -1, 2.5, True)],
 ])
 def test_record_rejects_out_of_model_values(field, value):
     # a state id outside 1..9 indexed the confusion counts from the end (0 is
-    # counts[-1]) or past it; json reads NaN as a number
+    # counts[-1]) or past it; json reads NaN as a number.  A segment size of 0
+    # divided by zero, and -1, 2.5 and True passed with the segment they give
     fields = dict(trial_index=1, presented=1, responded=1, response_time=5.0, segment=1)
+    edited = {**fields, field: value}
+    if field == "segment_size" and value:
+        edited["segment"] = math.ceil(1 / value)
     with pytest.raises(StudyDomainError):
-        TrialRecord(**{**fields, field: value})
+        TrialRecord(**edited)
     TrialRecord(**fields)
 
 
