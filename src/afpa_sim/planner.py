@@ -200,12 +200,14 @@ def _contour(rig: RigSpec, h_star: float):
 
 def _line_root(y0: float, slope: float, lo: float, hi: float) -> float:
     """Root -y0 / slope in [lo, hi] of the rising line y0 + slope*x, with ``_rising_root``'s
-    ends: hi if the line is <= 0 at hi, lo if it is >= 0 at lo."""
+    ends: hi if the line is <= 0 at hi, lo if it is >= 0 at lo.  Otherwise the root is
+    inside, so a quotient rounded onto an end gives the float next to it, inward."""
     if y0 + slope * hi <= 0.0:
         return hi
     if y0 + slope * lo >= 0.0:
         return lo
-    return _clip(-y0 / slope, lo, hi)
+    x = -y0 / slope
+    return math.nextafter(hi, lo) if x >= hi else math.nextafter(lo, hi) if x <= lo else x
 
 
 def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,

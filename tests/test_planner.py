@@ -471,6 +471,16 @@ def test_line_root_takes_the_rising_roots_ends(y0, slope):
     assert planner_mod._line_root(y0, slope, 0.0, 10.0) == want
 
 
+@pytest.mark.parametrize("y0, slope, end", [(-7.0, 0.3, "hi"), (-3.0, 0.7, "lo")])
+def test_line_root_steps_off_an_end_that_the_line_excludes(y0, slope, end):
+    # -y0 / slope rounds onto the end, where the line is +8.9e-16 for (-7, 0.3) and
+    # -4.4e-16 for (-3, 0.7), so the root is inside: the float next to that end
+    x = -y0 / slope
+    assert (y0 + slope * x > 0.0) == (end == "hi") and y0 + slope * x != 0.0
+    lo, hi = (0.0, x) if end == "hi" else (x, 2.0 * x)
+    assert planner_mod._line_root(y0, slope, lo, hi) == math.nextafter(x, lo if end == "hi" else hi)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     widths=st.tuples(st.floats(20.0, 60.0), st.floats(40.0, 70.0)),
@@ -485,6 +495,10 @@ def test_line_root_takes_the_rising_roots_ends(y0, slope):
     w=st.floats(0.0, 1.0),
     scale=st.floats(0.2, 3.0),
 )
+# -y0 / slope rounds onto p2_hi, where the line is +7.1e-15: the root is inside the box
+@example(widths=(20.0, 40.0), lengths=(100.0, 100.0), span=90.92420535628138, end_caps=False,
+         u=0.5, p1s=(0.0, 66.75399694676275), p2s=(0.0, 66.75399694676275), depth=2.0, w=0.0,
+         scale=1.0)
 def test_rigid_seed_ratios_match_the_root_solves(widths, lengths, span, end_caps, u, p1s, p2s,
                                                  depth, w, scale):
     # on a rigid belt h*'s contour is a ray: its box ends and k_star's root on it
