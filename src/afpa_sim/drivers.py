@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import RunConfig
-from .planner import StateDef, feasibility_map, state_table
+from .planner import StateDef, _feasibility_rows, _linspace, state_table
 from .pneumatics import resample_16hz, step_simulate
 from .rig import _probe_curve, size_pressure_sweep, solve_equilibrium
 from .study import (
@@ -149,14 +149,13 @@ def _write_plan(states: Sequence[StateDef], out: Path) -> list[Path]:
 
 
 def run_feasibility(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Forward-model map over the pressure box."""
-    import numpy as np
-    p1_lo, p1_hi, p2_lo, p2_hi = config.bounds
-    p1s = np.linspace(p1_lo, p1_hi, FEASIBILITY_GRID_N)
-    p2s = np.linspace(p2_lo, p2_hi, FEASIBILITY_GRID_N)
-    grid = feasibility_map(config.rig, p1s, p2s, config.probe_depth)
+    """Forward-model map over the pressure box, FEASIBILITY_GRID_N pressures per axis, from
+    ``feasibility_map``'s rows as floats, without numpy."""
+    b, n = config.bounds, FEASIBILITY_GRID_N
+    rows = _feasibility_rows(config.rig, _linspace(*b[:2], n), _linspace(*b[2:], n),
+                             config.probe_depth)
     return [
-        _write_csv(out / "figs4b.csv", ("p1_kPa", "p2_kPa", "h2_mm", "k_N_per_mm"), grid)
+        _write_csv(out / "figs4b.csv", ("p1_kPa", "p2_kPa", "h2_mm", "k_N_per_mm"), rows)
     ]
 
 

@@ -10,8 +10,10 @@ so its ends in the box and the seed are ratios, with no root solve.  The
 contour's ends name an unreachable height or stiffness.  A damped Newton
 iteration refines the seed on the closed-form Jacobian of the forward map
 (``rig.equilibrium_slopes``, ``rig.stiffness_slopes``); a coarse grid is the
-fallback.  Each solve of one ``plan_state`` call starts from the h2 of the
-one before.  Pressure bounds are capped by ``rig.PRESSURE_MAX_KPA``.
+fallback, whose axes, like the drivers' feasibility map, are lists of floats
+(``_linspace``), so the scalar kernels never see a numpy scalar.  Each solve of
+one ``plan_state`` call starts from the h2 of the one before.  Pressure bounds
+are capped by ``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
@@ -149,14 +151,26 @@ def plan_state(rig: RigSpec, target: HapticTarget, bounds: Box = FULL_BOX) -> Pl
     seed, reason = _seed(rig, h_star, k_star, depth, bounds)
     plans = [] if seed is None else [_refine(residual, jacobian, *seed, bounds)]
     if not any(p.feasible for p in plans):
-        import numpy as np  # coarse grid fallback for maps the seed does not cover
-        seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), float(p1), float(p2))
-                        for p1 in np.linspace(*bounds[:2], GRID_N)
-                        for p2 in np.linspace(*bounds[2:], GRID_N)),
+        p2s = _linspace(*bounds[2:], GRID_N)  # coarse grid fallback for maps the seed misses
+        seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), p1, p2)
+                        for p1 in _linspace(*bounds[:2], GRID_N) for p2 in p2s),
                        key=lambda s: (s[0], s[1] + s[2]))
         plans += [_refine(residual, jacobian, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
     best = _best(plans)
     return best if best.feasible else replace(best, reason=reason or best.reason)
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for bit: start + i*step
+    with the last point stop, and numpy's start + (i / (num - 1))*width where the step is 0;
+    floats, from integer ends too."""
+    div, width = num - 1, stop - start
+    if step := width / div:
+        points = [start + i * step for i in range(num)]
+    else:  # a subnormal width
+        points = [start + i / div * width for i in range(num)]
+    points[-1] = float(stop)
+    return points
 
 
 def _best(plans: list[PlanResult]) -> PlanResult:
@@ -302,16 +316,22 @@ def feasibility_map(
     p2_values: Sequence[float],
     probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
 ) -> np.ndarray:
-    """Forward-model grid: rows (p1, p2, h2, k) for every pressure pair."""
+    """Forward-model grid: an array of rows (p1, p2, h2, k), one per pressure pair."""
     import numpy as np
+    return np.array(_feasibility_rows(rig, p1_values, p2_values, probe_depth), dtype=float)
+
+
+def _feasibility_rows(rig: RigSpec, p1_values: Sequence[float], p2_values: Sequence[float],
+                      probe_depth: float) -> list[tuple]:
+    """``feasibility_map``'s rows as tuples, each cell solved from the h2 of the one before."""
     if len(p1_values) * len(p2_values) < 4:
         raise PlannerDomainError("grid must have at least 2x2 cells")
-    rows, h = [], None  # each cell's solve starts from the h2 of the one before
+    rows, h = [], None
     for p1 in p1_values:
         for p2 in p2_values:
             h, k = forward_map(rig, p1, p2, probe_depth, guess=h)
             rows.append((p1, p2, h, k))
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def _plan_or_raise(rig: RigSpec, h: float, k: float, bounds: Box, probe_depth: float,

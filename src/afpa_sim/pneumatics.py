@@ -73,6 +73,9 @@ class ValveSpec:
             raise ValueError("critical_ratio must be in (0, 1)")
         if self.supply_pressure <= 0 or self.exhaust_pressure <= 0:
             raise ValueError("pressures must be positive (absolute kPa)")
+        if self.supply_pressure <= self.exhaust_pressure:  # no flow could fill a chamber
+            raise ValueError(f"supply_pressure {self.supply_pressure} kPa must be above "
+                             f"exhaust_pressure {self.exhaust_pressure} kPa")
         if self.command_lag <= 0:
             raise ValueError("command_lag must be positive")
 

@@ -406,7 +406,8 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_and_config_leave_numpy_unloaded():
-    # the pouch, rig and planner kernels are scalar math; numpy loads where arrays are built
+    # the pouch, rig and planner kernels are scalar math, and the planner's grids are
+    # lists of floats; numpy loads where arrays are built
     code = "import afpa_sim; afpa_sim.load_config(afpa_sim.default_config_path())"
     assert loaded_after(code, "numpy") == []
 
@@ -415,9 +416,11 @@ def cli_code(command: str, out: Path) -> str:
     return f"from afpa_sim.cli import main; assert main([{command!r}, '--out', {str(out)!r}]) == 0"
 
 
-@pytest.mark.parametrize("command", ["plan", "characterize-size", "characterize-stiffness"])
+@pytest.mark.parametrize("command", ["plan", "characterize-size", "characterize-stiffness",
+                                     "feasibility"])
 def test_scalar_subcommands_leave_numpy_unloaded(command, tmp_path):
-    # the packaged plans converge from their seeds and never reach the planner's grid
+    # the packaged plans converge from their seeds and never reach the planner's
+    # grid, and the feasibility map's axes are the planner's float linspace
     assert loaded_after(cli_code(command, tmp_path), "numpy") == []
     assert list(tmp_path.iterdir())
 

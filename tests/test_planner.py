@@ -10,6 +10,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from afpa_sim import planner as planner_mod, rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
+from afpa_sim.drivers import run_feasibility
 from afpa_sim.planner import (
     HapticTarget,
     InfeasibleTargetError,
@@ -207,6 +208,41 @@ def test_feasibility_map_refinement_consistent():
     for row in coarse:
         match = fine[(fine[:, 0] == row[0]) & (fine[:, 1] == row[1])][0]
         assert np.array_equal(row, match)
+
+
+subnormal_widths = st.integers(1, 64).map(lambda n: (0.0, n * 5e-324))
+boxes = st.tuples(st.floats(0.0, 150.0), st.floats(0.0, 150.0)).filter(lambda b: b[0] < b[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(box=st.one_of(boxes, subnormal_widths), num=st.integers(2, 200))
+# a step that rounds to 0, where numpy scales i / (num - 1) by the width: 2/3 of the
+# smallest subnormal rounds up to it
+@example(box=(0.0, 5e-324), num=4)
+def test_linspace_matches_numpy(box, num):
+    assert planner_mod._linspace(*box, num) == np.linspace(*box, num).tolist()
+
+
+def test_grids_hand_the_side_force_float_pressures(rig, monkeypatch, tmp_path):
+    # the fallback grid's and the feasibility map's pressures are floats; an
+    # np.linspace axis made every side-force product numpy-scalar arithmetic
+    types = set()
+    side_force = rig_mod._side_force
+
+    def recorded(spec, pressure, height):
+        types.add(type(pressure))
+        return side_force(spec, pressure, height)
+
+    monkeypatch.setattr(rig_mod, "_side_force", recorded)
+    # an infeasible plan is the best of the grid's seeds
+    assert not plan_state(rig, HapticTarget(target_height=95.0, target_stiffness=5.0)).feasible
+    assert types == {float}
+    config = load_config(default_config_path())
+    # a RunConfig built in Python may hold integer bounds, and each axis ends on its bound
+    for bounds in (config.bounds, (0, 150, 0, 150)):
+        types.clear()
+        run_feasibility(dataclasses.replace(config, bounds=bounds), 0, tmp_path)
+        assert types == {float}, bounds
 
 
 def test_constant_stiffness_path_deviation(rig):

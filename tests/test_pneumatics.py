@@ -114,6 +114,16 @@ def test_invalid_valve_spec_rejected():
         ValveSpec(sonic_conductance=1e-10, command_lag=0.0)
 
 
+@pytest.mark.parametrize("supply, exhaust", [(50.0, P_ATM_KPA), (P_ATM_KPA, P_ATM_KPA),
+                                             (200.0, 300.0)])
+def test_supply_not_above_exhaust_rejected(supply, exhaust):
+    # no supply at or below the exhaust can fill a chamber: a 50 kPa absolute
+    # supply once ran a 90 kPa command with both gauges at 0, and no error
+    match = f"supply_pressure {supply} kPa .* exhaust_pressure {exhaust} kPa"
+    with pytest.raises(ValueError, match=match):
+        ValveSpec(sonic_conductance=1e-10, supply_pressure=supply, exhaust_pressure=exhaust)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ValveSpec)])
 def test_non_finite_valve_spec_rejected(name, value):
