@@ -16,14 +16,10 @@ from .pouch import (
     volume_gradient,
 )
 from .rig import (
-    Anchor,
-    CalibrationError,
-    CalibrationResult,
     EquilibriumError,
     EquilibriumState,
     RigDomainError,
     RigSpec,
-    calibrate_rig,
     force_displacement_curve,
     probe_force,
     size_pressure_sweep,

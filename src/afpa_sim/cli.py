@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--config",
             type=Path,
             default=None,
-            help="JSON config path (defaults to the packaged calibrated config)",
+            help="JSON config path (defaults to the packaged config)",
         )
         p.add_argument("--seed", type=int, default=0, help="u64 random seed")
         p.add_argument("--out", type=Path, required=True, help="output directory")

@@ -16,7 +16,7 @@ number must be finite.  The keys an object allows are its dataclass's
 field names: for the root, the fields outside ``planner`` with ``planner``
 and ``units``, and ``modulating`` and ``morphing`` for the valve pair.  Any
 other key is rejected, so a typo cannot silently fall back to a default
-calibration.  The reader is a few functions on the parsed JSON objects and
+value.  The reader is a few functions on the parsed JSON objects and
 their field paths, such as ``planner.bounds[1]``, which each error names.
 """
 
@@ -90,8 +90,9 @@ class StudySettings:
         for name in ("sizes", "stiffnesses"):
             if not all(0.0 < x < math.inf for x in getattr(self, name)):  # also NaN
                 raise ValueError(f"{name} must be positive and finite")
-        if self.reps < 1 or self.sessions < 1:
-            raise ValueError("reps and sessions must be >= 1")
+        for name in ("reps", "sessions"):
+            if type(n := getattr(self, name)) is not int or n < 1:
+                raise ValueError(f"{name} {n!r} must be a positive integer")
         if 9 * self.reps * self.sessions > TRIALS_MAX:
             raise ValueError(f"9 * reps * sessions must be at most {TRIALS_MAX} trials")
 
@@ -263,5 +264,5 @@ def canonical_form(config: RunConfig) -> dict:
 
 
 def default_config_path() -> Path:
-    """Path of the packaged default (calibrated) configuration."""
+    """Path of the packaged default configuration."""
     return Path(resources.files("afpa_sim").joinpath("data/default_config.json"))

@@ -324,7 +324,7 @@ def feasibility_map(
 def _feasibility_rows(rig: RigSpec, p1_values: Sequence[float], p2_values: Sequence[float],
                       probe_depth: float) -> list[tuple]:
     """``feasibility_map``'s rows as tuples, each cell solved from the h2 of the one before."""
-    if len(p1_values) * len(p2_values) < 4:
+    if min(len(p1_values), len(p2_values)) < 2:
         raise PlannerDomainError("grid must have at least 2x2 cells")
     rows, h = [], None
     for p1 in p1_values:

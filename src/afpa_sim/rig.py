@@ -22,14 +22,13 @@ guess whose Newton step is within the root tolerance ends it.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AfpaSimError
-from .pouch import KPA_MM2_TO_N, PouchDomainError, PouchStackSpec, _curvature_slope, _volume_terms
+from .pouch import KPA_MM2_TO_N, PouchStackSpec, _curvature_slope, _volume_terms
 
 PRESSURE_MAX_KPA = 150.0
 ROOT_XTOL_MM = 1e-7  # also the tension tolerance (N) of the belt-stretch root
@@ -45,10 +44,6 @@ class RigDomainError(AfpaSimError, ValueError):
 
 class EquilibriumError(AfpaSimError, RuntimeError):
     """Root finder failed; should not happen for valid inputs."""
-
-
-class CalibrationError(AfpaSimError, ValueError):
-    """Anchor set cannot determine the rig parameters."""
 
 
 @dataclass(frozen=True)
@@ -392,104 +387,3 @@ def size_pressure_sweep(rig: RigSpec, p2_fixed: float,
         prev_h2 = h2
     return samples
 
-
-# --- calibration -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Anchor:
-    """One observed operating point used to fit the rig geometry.
-
-    kind: 'height'    -> observed = equilibrium h2 (mm) at (p1, p2)
-          'force'     -> observed = probe force (N) at (p1, p2, h2)
-          'stiffness' -> observed = probe stiffness (N/mm) at (p1, p2, h2)
-
-    An unknown kind, a force or stiffness anchor without h2, an h2 or an observed value
-    not positive and finite, or a pressure outside [0, PRESSURE_MAX_KPA] raises
-    CalibrationError.
-    """
-
-    kind: str
-    p1: float
-    p2: float
-    observed: float
-    h2: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PREDICT:
-            raise CalibrationError(f"unknown anchor kind {self.kind!r}, not one of "
-                                   f"{', '.join(_PREDICT)}")
-        if self.kind != "height" and self.h2 is None:
-            raise CalibrationError(f"{self.kind} anchor requires an h2 value")
-        if self.h2 is not None and not 0.0 < self.h2 < math.inf:
-            raise CalibrationError(f"anchor h2 {self.h2} mm must be positive and finite")
-        if not 0.0 < self.observed < math.inf:  # also NaN
-            raise CalibrationError(f"anchor observed {self.observed} must be positive and finite")
-        if not all(0.0 <= p <= PRESSURE_MAX_KPA for p in (self.p1, self.p2)):
-            raise CalibrationError(f"anchor pressures ({self.p1}, {self.p2}) kPa must be in "
-                                   f"[0, {PRESSURE_MAX_KPA}] kPa")
-
-
-_PREDICT = {  # an anchor's observation predicted on a rig, by kind
-    "height": lambda rig, a: solve_equilibrium(rig, a.p1, a.p2).h2,
-    "force": lambda rig, a: probe_force(rig, a.p1, a.p2, a.h2)[0],
-    "stiffness": lambda rig, a: stiffness(rig, a.p1, a.p2, a.h2),
-}
-
-
-@dataclass
-class CalibrationResult:
-    rig: RigSpec
-    residuals: list[float]
-    anchors: list[Anchor]
-
-
-_FIT_PARAMS = {  # each fitted parameter, in ``_rig_from_vector``'s order, and its box
-    "modulating.flat_width": (1.0, 500.0), "modulating.flat_length": (1.0, 2000.0),
-    "morphing.flat_width": (1.0, 500.0), "morphing.flat_length": (1.0, 2000.0),
-    "belt_span": (10.0, 500.0),
-}
-
-
-def _rig_from_vector(x: Sequence[float], template: RigSpec) -> RigSpec:
-    w1, l1, w2, l2, c = x
-    return replace(template, belt_span=c,
-                   modulating=replace(template.modulating, flat_width=w1, flat_length=l1),
-                   morphing=replace(template.morphing, flat_width=w2, flat_length=l2))
-
-
-def calibrate_rig(anchors: Sequence[Anchor], start: RigSpec) -> CalibrationResult:
-    """Least-squares fit of the five geometry parameters to the anchors.
-
-    Residuals are normalized by the observed values; the fit is a damped
-    Gauss-Newton (trust-region) descent from the given starting rig, whose
-    parameters must lie in their boxes (``_FIT_PARAMS``), and is
-    deterministic.  It evaluates rigs only inside the boxes, where every rig
-    is valid; an anchor whose prediction fails there, such as a probe above
-    the equilibrium height, is scored as predicting 0.
-    """
-    anchors = list(anchors)
-    if len(anchors) < len(_FIT_PARAMS) - 1:
-        raise CalibrationError(f"need at least {len(_FIT_PARAMS) - 1} independent anchors to "
-                               f"constrain parameters {', '.join(_FIT_PARAMS)}; "
-                               f"got {len(anchors)}")
-    x0 = operator.attrgetter(*_FIT_PARAMS)(start)
-    for name, x, (lo, hi) in zip(_FIT_PARAMS, x0, _FIT_PARAMS.values()):
-        if not lo <= x <= hi:
-            raise CalibrationError(f"start {name} {x} not in the fit box [{lo}, {hi}]")
-
-    def residuals(x):
-        rig = _rig_from_vector(x, start)
-        out = []
-        for a in anchors:
-            try:
-                pred = _PREDICT[a.kind](rig, a)
-            except (RigDomainError, PouchDomainError):
-                pred = 0.0
-            out.append((pred - a.observed) / a.observed)
-        return out
-
-    from scipy.optimize import least_squares  # scipy loads on the first calibration
-
-    sol = least_squares(residuals, x0, method="trf", bounds=tuple(zip(*_FIT_PARAMS.values())),
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400)
-    return CalibrationResult(_rig_from_vector(sol.x, start), list(sol.fun), anchors)

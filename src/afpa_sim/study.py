@@ -130,8 +130,8 @@ def schedule_trials(states: Sequence[StateDef], reps: int, seed: int) -> list[in
     """Seeded uniform shuffle of each state id repeated ``reps`` times."""
     import numpy as np
     states = _check_states(states)
-    if reps < 1:
-        raise StudyDomainError(f"reps must be >= 1, got {reps}")
+    if type(reps) is not int or reps < 1:
+        raise StudyDomainError(f"reps {reps!r} must be a positive integer")
     order = np.array([s.id for s in states for _ in range(reps)])
     rng = np.random.default_rng(seed)
     rng.shuffle(order)

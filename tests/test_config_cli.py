@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpa_sim import drivers, planner, rig
-from afpa_sim.cli import main
+from afpa_sim.cli import _SUBCOMMANDS, main
 from afpa_sim.config import (
     ConfigError,
     RunConfig,
@@ -143,6 +143,17 @@ def test_physical_limit_rejected(default_doc, section, key, value, path):
     default_doc[section][key] = value
     with pytest.raises(ConfigError, match=path):
         parse_config(default_doc)
+
+
+@pytest.mark.parametrize("field", ["reps", "sessions"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_study_settings_reject_a_count_that_is_not_an_int(field, value):
+    # the loader rejects these, but a config built in Python took them: 2.5 failed in
+    # run_study as a bare TypeError, reps=True wrote logs that study-analyze refused
+    # and sessions=True ran one session
+    study = load_config(default_config_path()).study
+    with pytest.raises(ValueError, match=f"{field} {value!r} must be a positive integer"):
+        replace(study, **{field: value})
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -401,7 +412,7 @@ def loaded_after(code: str, package: str) -> list[str]:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported on first use, by calibrate_rig and t_test_independent
+    # scipy is imported on first use, by t_test_independent
     assert loaded_after("import afpa_sim", "scipy") == []
 
 
@@ -423,6 +434,15 @@ def test_scalar_subcommands_leave_numpy_unloaded(command, tmp_path):
     # grid, and the feasibility map's axes are the planner's float linspace
     assert loaded_after(cli_code(command, tmp_path), "numpy") == []
     assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_subcommands_leave_scipy_unloaded(command, tmp_path):
+    # no subcommand fits a model or runs a t-test; study-analyze reads study-run's logs
+    code = cli_code(command, tmp_path)
+    if command == "study-analyze":
+        code = cli_code("study-run", tmp_path) + "\n" + code
+    assert loaded_after(code, "scipy") == []
 
 
 def test_step_loads_numpy_and_writes_its_csvs(tmp_path):

@@ -197,8 +197,11 @@ def test_feasibility_map_shape_and_content():
 
 
 def test_feasibility_map_grid_too_small():
-    with pytest.raises(PlannerDomainError):
-        feasibility_map(toy_rig(), [0.0], [0.0, 50.0])
+    # a 1x4 grid, with four cells, returned its four rows
+    for p1_values, p2_values in ([[0.0], [0.0, 50.0]], [[0.0], [0.0, 25.0, 50.0, 75.0]],
+                                 [[0.0, 25.0, 50.0, 75.0], [0.0]]):
+        with pytest.raises(PlannerDomainError, match="at least 2x2 cells"):
+            feasibility_map(toy_rig(), p1_values, p2_values)
 
 
 def test_feasibility_map_refinement_consistent():

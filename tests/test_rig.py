@@ -13,15 +13,12 @@ from afpa_sim.config import default_config_path, load_config
 from afpa_sim.pouch import PouchStackSpec, contact_force, free_height
 from afpa_sim.rig import (
     ROOT_XTOL_MM,
-    Anchor,
-    CalibrationError,
     RigDomainError,
     RigSpec,
     _probe,
     _rising_root,
     _side_force,
     belt_balance,
-    calibrate_rig,
     contact_stiffness,
     equilibrium_slopes,
     force_displacement_curve,
@@ -602,127 +599,3 @@ def test_rig_spec_rejects_non_finite_fields(field, value):
         make_rig(**{field: value})
     make_rig(**{field: 0.0})
 
-
-# --- calibration -----------------------------------------------------------
-
-def test_calibration_recovers_forward_generated_anchors():
-    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
-    pairs = [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0), (60.0, 20.0)]
-    anchors = [
-        Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
-        for p1, p2 in pairs
-    ]
-    eq = solve_equilibrium(true_rig, 0.0, 90.0)
-    anchors.append(Anchor(kind="stiffness", p1=0.0, p2=90.0,
-                          observed=stiffness(true_rig, 0.0, 90.0, eq.h2 - 8.0),
-                          h2=eq.h2 - 8.0))
-    start = make_rig(w1=42.0, l1=280.0, w2=49.0, l2=140.0, c=92.0)
-    result = calibrate_rig(anchors, start)
-    for a in anchors:
-        pred = solve_equilibrium(result.rig, a.p1, a.p2).h2 if a.kind == "height" else None
-        if pred is not None:
-            assert pred == pytest.approx(a.observed, abs=0.5)
-
-
-def test_calibration_fits_a_force_anchor():
-    # four heights and one probe force fix the five geometry parameters
-    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
-    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
-               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
-    h2 = solve_equilibrium(true_rig, 30.0, 40.0).h2 - 8.0
-    force = probe_force(true_rig, 30.0, 40.0, h2)[0]
-    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0, observed=force, h2=h2))
-    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=280.0, w2=49.0, l2=140.0, c=92.0))
-    assert max(map(abs, result.residuals)) < 1e-9
-    assert probe_force(result.rig, 30.0, 40.0, h2)[0] == pytest.approx(force, rel=1e-9)
-    assert result.rig.modulating.flat_width == pytest.approx(38.0, rel=1e-6)
-    assert result.rig.morphing.flat_length == pytest.approx(130.0, rel=1e-6)
-
-
-# a stiffness anchor without h2 is test_calibration_rejects_missing_h2's
-@pytest.mark.parametrize("field, value, message", [
-    ("kind", "width", "unknown anchor kind 'width'"),
-    ("kind", "force", "force anchor requires an h2"),
-] + [("observed", v, "observed") for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
-  + [(p, v, "pressures") for p in ("p1", "p2") for v in (-1.0, 150.5, 500.0, math.nan)])
-def test_anchor_rejects_bad_values(field, value, message):
-    # each used to reach the fit: an unknown kind or a NaN observation escaped
-    # from scipy as a bare ValueError, and a 500 kPa anchor was scored as
-    # predicting 0 while the fit went on
-    fields = {"kind": "height", "p1": 10.0, "p2": 90.0, "observed": 80.0, field: value}
-    with pytest.raises(CalibrationError, match=message):
-        Anchor(**fields)
-
-
-@pytest.mark.parametrize("kind", ["height", "force", "stiffness"])
-@pytest.mark.parametrize("h2", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_anchor_rejects_an_h2_not_positive_and_finite(kind, h2):
-    # a NaN h2 constructed, and a force anchor with it was scored as predicting 0
-    with pytest.raises(CalibrationError, match="anchor h2"):
-        Anchor(kind=kind, p1=10.0, p2=90.0, observed=1.0, h2=h2)
-
-
-def test_anchor_accepts_the_pressure_limits():
-    for p in (0.0, rig_mod.PRESSURE_MAX_KPA):
-        Anchor(kind="stiffness", p1=p, p2=p, observed=1.0, h2=50.0)
-
-
-def test_calibration_requires_enough_anchors():
-    with pytest.raises(CalibrationError, match="belt_span"):
-        calibrate_rig(
-            [Anchor(kind="height", p1=0.0, p2=90.0, observed=80.0)], make_rig()
-        )
-
-
-def test_calibration_rejects_missing_h2():
-    with pytest.raises(CalibrationError, match="h2"):
-        Anchor(kind="stiffness", p1=0.0, p2=90.0, observed=1.0)
-
-
-def test_calibration_is_deterministic():
-    anchors = [
-        Anchor(kind="height", p1=p1, p2=p2, observed=obs)
-        for p1, p2, obs in [(0, 90, 85.0), (100, 90, 45.0), (30, 40, 60.0), (10, 70, 75.0)]
-    ]
-    r1 = calibrate_rig(anchors, make_rig())
-    r2 = calibrate_rig(anchors, make_rig())
-    assert r1.rig == r2.rig
-    assert r1.residuals == r2.residuals
-
-
-@pytest.mark.parametrize("edit, message", [
-    (dict(c=600.0), r"start belt_span 600.0 not in the fit box \[10.0, 500.0\]"),
-    (dict(l1=2500.0), r"start modulating.flat_length 2500.0 not in the fit box \[1.0, 2000.0\]"),
-    (dict(w2=0.5), r"start morphing.flat_width 0.5 not in the fit box \[1.0, 500.0\]"),
-])
-def test_calibration_rejects_a_start_outside_the_fit_box(edit, message):
-    # scipy raised a bare ValueError, "Initial guess is outside of provided bounds"
-    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=obs)
-               for p1, p2, obs in [(0, 90, 85.0), (100, 90, 45.0), (30, 40, 60.0), (10, 70, 75.0)]]
-    with pytest.raises(CalibrationError, match=message):
-        calibrate_rig(anchors, make_rig(**edit))
-
-
-def test_calibration_fits_from_a_start_on_the_fit_box():
-    # the packaged flat_length, 2000 mm, is the box's upper bound
-    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
-    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
-               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
-    h2 = solve_equilibrium(true_rig, 30.0, 40.0).h2 - 8.0
-    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0,
-                          observed=probe_force(true_rig, 30.0, 40.0, h2)[0], h2=h2))
-    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=2000.0, w2=49.0, l2=140.0, c=92.0))
-    assert max(map(abs, result.residuals)) < 1e-9
-    assert result.rig.modulating.flat_length == pytest.approx(320.0, rel=1e-6)
-
-
-def test_calibration_scores_a_failed_prediction_as_zero():
-    # a force anchor above every rig's equilibrium height: the probe raises a
-    # RigDomainError on each rig the fit tries, so its residual stays -1
-    true_rig = make_rig(w1=38.0, l1=320.0, w2=52.0, l2=130.0, c=88.0)
-    anchors = [Anchor(kind="height", p1=p1, p2=p2, observed=solve_equilibrium(true_rig, p1, p2).h2)
-               for p1, p2 in [(0.0, 90.0), (100.0, 90.0), (30.0, 40.0), (10.0, 70.0)]]
-    anchors.append(Anchor(kind="force", p1=30.0, p2=40.0, observed=1.0, h2=1000.0))
-    result = calibrate_rig(anchors, make_rig(w1=42.0, l1=280.0, w2=49.0, l2=140.0, c=92.0))
-    assert result.residuals[-1] == -1.0
-    assert max(map(abs, result.residuals[:-1])) < 1e-9

@@ -69,9 +69,11 @@ def test_schedule_seed_determinism(setup):
 
 
 def test_schedule_rejects_bad_reps(setup):
+    # 2.5 raised a bare TypeError from range, and True scheduled one rep
     _, states = setup
-    with pytest.raises(StudyDomainError):
-        schedule_trials(states, 0, seed=1)
+    for reps in (0, 2.5, True):
+        with pytest.raises(StudyDomainError, match=f"reps {reps!r} must be a positive integer"):
+            schedule_trials(states, reps, seed=1)
 
 
 # --- sessions --------------------------------------------------------------
