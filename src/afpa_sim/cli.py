@@ -1,11 +1,12 @@
 """Command line entry point.
 
 All subcommands share the same contract: a JSON config, a seed, and an
-output directory.  Given identical config and seed, every subcommand
-writes byte-identical files.  A user error (any ``AfpaSimError``, such as
-a bad config or an unreachable study state) prints one ``error:`` line
-and exits 2; a file-system error, such as a missing config or an output
-path that is a file, prints one and exits 1.
+output directory.  One parser reads them: a positional subcommand and the
+three shared options, which may come before or after it.  Given identical
+config and seed, every subcommand writes byte-identical files.  A user
+error (any ``AfpaSimError``, such as a bad config or an unreachable study
+state) prints one ``error:`` line and exits 2; a file-system error, such as
+a missing config or an output path that is a file, prints one and exits 1.
 """
 
 from __future__ import annotations
@@ -34,17 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="afpa-sim",
         description="Simulator and planner for an antagonistic fabric pneumatic actuator rig",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument(
-            "--config",
-            type=Path,
-            default=None,
-            help="JSON config path (defaults to the packaged config)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="u64 random seed")
-        p.add_argument("--out", type=Path, required=True, help="output directory")
+    parser.add_argument("command", choices=_SUBCOMMANDS, help="subcommand to run")
+    parser.add_argument(
+        "--config",
+        type=Path,
+        default=None,
+        help="JSON config path (defaults to the packaged config)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="u64 random seed")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
 
 

@@ -8,7 +8,8 @@ fixed, so identical runs are byte-identical.
 
 ``run_study_analyze`` takes each configured session's log, which must hold
 trials 1..9*reps in order, and builds fig5c-g from each session's confusion
-matrix, segment trends and hit rate, and one pooled ``accuracy_stats``.
+matrix, segment trends and hit rate, and one pooled ``accuracy_stats``, all on
+plain floats that equal numpy's bit for bit, so it loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from .rig import _probe_curve, size_pressure_sweep, solve_equilibrium
 from .study import (
     StudyDomainError,
     TrialRecord,
+    _add,
+    _confusion_rows,
+    _mean,
+    _std,
     accuracy_stats,
-    confusion_matrix,
     schedule_trials,
     segment_analysis,
     simulate_sessions,
@@ -41,12 +45,15 @@ FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """The header and one comma-joined line per row, an array via tolist, from one ``%``
-    operation: a column is text in every row or in none, and the first row's cells give
-    ``%s`` for text and ``"%.12g"`` for a number."""
-    rows = rows.tolist() if hasattr(rows, "tolist") else list(rows)
-    line = ",".join(["%s" if isinstance(v, str) else "%.12g" for v in rows[0]]) if rows else ""
-    cells = tuple([v for row in rows for v in row])
+    """The header and one comma-joined line per row, from one ``%`` operation: a column is
+    text in every row or in none, and the first row's cells give ``%s`` for text and
+    ``"%.12g"`` for a number.  An array's cells come from one ``ravel().tolist()``."""
+    if hasattr(rows, "ravel"):
+        cells, first = tuple(rows.ravel().tolist()), rows[0].tolist() if len(rows) else ()
+    else:
+        rows = list(rows)
+        cells, first = tuple([v for row in rows for v in row]), rows[0] if rows else ()
+    line = ",".join(["%s" if isinstance(v, str) else "%.12g" for v in first])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
     return path
@@ -207,8 +214,9 @@ def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
 
 
 def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Statistics over the trial logs of the configured sessions, trials_s00 on."""
-    import numpy as np
+    """Statistics over the trial logs of the configured sessions, trials_s00 on, as plain
+    floats: each mean and standard deviation is ``np.mean``'s or ``np.std``'s, bit for
+    bit, and the mean confusion matrix adds the sessions' matrices in order."""
     if not (logs := {p.name for p in out.glob("trials_s*.jsonl")}):
         raise FileNotFoundError(f"no trial logs (trials_s*.jsonl) in {out}")
     names = [f"trials_s{s:02d}.jsonl" for s in range(config.study.sessions)]
@@ -220,36 +228,35 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
         if [r.trial_index for r in recs] != list(range(1, 9 * segment_size + 1)):
             raise StudyDomainError(f"{out / name}: trials are not 1..{9 * segment_size} in order")
     pooled = [r for recs in per_session for r in recs]
-    confusions = [confusion_matrix(recs) for recs in per_session]
+    confusions = [_confusion_rows(recs) for recs in per_session]
     segments = [segment_analysis(recs, segment_size) for recs in per_session]
     overall = [sum(r.responded == r.presented for r in recs) / len(recs) for recs in per_session]
 
-    confusion = np.mean(confusions, axis=0)
-    conf_rows = [
-        [i + 1] + list(confusion[i]) for i in range(9)
-    ]
+    n = len(confusions)  # np.mean over axis 0 adds the matrices in order
+    conf_rows = [[i + 1] + [_add(c[i][j] for c in confusions) / n for j in range(9)]
+                 for i in range(9)]
     conf_header = ["presented_id"] + [f"p_resp_{j}_frac" for j in range(1, 10)]
 
     # a state's accuracy in a session is its confusion matrix's diagonal entry
     acc_rows = []
     for i in range(9):
-        accs = [c[i, i] for c in confusions]
-        acc_rows.append((i + 1, float(np.mean(accs)), float(np.std(accs))))
+        accs = [c[i][i] for c in confusions]
+        acc_rows.append((i + 1, _mean(accs), _std(accs)))
 
     time_rows = [(sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
                  for sid, b in accuracy_stats(pooled)[2].items()]
 
     # each segment's (accuracy, mean time) in every session, averaged per column
-    seg_rows = [(seg, *(float(np.mean(col)) for col in zip(*blocks)))
+    seg_rows = [(seg, *(_mean(col) for col in zip(*blocks)))
                 for seg, blocks in enumerate(zip(*segments), 1)]
 
     summary = {
         "sessions": len(per_session),
         "trials_per_session": len(per_session[0]),
-        "overall_accuracy_mean": float(np.mean(overall)),
-        "overall_accuracy_std": float(np.std(overall)),
+        "overall_accuracy_mean": _mean(overall),
+        "overall_accuracy_std": _std(overall),
         "overall_accuracy_per_session": overall,
-        "mean_response_time_s": float(np.mean([r.response_time for r in pooled])),
+        "mean_response_time_s": _mean([r.response_time for r in pooled]),
     }
     return [
         _write_csv(out / "fig5c.csv", conf_header, conf_rows),

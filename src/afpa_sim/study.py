@@ -14,7 +14,10 @@ The sessions of a study share their per-run terms: ``simulate_sessions``
 computes the states' perceptual coordinates and pre-jitter latencies once,
 and ``simulate_session`` is its one-session case.  ``box_stats`` takes
 numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
-floats, bit for bit, and a 0/1 accuracy is a count over a length.
+floats, bit for bit, and a 0/1 accuracy is a count over a length.  The
+confusion counts, ``segment_analysis`` and the means and standard deviations
+that ``study-analyze`` writes are plain floats too, equal to numpy's bit for
+bit (``_mean``, ``_std``), so reading a study's logs loads no numpy.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class TrialRecord:
 
     def __post_init__(self) -> None:
         # bool is a subclass of int, so the type is compared exactly
-        ids = self.trial_index, self.presented, self.responded
-        if not all(type(i) is int and i > 0 for i in ids) or max(ids[1:]) > 9:
+        t, a, b = self.trial_index, self.presented, self.responded
+        if not (type(t) is type(a) is type(b) is int and t > 0 and 0 < a <= 9 and 0 < b <= 9):
             raise StudyDomainError(f"trial_index {self.trial_index!r} must be a positive integer, "
                                    f"presented {self.presented!r} and responded "
                                    f"{self.responded!r} state ids 1..9")
@@ -226,16 +229,21 @@ def simulate_session(rig: RigSpec, states: Sequence[StateDef], schedule: Sequenc
 
 
 def confusion_matrix(records: Sequence[TrialRecord]) -> np.ndarray:
-    """Row-normalized 9x9 matrix of P(responded j | presented i)."""
+    """Row-normalized 9x9 matrix of P(responded j | presented i), as an array."""
     import numpy as np
-    counts = np.zeros((9, 9))
+    return np.array(_confusion_rows(records))
+
+
+def _confusion_rows(records: Sequence[TrialRecord]) -> list[list[float]]:
+    """``confusion_matrix`` as nine rows of floats."""
+    counts = [[0.0] * 9 for _ in range(9)]
     for r in records:
-        counts[r.presented - 1, r.responded - 1] += 1.0
-    row_sums = counts.sum(axis=1)
+        counts[r.presented - 1][r.responded - 1] += 1.0
+    row_sums = list(map(sum, counts))  # whole numbers, so exact in any order
     missing = [i + 1 for i in range(9) if row_sums[i] == 0]
     if missing:
         raise StudyDomainError(f"states never presented: {missing}")
-    return counts / row_sums[:, None]
+    return [[c / n for c in row] for row, n in zip(counts, row_sums)]
 
 
 def accuracy_stats(records: Sequence[TrialRecord]
@@ -257,17 +265,52 @@ def accuracy_stats(records: Sequence[TrialRecord]
 
 def segment_analysis(records: Sequence[TrialRecord],
                      segment_size: int = 10) -> list[tuple[float, float]]:
-    """Per-segment (accuracy, mean response time) in presentation order."""
-    import numpy as np
-    if segment_size < 1:
-        raise StudyDomainError("segment_size must be >= 1")
+    """Per-segment (accuracy, mean response time) in presentation order; segment_size is
+    a positive int, and a mean is ``np.mean``'s, bit for bit."""
+    if type(segment_size) is not int or segment_size < 1:
+        raise StudyDomainError(f"segment_size must be >= 1 and an int, got {segment_size!r}")
     if not records or len(records) % segment_size != 0:
         raise StudyDomainError(f"record count {len(records)} not divisible by segment "
                                f"size {segment_size}")
     ordered = sorted(records, key=lambda r: r.trial_index)
     blocks = (ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size))
     return [(sum(r.responded == r.presented for r in block) / segment_size,
-             float(np.mean([r.response_time for r in block]))) for block in blocks]
+             _mean([r.response_time for r in block])) for block in blocks]
+
+
+def _add(xs: Iterable[float], total: float = 0.0) -> float:
+    """total plus each of xs in order, as numpy adds arrays over an axis that is not the
+    last; builtin ``sum`` compensates its float sums from Python 3.12 on."""
+    for x in xs:
+        total += x
+    return total
+
+
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """numpy's pairwise float64 sum, bit for bit: in order below 8 values; from 8 to 128,
+    eight partial sums, joined as a tree, then the rest in order; above 128, the sums of
+    two halves split at a multiple of 8."""
+    n = len(xs)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:h]) + _pairwise_sum(xs[h:])
+    if n < 8:
+        return _add(xs, -0.0)
+    m = n - n % 8  # partial sum k adds xs[k], xs[k + 8], ... below m
+    r = [_add(xs[k + 8 : m : 8], xs[k]) for k in range(8)]
+    return _add(xs[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _mean(xs: Sequence[float]) -> float:
+    """``np.mean`` of a non-empty sequence of floats, bit for bit; numpy's sum starts
+    from 0.0."""
+    return (0.0 + _pairwise_sum(xs)) / len(xs)
+
+
+def _std(xs: Sequence[float]) -> float:
+    """``np.std``, bit for bit: the square root of the mean of the squared deviations."""
+    m = _mean(xs)
+    return math.sqrt(_mean([(x - m) * (x - m) for x in xs]))
 
 
 def _quantile(xs: list[float], q: float) -> float:

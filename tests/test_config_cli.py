@@ -1,9 +1,11 @@
 """Config validation, CLI determinism and the import path."""
 
+import argparse
 import ast
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from afpa_sim import drivers, planner, rig
-from afpa_sim.cli import _SUBCOMMANDS, main
+from afpa_sim.cli import _SUBCOMMANDS, build_parser, main
 from afpa_sim.config import (
     ConfigError,
     RunConfig,
@@ -357,6 +360,19 @@ def test_write_csv_matches_the_per_row_rule(rows, tmp_path):
     assert path.read_bytes() == per_row_csv(header, rows).encode()
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 6))))
+@example(np.array([[-0.0, 5e-324, 1e300], [-1e300, 2.2250738585072014e-308, -5e-324]]))
+@example(np.zeros((0, 5)))
+def test_write_csv_array_matches_its_rows_as_a_list(rows):
+    # an array's cells, taken in one ravel().tolist(), print as its rows do
+    header = [f"c{j}_mm" for j in range(rows.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        as_array = drivers._write_csv(Path(tmp) / "a.csv", header, rows).read_bytes()
+        as_list = drivers._write_csv(Path(tmp) / "b.csv", header, rows.tolist()).read_bytes()
+    assert as_array == as_list
+
+
 def test_cli_stiffness_depth_past_equilibrium_exit_2(tmp_path, capsys):
     # a 120 mm probe step passes every equilibrium height below the 103 mm
     # belt span, where force_displacement_curve's max_depth check fails closed
@@ -428,10 +444,14 @@ def cli_code(command: str, out: Path) -> str:
 
 
 @pytest.mark.parametrize("command", ["plan", "characterize-size", "characterize-stiffness",
-                                     "feasibility"])
+                                     "feasibility", "study-analyze"])
 def test_scalar_subcommands_leave_numpy_unloaded(command, tmp_path):
     # the packaged plans converge from their seeds and never reach the planner's
-    # grid, and the feasibility map's axes are the planner's float linspace
+    # grid, the feasibility map's axes are the planner's float linspace, and
+    # study-analyze's statistics are floats; study-run, which draws its sessions
+    # from numpy's Generator, writes the logs in an interpreter of its own
+    if command == "study-analyze":
+        loaded_after(cli_code("study-run", tmp_path), "numpy")
     assert loaded_after(cli_code(command, tmp_path), "numpy") == []
     assert list(tmp_path.iterdir())
 
@@ -449,6 +469,60 @@ def test_step_loads_numpy_and_writes_its_csvs(tmp_path):
     assert "numpy" in loaded_after(cli_code("step", tmp_path), "numpy")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fig2d.csv", "fig2d_16hz.csv", "fig2e.csv", "fig2e_16hz.csv"]
+
+
+def nested_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as it was before one parser took every subcommand: a subparser
+    per subcommand, each with the three options."""
+    parser = argparse.ArgumentParser(prog="afpa-sim")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBCOMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", type=Path, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=Path, required=True)
+    return parser
+
+
+# the invocations of README's CLI section
+README_ARGV = [
+    "characterize-size --out out/",
+    "characterize-stiffness --out out/",
+    "step --out out/",
+    "plan --out out/",
+    "feasibility --out out/",
+    "study-run --seed 42 --out out/",
+    "study-analyze --out out/",
+    "plan --config my.json --out out/",
+]
+
+
+@pytest.mark.parametrize("argv", README_ARGV)
+def test_cli_parses_each_invocation_as_before(argv):
+    # the same command, config, seed and out, with the options after the command
+    # or before it
+    args = argv.split()
+    before = vars(nested_parser().parse_args(args))
+    assert vars(build_parser().parse_args(args)) == before
+    assert vars(build_parser().parse_args(args[1:] + args[:1])) == before
+
+
+@pytest.mark.parametrize("argv", [["plan"], ["--out", "out"], ["plot", "--out", "out"], []],
+                         ids=["no-out", "no-command", "unknown-command", "nothing"])
+def test_cli_usage_error_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: afpa-sim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_cli_subcommand_help_lists_the_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in ("--config", "--seed", "--out"))
 
 
 def test_cli_headers_unit_suffixed(tmp_path, capsys):
@@ -607,6 +681,65 @@ def test_trial_log_lines_are_json_dumps(seed, trials, segment_size):
         log.write_text("\n".join(lines) + "\n", encoding="utf-8")
         loaded = drivers._load_records(log, segment_size)
     assert loaded == [replace(r, response_time=round(r.response_time, 9)) for r in records]
+
+
+def numpy_study_analysis(per_session: list[list[TrialRecord]], reps: int):
+    """fig5c's, fig5d's and fig5fg's rows and the summary's statistics, from numpy's
+    arrays, means and standard deviations, as study-analyze once computed them."""
+    confusions = []
+    for recs in per_session:
+        counts = np.zeros((9, 9))
+        for r in recs:
+            counts[r.presented - 1, r.responded - 1] += 1.0
+        confusions.append(counts / counts.sum(axis=1)[:, None])
+    confusion = np.mean(confusions, axis=0)
+    segments = [[(sum(r.responded == r.presented for r in recs[k : k + reps]) / reps,
+                  float(np.mean([r.response_time for r in recs[k : k + reps]])))
+                 for k in range(0, len(recs), reps)] for recs in per_session]
+    overall = [sum(r.responded == r.presented for r in recs) / len(recs) for recs in per_session]
+    rows = {
+        "fig5c.csv": [[i + 1] + list(confusion[i]) for i in range(9)],
+        "fig5d.csv": [(i + 1, float(np.mean([c[i, i] for c in confusions])),
+                       float(np.std([c[i, i] for c in confusions]))) for i in range(9)],
+        "fig5fg.csv": [(seg, *(float(np.mean(col)) for col in zip(*blocks)))
+                       for seg, blocks in enumerate(zip(*segments), 1)],
+    }
+    summary = {
+        "overall_accuracy_mean": float(np.mean(overall)),
+        "overall_accuracy_std": float(np.std(overall)),
+        "mean_response_time_s": float(np.mean([r.response_time for recs in per_session
+                                               for r in recs])),
+    }
+    return rows, summary
+
+
+@settings(max_examples=30, deadline=None)
+@given(sessions=st.integers(1, 12), reps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+@example(sessions=10, reps=10, seed=7)
+def test_study_analyze_matches_numpy(sessions, reps, seed):
+    # the float statistics write what numpy's did, byte for byte, over random logs
+    config = load_config(default_config_path())
+    config = replace(config, study=replace(config.study, sessions=sessions, reps=reps))
+    rnd = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for s in range(sessions):
+            schedule = [sid for sid in range(1, 10) for _ in range(reps)]
+            rnd.shuffle(schedule)
+            records = [TrialRecord(k, sid, sid if rnd.random() < 0.8 else rnd.randint(1, 9),
+                                   rnd.uniform(2.0, 12.0), math.ceil(k / reps), reps)
+                       for k, sid in enumerate(schedule, 1)]
+            lines = drivers._records_to_lines(records, seed + s)
+            (out / f"trials_s{s:02d}.jsonl").write_text("\n".join(lines) + "\n")
+        per_session = [drivers._load_records(out / f"trials_s{s:02d}.jsonl", reps)
+                       for s in range(sessions)]
+        drivers.run_study_analyze(config, seed, out)
+        rows, summary = numpy_study_analysis(per_session, reps)
+        for name, expected in rows.items():
+            text = (out / name).read_text()
+            assert text == per_row_csv(text.splitlines()[0].split(","), expected)
+        written = json.loads((out / "study_summary.json").read_text())
+    assert {key: written[key] for key in summary} == summary
 
 
 @pytest.mark.parametrize("presented", [0, 12, "3"])

@@ -1,6 +1,7 @@
 """Protocol scheduling, synthetic responders, and the statistics battery."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,9 @@ from afpa_sim.study import (
     StatisticsError,
     StudyDomainError,
     TrialRecord,
+    _add,
+    _mean,
+    _std,
     accuracy_stats,
     box_stats,
     confusion_matrix,
@@ -452,5 +456,118 @@ def test_accuracy_rejects_no_records():
 
 
 def test_segment_size_must_be_positive():
-    with pytest.raises(StudyDomainError, match="segment_size must be >= 1"):
-        segment_analysis(make_records([(1, 1)] * 10), segment_size=0)
+    # 2.5 and 10.0 once raised a bare TypeError from range, and True gave ten
+    # one-trial segments
+    records = make_records([(1, 1)] * 10)
+    for size in (0, 2.5, 10.0, True):
+        with pytest.raises(StudyDomainError, match="segment_size must be >= 1") as err:
+            segment_analysis(records, segment_size=size)
+        assert repr(size) in str(err.value)
+
+
+# --- float statistics, against numpy ---------------------------------------
+
+def seeded_floats(n: int, seed: int) -> list[float]:
+    """n floats of both signs over six decades, so that the order of the additions shows."""
+    rnd = random.Random(seed)
+    return [rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-3, 3) for _ in range(n)]
+
+
+# hypothesis's own floats (signed zeros, subnormals, the ends of the range) lead
+# each sample, and seeded floats fill it to its size
+SIZES = dict(n=st.integers(1, 900), seed=st.integers(0, 2**32 - 1))
+
+
+def head_of(n: int, seed: int, head: list[float]) -> list[float]:
+    return (head + seeded_floats(n, seed))[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(st.floats(-1e300, 1e300), max_size=8), **SIZES)
+@example(n=7, seed=1, head=[])
+@example(n=8, seed=2, head=[1.0] + [1e-16] * 7)  # in order, each 1e-16 rounds away
+@example(n=128, seed=3, head=[])
+@example(n=129, seed=4, head=[])
+@example(n=900, seed=5, head=[1e300, -1e300, -0.0, 5e-324])
+def test_float_mean_matches_numpy(n, seed, head):
+    # pairwise: in order below 8 values, eight partial sums to 128, halves above
+    xs = head_of(n, seed, head)
+    assert repr(_mean(xs)) == repr(float(np.mean(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.lists(st.floats(-1e150, 1e150), max_size=8), **SIZES)
+@example(n=1, seed=0, head=[-0.0])
+@example(n=900, seed=6, head=[1e150, -1e150, 5e-324])
+def test_float_std_matches_numpy(n, seed, head):
+    xs = head_of(n, seed, head)
+    assert repr(_std(xs)) == repr(float(np.std(xs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(-1e300, 1e300), max_size=8))
+def test_float_mean_of_matrices_matches_numpy(seed, head):
+    # np.mean over axis 0 adds the ten 9x9 matrices in order, as study-analyze's fig5c
+    flat = head_of(810, seed, head)
+    mats = [[flat[81 * k + 9 * i : 81 * k + 9 * i + 9] for i in range(9)] for k in range(10)]
+    mean = [[_add(m[i][j] for m in mats) / len(mats) for j in range(9)] for i in range(9)]
+    assert repr(mean) == repr(np.mean(mats, axis=0).tolist())
+
+
+def numpy_segments(records, segment_size):
+    """segment_analysis by numpy's mean, as the statistics battery once computed it."""
+    ordered = sorted(records, key=lambda r: r.trial_index)
+    blocks = [ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size)]
+    return [(sum(r.responded == r.presented for r in block) / segment_size,
+             float(np.mean([r.response_time for r in block]))) for block in blocks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_size=st.integers(1, 150), seed=st.integers(0, 2**32 - 1),
+       head=st.lists(st.floats(5e-324, 1e300), max_size=8))
+@example(segment_size=129, seed=0, head=[5e-324, 1e300])
+def test_segment_analysis_matches_numpy(segment_size, seed, head):
+    rnd = random.Random(seed)
+    n = 9 * segment_size
+    times = (head + [rnd.uniform(2.0, 12.0) for _ in range(n)])[:n]
+    records = [TrialRecord(k, rnd.randint(1, 9), rnd.randint(1, 9), t,
+                           math.ceil(k / segment_size), segment_size)
+               for k, t in enumerate(times, 1)]
+    rnd.shuffle(records)
+    assert repr(segment_analysis(records, segment_size)) == repr(numpy_segments(records,
+                                                                                segment_size))
+
+
+ID_VALUES = st.integers(-2, 12) | st.sampled_from([True, False, 1.0, 9.0, None, "1"])
+
+
+def each_id_at(values):
+    """An ``@example`` per id field and value, the other two ids 1."""
+    def decorate(test):
+        for field in ("trial_index", "presented", "responded"):
+            for value in values:
+                ids = dict(trial_index=1, presented=1, responded=1)
+                test = example(**{**ids, field: value})(test)
+        return test
+    return decorate
+
+
+@each_id_at([True, 1.0, 0, -1, 10])
+@settings(max_examples=300, deadline=None)
+@given(trial_index=ID_VALUES, presented=ID_VALUES, responded=ID_VALUES)
+def test_record_ids_rejected_as_before(trial_index, presented, responded):
+    # the rejected ids and the message are those of the all(...) and max(...) check
+    # that the straight-line test replaced
+    ids = trial_index, presented, responded
+    rejected = not all(type(i) is int and i > 0 for i in ids) or max(ids[1:]) > 9
+    segment = math.ceil(trial_index / 10) if type(trial_index) is int and trial_index > 0 else 1
+    fields = dict(trial_index=trial_index, presented=presented, responded=responded,
+                  response_time=5.0, segment=segment)
+    if not rejected:
+        TrialRecord(**fields)
+        return
+    with pytest.raises(StudyDomainError) as err:
+        TrialRecord(**fields)
+    assert str(err.value) == (f"trial_index {trial_index!r} must be a positive integer, "
+                              f"presented {presented!r} and responded {responded!r} "
+                              f"state ids 1..9")
