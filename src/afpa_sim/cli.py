@@ -2,7 +2,8 @@
 
 All subcommands share the same contract: a JSON config, a seed, and an
 output directory.  One parser reads them: a positional subcommand and the
-three shared options, which may come before or after it.  Given identical
+three shared options, which may come before or after it.  It is built once,
+at import, and each ``main`` call parses with it.  Given identical
 config and seed, every subcommand writes byte-identical files.  A user
 error (any ``AfpaSimError``, such as a bad config or an unreachable study
 state) prints one ``error:`` line and exits 2; a file-system error, such as
@@ -47,8 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # main's parser: parsing leaves it as it was built
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not 0 <= args.seed < 2**64:
         print(f"error: seed must fit in u64, got {args.seed}", file=sys.stderr)
         return 2

@@ -18,6 +18,9 @@ and ``units``, and ``modulating`` and ``morphing`` for the valve pair.  Any
 other key is rejected, so a typo cannot silently fall back to a default
 value.  The reader is a few functions on the parsed JSON objects and
 their field paths, such as ``planner.bounds[1]``, which each error names.
+It resolves each dataclass's field types (``typing.get_type_hints``, which
+compiles the string annotations) once per process, so a later load in the
+same process reuses them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -131,6 +135,7 @@ PRESSURE_FIELDS = frozenset({
 _PAIR_KEYS = ("modulating", "morphing")  # object keys of the valve pair
 _PRESSURE_SCALE = {"kPa": 1.0, "Pa": 1e-3}
 _TYPE_NAMES = {int: "an integer", bool: "a boolean"}
+_hints = cache(get_type_hints)  # a dataclass's field types, resolved once per process
 
 
 def _finite(v: Any, path: str) -> float:
@@ -199,7 +204,7 @@ def _parse(cls: type, data: Any, path: str, unit: float) -> Any:
     if cls is RunConfig:
         planner = _object(_take(obj, path, "planner"), "planner")
         names = [n for n in names if n not in PLANNER_FIELDS] + ["planner", "units"]
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for f in fields(cls):
         src, at = (obj, path) if f.name in names else (planner, "planner")

@@ -196,18 +196,13 @@ def _load_records(path: Path, segment_size: int) -> list[TrialRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():  # a blank line; the file's lines are never empty
                 continue
             try:
                 doc = json.loads(line)
-                records.append(TrialRecord(
-                    trial_index=doc["trial_index"],
-                    presented=doc["presented"],
-                    responded=doc["responded"],
-                    response_time=doc["response_time_s"],
-                    segment=doc["segment"],
-                    segment_size=segment_size,
-                ))
+                records.append(TrialRecord(doc["trial_index"], doc["presented"],
+                                           doc["responded"], doc["response_time_s"],
+                                           doc["segment"], segment_size))
             except (ValueError, KeyError, TypeError) as exc:
                 raise StudyDomainError(f"{path}:{number}: bad trial record: {exc!r}") from None
     return records

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import builtins
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from afpa_sim import drivers, planner, rig
+from afpa_sim import cli, drivers, planner, rig
 from afpa_sim.cli import _SUBCOMMANDS, build_parser, main
 from afpa_sim.config import (
     ConfigError,
@@ -30,7 +31,7 @@ from afpa_sim.config import (
 )
 from afpa_sim.pneumatics import DT_MAX_S
 from afpa_sim.rig import PRESSURE_MAX_KPA
-from afpa_sim.study import TrialRecord, box_stats
+from afpa_sim.study import StudyDomainError, TrialRecord, box_stats
 
 
 @pytest.fixture()
@@ -126,6 +127,22 @@ def test_invalid_bounds_rejected(default_doc):
 
 def test_packaged_config_is_canonical(default_doc):
     assert canonical_form(load_config(default_config_path())) == default_doc
+
+
+def test_second_load_resolves_no_field_type(monkeypatch):
+    # each dataclass's field types are resolved once per process: resolving
+    # them compiles each string annotation, and a later load compiles nothing
+    first = load_config(default_config_path())
+    compiled = []
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args[0])
+        return real_compile(*args, **kwargs)
+
+    real_compile = builtins.compile
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    assert load_config(default_config_path()) == first
+    assert compiled == []
 
 
 def test_planner_key_at_root_rejected(default_doc):
@@ -525,6 +542,35 @@ def test_cli_subcommand_help_lists_the_options(command, capsys):
     assert all(option in out for option in ("--config", "--seed", "--out"))
 
 
+def test_main_reads_each_invocation_as_a_fresh_parser(monkeypatch, tmp_path):
+    # main parses with one parser built at import: call after call, with the
+    # options after the command or before it, it hands the subcommand what a
+    # freshly built parser reads, and no earlier call's --config or --seed
+    # carries over
+    calls = []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_config", lambda path: path)
+    for name in _SUBCOMMANDS:
+        monkeypatch.setitem(_SUBCOMMANDS, name,
+                            lambda *args, name=name: calls.append((name, *args)) or [])
+    invocations = [argv.split() for argv in README_ARGV]
+    invocations += [args[1:] + args[:1] for args in invocations]
+    for args in invocations + invocations[::-1]:
+        calls.clear()
+        assert main(args) == 0
+        fresh = build_parser().parse_args(args)
+        assert calls == [(fresh.command, fresh.config or default_config_path(), fresh.seed,
+                          fresh.out)]
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert "u64" in assert_user_error(["plan", "--seed", "-1", "--out", str(tmp_path)], capsys)
+
+
 def test_cli_headers_unit_suffixed(tmp_path, capsys):
     paths = run_cli(["characterize-size", "--out", str(tmp_path)], capsys)
     header = paths[0].read_text().splitlines()[0]
@@ -681,6 +727,128 @@ def test_trial_log_lines_are_json_dumps(seed, trials, segment_size):
         log.write_text("\n".join(lines) + "\n", encoding="utf-8")
         loaded = drivers._load_records(log, segment_size)
     assert loaded == [replace(r, response_time=round(r.response_time, 9)) for r in records]
+
+
+def keyword_load_records(path: Path, segment_size: int) -> list[TrialRecord]:
+    """``drivers._load_records`` as it was when it built each record by keyword."""
+    if not path.is_file():
+        raise StudyDomainError(f"{path}: missing trial log")
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                records.append(TrialRecord(
+                    trial_index=doc["trial_index"],
+                    presented=doc["presented"],
+                    responded=doc["responded"],
+                    response_time=doc["response_time_s"],
+                    segment=doc["segment"],
+                    segment_size=segment_size,
+                ))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StudyDomainError(f"{path}:{number}: bad trial record: {exc!r}") from None
+    return records
+
+
+def load_outcome(reader, path: Path, segment_size: int):
+    """The records ``reader`` accepts from a log, or the message it rejects the log with."""
+    try:
+        return reader(path, segment_size)
+    except StudyDomainError as exc:
+        return str(exc)
+
+
+RECORD_KEYS = ("trial_index", "presented", "responded", "response_time_s", "segment")
+RECORD_ODD_VALUES = st.sampled_from([True, False, None, "3", [], {}, 0, -1, 10, 1.5, 2.0,
+                                     -2.0, 0.0, math.nan, math.inf])
+# JSON and Unicode whitespace, and \r, which the reader takes as a line end
+BLANK = st.text(alphabet=" \t\r\x0b\x0c\x85\xa0\u2028\u3000", max_size=4)
+
+
+@st.composite
+def log_line(draw, segment_size: int, kinds: list[str]) -> str:
+    """One line of a trial log, of one of ``kinds``: a record, a blank line, or each kind
+    of line the reader rejects (a record that fails its checks among them)."""
+    k = draw(st.integers(1, 30))
+    doc = {"trial_index": k, "presented": draw(st.integers(1, 9)),
+           "responded": draw(st.integers(1, 9)), "response_time_s": draw(TIMES),
+           "segment": math.ceil(k / segment_size), "seed": draw(st.integers(0, 2**64 - 1))}
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing":
+        del doc[draw(st.sampled_from(RECORD_KEYS))]
+    elif kind == "value":
+        doc[draw(st.sampled_from(RECORD_KEYS))] = draw(RECORD_ODD_VALUES)
+    elif kind == "segment":
+        doc["segment"] += draw(st.sampled_from([-1, 1]))
+    line = json.dumps(doc, sort_keys=True)
+    if kind == "not-object":
+        return json.dumps(draw(st.sampled_from([[1, 2], 3, "record", None, 2.5])))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "cut":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "bom":
+        return "\ufeff" + line
+    if kind == "indented":  # JSON whitespace or not before a record, or one cut at its start
+        return draw(BLANK) + line[draw(st.integers(0, 1)):]
+    if kind == "blank":
+        return draw(BLANK)
+    return line
+
+
+@st.composite
+def trial_log(draw) -> tuple[list[str], int]:
+    """Records and blank lines, with at most one other line among them."""
+    segment_size = draw(st.integers(1, 12))
+    lines = draw(st.lists(log_line(segment_size, ["record", "record", "blank"]), max_size=12))
+    if draw(st.booleans()):
+        bad = log_line(segment_size, ["missing", "value", "segment", "not-object", "text",
+                                      "cut", "bom", "indented"])
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    return lines, segment_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=trial_log(), end=st.sampled_from(["\n", "", "\r\n", "\n  "]))
+@example(log=(['{"presented": 3, "responded": 5, "response_time_s": 2.5, "seed": 0, '
+               '"segment": 1, "trial_index": 1}'], 1), end="\n")
+@example(log=(['{"presented": 3, "responded": 3, "response_time_s": 2.5, "seed": 0, '
+               '"trial_index": 1}'], 1), end="\n")
+@example(log=(["\ufeff{}"], 1), end="\n")
+@example(log=(["", " \t", "  nope"], 1), end="\n")
+@example(log=(['{"presented": 3, "responded": 3, "response_time_s": "2.5", "seed": 0, '
+               '"segment": 1, "trial_index": 1}'], 1), end="\n")
+def test_load_records_matches_the_keyword_reader(log, end):
+    # the same records accepted, or the same rejection, naming the same path:line
+    lines, segment_size = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials_s00.jsonl"
+        path.write_text("\n".join(lines) + end, encoding="utf-8", newline="")
+        assert (load_outcome(drivers._load_records, path, segment_size)
+                == load_outcome(keyword_load_records, path, segment_size))
+
+
+def test_study_analyze_skips_blank_lines(tmp_path, capsys):
+    # blank and whitespace-only lines between a log's records change no
+    # artifact, and a bad line after them is named by its own line number
+    cfg = write_config(tmp_path, study={"sessions": 2, "reps": 2})
+    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+    run_cli(["study-run", "--config", str(cfg), "--out", str(plain)], capsys)
+    run_cli(["study-run", "--config", str(cfg), "--out", str(spaced)], capsys)
+    log = spaced / "trials_s00.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1:1] = ["\n", " \t \n", "\u3000\n"]
+    log.write_text("".join(lines) + "  ", encoding="utf-8")
+    analyze = ["study-analyze", "--config", str(cfg), "--out"]
+    expected = read_all(run_cli(analyze + [str(plain)], capsys))
+    assert read_all(run_cli(analyze + [str(spaced)], capsys)) == expected
+    lines[5:5] = ["not json\n"]
+    log.write_text("".join(lines), encoding="utf-8")
+    assert "trials_s00.jsonl:6: bad trial record" in assert_user_error(analyze + [str(spaced)],
+                                                                      capsys)
 
 
 def numpy_study_analysis(per_session: list[list[TrialRecord]], reps: int):

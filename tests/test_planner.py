@@ -74,6 +74,21 @@ def test_contour_passing_the_box_names_the_height(rig, bounds, side):
     assert plan.reason == f"height unreachable (achievable height too {side})"
 
 
+@pytest.mark.parametrize("k_star", [0.1, 0.5, 2.0])
+def test_seed_exits_where_the_contour_leaves_side_1_free(k_star):
+    # one ulp above the lowest reachable height, C - h* rounds back to x1 on a
+    # rigid rig: side 1 is free all along h*'s contour, which holds no p1, so
+    # the seed gives none and the grid's plan says why the target is out of reach
+    rig = toy_rig()
+    h_star = math.nextafter(rig.belt_span - rig.modulating.free_height, math.inf)
+    assert rig.belt_span - h_star == rig.modulating.free_height
+    point, _ = _contour(rig, h_star)
+    assert point(0.0)[:2] == (math.inf, math.inf)
+    assert planner_mod._seed(rig, h_star, k_star, 5.0, planner_mod.FULL_BOX) == (None, "")
+    plan = plan_state(rig, HapticTarget(target_height=h_star, target_stiffness=k_star))
+    assert not plan.feasible and plan.reason
+
+
 def test_stiffness_slopes_vanish_out_of_contact_range(rig):
     # a depth past h2 leaves no probe contact: forward_map's stiffness is 0,
     # and so are its slopes in the planner's Jacobian

@@ -527,6 +527,16 @@ def test_rising_root_continues_past_a_near_end_of_the_same_sign():
     assert ROOT_XTOL_MM in seen
 
 
+def test_rising_root_takes_an_exact_zero_inside_a_rounded_onto_end():
+    # the false position rounds onto 0, and the point ROOT_XTOL_MM inside it is
+    # an exact zero of the rising function: that point is the root, not the end
+    def f(x: float) -> tuple[float, float]:
+        return (-1e-300 if x < ROOT_XTOL_MM else 0.0 if x == ROOT_XTOL_MM else 1e300), 0.0
+
+    root = _rising_root(f, 0.0, None, 1.0, None)
+    assert root == ROOT_XTOL_MM and f(root)[0] == 0.0
+
+
 def test_rising_root_raises_when_the_bracket_outlasts_its_steps():
     # halving a 1e30 mm bracket to ROOT_XTOL_MM takes about 123 steps
     f, _ = slopeless_step(3e29)
