@@ -8,8 +8,9 @@ fixed, so identical runs are byte-identical.
 
 ``run_study_analyze`` takes each configured session's log, which must hold
 trials 1..9*reps in order, and builds fig5c-g from each session's confusion
-matrix, segment trends and hit rate, and one pooled ``accuracy_stats``, all on
-plain floats that equal numpy's bit for bit, so it loads no numpy.
+matrix, segment trends and hit rate, and the pooled records' latency boxes, which
+``accuracy_stats`` also builds, all on plain floats that equal numpy's bit for bit,
+so it loads no numpy.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .study import (
     TrialRecord,
     _add,
     _confusion_rows,
+    _latency_boxes,
     _mean,
     _std,
-    accuracy_stats,
     schedule_trials,
     segment_analysis,
     simulate_sessions,
@@ -239,7 +240,7 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
         acc_rows.append((i + 1, _mean(accs), _std(accs)))
 
     time_rows = [(sid, b.median, b.q1, b.q3, b.whisker_low, b.whisker_high)
-                 for sid, b in accuracy_stats(pooled)[2].items()]
+                 for sid, b in _latency_boxes(pooled).items()]
 
     # each segment's (accuracy, mean time) in every session, averaged per column
     seg_rows = [(seg, *(_mean(col) for col in zip(*blocks)))

@@ -16,15 +16,22 @@ side forces' analytic slopes (the gas law's and the stack's), from a three-point
 evaluation.  Each side force also returns the gas volume it evaluated, so the
 gauges are read from the balance record's last evaluation of each side; a slack
 chamber's free-expansion root starts from the same prediction of its height.
+A solving step calls ``_solve_heights``, ``belt_balance``, ``_rising_root``, the
+balance's residual and the two side forces, each of which calls
+``pouch._volume_terms`` itself: the gas volume and the gas law are written out in
+the side force and in the gauges, and the balance record is built without its
+constructor's frame.
 Each command's first step is found once, before the steps, which then walk the
 commands in turn.  A step that moves no gas keeps its balance, a function of the
 masses, and its row; one that also leaves the lagged command unchanged is at rest,
 and every step up to the next command's first step repeats it in one copy.  The loop
-holds each chamber's lagged command, gas mass and gauge in a plain float, evaluates
-each valve's flow once from constants read once per run, and stores each row through
-a flat memoryview; each bound is a conditional expression that picks the operand
-``min`` or ``max`` would, NaN and ties included.  Only a step that solves forms the
-prediction, checks for a non-finite state and floors the reported h2.
+holds each chamber's lagged command, gas mass and gauge, and the last three values
+of h2 and of each free-expansion height, in plain floats, evaluates each valve's flow
+once from constants read once per run, and stores each row through a flat memoryview;
+each bound is a conditional expression that picks the operand ``min`` or ``max``
+would, NaN and ties included.  Only a step that solves forms the predictions (a
+free-expansion one only for a chamber below its fill mass, whose root uses it),
+checks for a non-finite state and floors the reported h2.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from typing import Sequence
 
 from .errors import AfpaSimError
 from .pouch import KPA_MM2_TO_N, PouchStackSpec, _volume_terms
-from .rig import RigSpec, _carried, _check_pressure, _rising_root, belt_balance, solve_equilibrium
+from .rig import (ROOT_XTOL_MM, RigSpec, _check_pressure, _rising_root, belt_balance,
+                  solve_equilibrium)
 
 R_AIR = 287.05  # J/(kg K)
 T_AMBIENT = 293.15  # K
@@ -115,11 +123,6 @@ def _gas_volume(spec: PouchStackSpec, height: float) -> tuple[float, float, floa
     return v * 1e-9 + DEAD_VOLUME_M3, area, curvature
 
 
-def _abs_pressure(mass: float, gas: float) -> float:
-    """Isothermal absolute pressure (kPa) of a gas mass (kg) in a volume (m^3)."""
-    return mass * R_AIR * T_AMBIENT / gas * 1e-3
-
-
 def _free_expansion_height(spec: PouchStackSpec, mass: float,
                            floor: tuple[float, float, float], guess: float | None = None) -> float:
     """Unconstrained pouch height for the given gas mass.
@@ -143,13 +146,16 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float,
 def _side_force_from_mass(spec: PouchStackSpec, mass: float, height: float) -> tuple:
     """Contact force (N) of one side at fixed gas mass, and its slope (N/mm).
 
-    Isothermal gas: the pressure changes by dp/dH = -p * dV/dH / V_gas.
-    Below the free height the gas volume (m^3) and its slope (m^3/mm) follow.
+    Isothermal gas: the absolute pressure (kPa) is m R T / V_gas and changes by
+    dp/dH = -p * dV/dH / V_gas.  Below the free height the gas volume (m^3) and
+    its slope (m^3/mm) follow.  The volume is ``_gas_volume``'s, written out
+    here because the valve step evaluates this about twice a step.
     """
     if height >= spec.free_height:
         return 0.0, 0.0
-    gas, area, curvature = _gas_volume(spec, height)
-    p_abs = _abs_pressure(mass, gas)
+    v, area, curvature = _volume_terms(spec, height if height > MIN_HEIGHT_MM else MIN_HEIGHT_MM)
+    gas = v * 1e-9 + DEAD_VOLUME_M3
+    p_abs = mass * R_AIR * T_AMBIENT / gas * 1e-3
     gauge = p_abs - P_ATM_KPA
     if gauge <= 0.0:
         return 0.0, 0.0, gas, area * 1e-9
@@ -174,8 +180,10 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     drops below its residue height, so neither can take the whole span.
     ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
     ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2) and ``free_guess`` start
-    the roots.  Each gauge's gas volume is ``_carried`` from the balance's last
-    evaluation of its side, else evaluated anew (a gas volume is never 0).
+    the roots.  Each gauge reads its gas volume from the balance's last evaluation
+    of its side, carried to its height by its slope, as the balance carries the
+    tension, where that lies within ROOT_XTOL_MM and holds one (below the free
+    height); else from ``_gas_volume`` anew.  Its pressure is the side force's gas law.
     """
     spec1, spec2 = rig.modulating, rig.morphing
     x1 = (spec1.free_height if m1 >= fills[0]
@@ -187,16 +195,20 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
         partial(_side_force_from_mass, spec1, m1), partial(_side_force_from_mass, spec2, m2),
         cap if cap < x1 else x1, cap if cap < x2 else x2, rig.belt_span, rig.belt_compliance,
         guess=guess)
-    return h1, h2, (_gauge(spec1, m1, h1, x1, last1), _gauge(spec2, m2, h2, x2, last2)), (x1, x2)
-
-
-def _gauge(spec: PouchStackSpec, mass: float, height: float, free: float,
-           last: tuple | None) -> float:
-    """Gauge (kPa) of a chamber at its balanced height, given its free-expansion height."""
-    if height == free < spec.free_height:
-        return 0.0
-    gas = _carried(last, 2, height) or _gas_volume(spec, height)[0]  # a volume is never 0
-    return _abs_pressure(mass, gas) - P_ATM_KPA
+    g1 = g2 = 0.0  # a chamber resting at its free-expansion height, below its free height
+    if not h1 == x1 < spec1.free_height:
+        if last1 and len(r := last1[1]) > 3 and -ROOT_XTOL_MM <= h1 - last1[0] <= ROOT_XTOL_MM:
+            gas = r[2] + r[3] * (h1 - last1[0])
+        else:
+            gas = _gas_volume(spec1, h1)[0]
+        g1 = m1 * R_AIR * T_AMBIENT / gas * 1e-3 - P_ATM_KPA
+    if not h2 == x2 < spec2.free_height:
+        if last2 and len(r := last2[1]) > 3 and -ROOT_XTOL_MM <= h2 - last2[0] <= ROOT_XTOL_MM:
+            gas = r[2] + r[3] * (h2 - last2[0])
+        else:
+            gas = _gas_volume(spec2, h2)[0]
+        g2 = m2 * R_AIR * T_AMBIENT / gas * 1e-3 - P_ATM_KPA
+    return h1, h2, (g1, g2), (x1, x2)
 
 
 def check_step(dt: float, t_end: float) -> int:
@@ -242,9 +254,12 @@ def step_simulate(
               for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
-    h1, h2, (g1, g2), free = _solve_heights(rig, m1, m2, fills, floors)
-    past = ((h2, *free),) * 3  # the predicted values at the last three steps, latest first
-    solved = m1, m2  # the masses of the last balance, a function of them alone
+    h1, h2, (g1, g2), (x1, x2) = _solve_heights(rig, m1, m2, fills, floors)
+    fill1, fill2 = fills
+    y = y1 = y2 = h2  # h2 and each free-expansion height at the last three steps, latest first
+    a = a1 = a2 = x1
+    b = b1 = b2 = x2
+    s1, s2 = m1, m2  # the masses of the last balance, a function of them alone
     top = low if (low := rig.deflated_floor) > h2 else h2  # the reported h2
     (v1, lag1, sup1, exh1), (v2, lag2, sup2, exh2) = [
         (v, v.command_lag, v.supply_pressure, v.exhaust_pressure) for v in valves]
@@ -262,22 +277,29 @@ def step_simulate(
             c2 += dt * (u2 - c2) / lag2
             m2 += valve_mass_flow(v2, sup2 if c2 > g2 else exh2, g2 + P_ATM_KPA,
                                   o if (o := abs(c2 - g2) / OPENING_BAND_KPA) < 1.0 else 1.0) * dt
-            if (m1, m2) != solved:  # else no gas moved: the balance and its row stand
-                (y, a, b), (y1, a1, b1), (y2, a2, b2) = past
-                h1, h2, (g1, g2), free = _solve_heights(
+            if m1 != s1 or m2 != s2:  # else no gas moved: the balance and its row stand
+                # three-point predictions; a free-expansion height only where its root is solved
+                h1, h2, (g1, g2), (x1, x2) = _solve_heights(
                     rig, m1, m2, fills, floors, 3.0 * y - 3.0 * y1 + y2,
-                    (3.0 * a - 3.0 * a1 + a2, 3.0 * b - 3.0 * b1 + b2))
-                solved = m1, m2
-                if not all(map(math.isfinite, (g1, g2, m1, m2, h1, h2))):
+                    (None if m1 >= fill1 else 3.0 * a - 3.0 * a1 + a2,
+                     None if m2 >= fill2 else 3.0 * b - 3.0 * b1 + b2))
+                s1, s2 = m1, m2
+                # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+                if (g1 - g1) + (g2 - g2) + (m1 - m1) + (m2 - m2) + (h1 - h1) + (h2 - h2) != 0.0:
                     raise IntegrationError(f"non-finite state at t={i * dt:.4f} s with dt={dt} s")
                 top = low if low > h2 else h2
-            past = (h2, *free), past[0], past[1]
+            y, y1, y2 = h2, y, y1
+            a, a1, a2 = x1, a, a1
+            b, b1, b2 = x2, b, b1
             k = 5 * i
             flat[k], flat[k + 1], flat[k + 2], flat[k + 3], flat[k + 4] = i * dt, g1, g2, h1, top
             if (c1, c2, m1, m2) == start:  # at rest: each later step of the command repeats it
                 rows[i + 1:end] = rows[i]
                 rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
-                past = past if end == i + 1 else (past[0],) * 3
+                if end > i + 1:  # a step-by-step run would hold the rest state three times
+                    y1 = y2 = y
+                    a1 = a2 = a
+                    b1 = b2 = b
                 break
     return rows
 

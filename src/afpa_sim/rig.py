@@ -180,16 +180,6 @@ class Balance(NamedTuple):
     side2: tuple | None
 
 
-def _carried(last: tuple | None, i: int, x: float) -> float | None:
-    """Value i of ``last``, a side's last evaluation (at, values), carried to x by value
-    i + 1, its slope, where at is within ROOT_XTOL_MM and values hold both; else None."""
-    if last:
-        at, values = last
-        if len(values) > i + 1 and -ROOT_XTOL_MM <= x - at <= ROOT_XTOL_MM:
-            return values[i] + values[i + 1] * (x - at)
-    return None
-
-
 def _read(last: tuple | None, x: float, f: Callable[[float], tuple]) -> tuple:
     """f(x), read back from ``last``, a side's last evaluation, where that was at x."""
     return last[1] if last and last[0] == x else f(x)
@@ -209,10 +199,11 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
     a bracketed root is unique; its slope is analytic.  Without a sign change
     side 2 is pinned or squashed at an end of its range and side 1 alone
     stretches the belt.  ``guess`` is an h2 to start from, such as the last
-    time step's.  An interior root's tension is ``_carried`` from f2's.
+    time step's.  An interior root's tension is f2's last evaluation, carried to h2 by
+    its slope where that lies within ROOT_XTOL_MM, else f2(h2).
     """
-    if x1 + x2 < span:
-        return Balance(x1, x2, 0.0, "slack", None, None)
+    if x1 + x2 < span:  # each record is built as ``Balance`` would, without its frame
+        return tuple.__new__(Balance, (x1, x2, 0.0, "slack", None, None))
     last1 = last2 = None
 
     def residual(h2: float) -> tuple[float, float]:
@@ -225,11 +216,14 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
 
     lo, hi = d if (d := span - x1) > 1e-9 else 1e-9, span if span < x2 else x2
     if lo < (h2 := _rising_root(residual, lo, None, hi, guess)) < hi:
-        if (tension := _carried(last2, 0, h2)) is None:  # f2 is evaluated anew, and kept
-            last2 = h2, f2(h2)
-            tension = last2[1][0]
+        at, r2 = last2  # f2's last evaluation, carried to h2 by its slope where that is near
+        if -ROOT_XTOL_MM <= h2 - at <= ROOT_XTOL_MM:
+            tension = r2[0] + r2[1] * (h2 - at)
+        else:  # f2 is evaluated anew, and kept
+            last2 = h2, (r2 := f2(h2))
+            tension = r2[0]
         h1 = h if (h := span + compliance * tension - h2) < x1 else x1
-        return Balance(h1, h2, tension, "interior", last1, last2)
+        return tuple.__new__(Balance, (h1, h2, tension, "interior", last1, last2))
     h1 = span - h2
     if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
         last1 = h1, f1(h1)
@@ -243,8 +237,8 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
 
         tension = _rising_root(stretch, 0.0, (-tension, 1.0 - compliance * k1), tension, None)
         h1 += compliance * tension
-    return Balance(min(x1, h1), h2, tension, "pinned" if h2 == hi else "squashed",
-                   last1, last2)
+    return tuple.__new__(Balance, (min(x1, h1), h2, tension,
+                                   "pinned" if h2 == hi else "squashed", last1, last2))
 
 
 def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,

@@ -253,14 +253,20 @@ def accuracy_stats(records: Sequence[TrialRecord]
     if not records:
         raise StudyDomainError("records must not be empty")
     hits: dict[int, list[bool]] = {}
-    times: dict[int, list[float]] = {}
     for r in records:
         hits.setdefault(r.presented, []).append(r.responded == r.presented)
-        times.setdefault(r.presented, []).append(r.response_time)
     per_state = {sid: sum(h) / len(h) for sid, h in sorted(hits.items())}
-    time_stats = {sid: box_stats(ts) for sid, ts in sorted(times.items())}
     overall = sum(r.responded == r.presented for r in records) / len(records)
-    return overall, per_state, time_stats
+    return overall, per_state, _latency_boxes(records)
+
+
+def _latency_boxes(records: Sequence[TrialRecord]) -> dict[int, BoxStats]:
+    """Each presented state's response-time ``box_stats``, by state id, from its times in
+    record order."""
+    times: dict[int, list[float]] = {}
+    for r in records:
+        times.setdefault(r.presented, []).append(r.response_time)
+    return {sid: box_stats(ts) for sid, ts in sorted(times.items())}
 
 
 def segment_analysis(records: Sequence[TrialRecord],

@@ -19,7 +19,6 @@ from afpa_sim.pneumatics import (
     IntegrationError,
     ValveSpec,
     MIN_HEIGHT_MM,
-    _abs_pressure,
     _fill_masses,
     _free_expansion_height,
     _gas_volume,
@@ -231,6 +230,12 @@ def test_slack_chamber_reads_zero_gauge():
         assert np.all(p[h < free_height(spec)] == 0.0)
 
 
+def abs_pressure(mass: float, gas: float) -> float:
+    """Isothermal absolute pressure (kPa) of a gas mass (kg) in a volume (m^3): the gas law
+    that the side force and the gauges write out, which they must equal bit for bit."""
+    return mass * R_AIR * T_AMBIENT / gas * 1e-3
+
+
 def mass_at(spec: PouchStackSpec, gauge: float, height: float) -> float:
     """Gas mass (kg) of a chamber holding the given gauge (kPa) at a height (mm)."""
     return (gauge + P_ATM_KPA) * 1e3 * _gas_volume(spec, height)[0] / (R_AIR * T_AMBIENT)
@@ -291,7 +296,7 @@ def test_mass_side_force_slope_matches_central_difference(w, length, n, end_caps
 )
 def test_side_force_reads_one_gas_law(w, length, n, end_caps, gauge, fill, frac, floor):
     # the gas volume, its slope and the gauge of a side force are those of
-    # _gas_volume and _abs_pressure, bit for bit, the floor clamp included
+    # _gas_volume and abs_pressure, bit for bit, the floor clamp included
     spec = PouchStackSpec(flat_width=w, flat_length=length, pouch_count=n,
                           end_cap_correction=end_caps)
     hf = spec.free_height
@@ -303,7 +308,7 @@ def test_side_force_reads_one_gas_law(w, length, n, end_caps, gauge, fill, frac,
         return
     gas, area, _ = _gas_volume(spec, height)
     assert out[2:] == (gas, area * 1e-9)
-    gauge = _abs_pressure(mass, gas) - P_ATM_KPA
+    gauge = abs_pressure(mass, gas) - P_ATM_KPA
     assert out[0] == (gauge * area * KPA_MM2_TO_N if gauge > 0.0 else 0.0)
 
 
@@ -360,7 +365,7 @@ def test_fill_mass_gate_matches_cold_free_expansion(widths, lengths, counts, end
                      min(free[0], cap), min(free[1], cap), span, compliance)
     h1, h2 = b.h1, b.h2
     cold_gauges = [0.0 if h == x < spec.free_height
-                   else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+                   else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
                    for (spec, m), h, x in zip(sides, (h1, h2), free)]
     heights = _solve_heights(rig, *masses, _fill_masses(rig), floor_gas(rig))
     assert heights[:2] == (h1, h2)
@@ -419,7 +424,7 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
         rig, *masses, fills, floors, at(guess, lo, hi),
         [at(g, MIN_HEIGHT_MM, spec.free_height) for g, spec in zip(free_guesses, specs)])
     fresh = [0.0 if h == x < spec.free_height
-             else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+             else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
              for spec, m, h, x in zip(specs, masses, (h1, h2), free)]
     assert gauges == pytest.approx(fresh, rel=1e-12, abs=1e-11)
     f1, f2 = (partial(_side_force_from_mass, spec, m) for spec, m in zip(specs, masses))
@@ -427,20 +432,85 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
                      guess=at(guess, lo, hi))
     b1, b2, tension = b.h1, b.h2, b.tension
     assert (b1, b2) == (h1, h2)
+    # bit for bit, each gauge is the gas law at its side's last evaluated gas
+    # volume carried to its height, where that lies within ROOT_XTOL_MM and
+    # holds a volume, else at a fresh _gas_volume; 0 where the chamber rests at
+    # its free-expansion height below the free height
+    for spec, m, h, x, last, gauge in zip(specs, masses, (h1, h2), free, (b.side1, b.side2),
+                                          gauges):
+        if h == x < spec.free_height:
+            assert gauge == 0.0
+        elif last and len(last[1]) > 3 and abs(h - last[0]) <= ROOT_XTOL_MM:
+            assert gauge == abs_pressure(m, last[1][2] + last[1][3] * (h - last[0])) - P_ATM_KPA
+        else:
+            event("a gauge from a fresh gas volume")
+            assert gauge == abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
     interior = max(1e-9, span - min(free[0], cap)) < h2 < min(free[1], cap, span)
     event("slack" if sum(map(min, free, (cap, cap))) < span else "interior" if interior
           else "riding" if h2 == min(free[1], cap, span) else "squashed")
     event("stretched" if compliance and tension and not interior else "no stretch")
     if interior:
+        # bit for bit, f2's last evaluation, at x within ROOT_XTOL_MM of h2, carried to
+        # h2 by its slope; an evaluation at h2 itself where the root's last was farther
+        x, (t_x, k_x, *_) = b.side2
+        assert abs(h2 - x) <= ROOT_XTOL_MM and tension == t_x + k_x * (h2 - x)
         # carried from f2's last evaluation, at x, to first order: off by under
         # |h2 - x| |f2'(h2) - f2'(x)|, f2' being monotone over so short a step,
         # plus an evaluation's rounding, about 1e-16 of the absolute pressure on
         # the flat pouch (the gauge and the contact area both cancel)
-        x = b.side2[0]
         force, slope = f2(h2)[:2]
         carry = abs(h2 - x) * abs(slope - f2(x)[1])
         flat = specs[1].flat_width * specs[1].flat_length
         assert abs(tension - force) <= carry + 1e-15 * (P_ATM_KPA + fresh[1]) * flat * KPA_MM2_TO_N
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("record", ["near", "far", "no volume", "none"])
+def test_gauge_carries_only_a_near_record_with_a_volume(monkeypatch, side, record):
+    # one side's balance record is moved 0.5 or 2 ROOT_XTOL_MM below its
+    # height, stripped of its gas volume, or dropped: the gauge is the gas law
+    # at the record's gas volume carried to the height where the record lies
+    # within ROOT_XTOL_MM and holds one, else at a fresh _gas_volume
+    rig = make_rig()
+    spec = (rig.modulating, rig.morphing)[side]
+    masses = [mass_at(s, 30.0, 40.0) for s in (rig.modulating, rig.morphing)]
+    balance, solved = pneumatics.belt_balance, []
+
+    def moved(*args, **kwargs):
+        b = balance(*args, **kwargs)
+        h, values = b[side], b[4 + side][1]
+        solved.append((b, near := h - 0.5 * ROOT_XTOL_MM))
+        last = {"near": (near, values), "far": (h - 2.0 * ROOT_XTOL_MM, values),
+                "no volume": (h, values[:2]), "none": None}[record]
+        return b._replace(**{f"side{side + 1}": last})
+
+    monkeypatch.setattr(pneumatics, "belt_balance", moved)
+    out = _solve_heights(rig, *masses, _fill_masses(rig), floor_gas(rig))
+    ((b, near),) = solved
+    assert b.branch == "interior"
+    h, values = out[side], b[4 + side][1]
+    gas = values[2] + values[3] * (h - near) if record == "near" else _gas_volume(spec, h)[0]
+    assert out[2][side] == abs_pressure(masses[side], gas) - P_ATM_KPA
+    assert gas != _gas_volume(spec, h)[0] or record != "near"  # the two readings differ here
+
+
+def test_tension_beyond_the_last_evaluation_is_evaluated_anew():
+    # a valve step's balance whose root is a Newton step from the guess, taken
+    # after the bracket's end x2 was evaluated: f2's last evaluation lies 13 mm
+    # from h2, so the tension is f2(h2) itself, and the record keeps that evaluation
+    rig = make_rig()
+    heights = []
+
+    def f2(h):
+        heights.append(h)
+        return _side_force_from_mass(rig.morphing, 3.9630484758598034e-05, h)
+
+    f1 = partial(_side_force_from_mass, rig.modulating, 6.37141951125417e-05)
+    b = belt_balance(f1, f2, 76.39437268410977, 51.077319679916656, 90.0, 0.09050766451524318,
+                     guess=37.60363383597689)
+    assert b.branch == "interior"
+    assert abs(heights[-2] - b.h2) > ROOT_XTOL_MM and heights[-1] == b.h2
+    assert b.side2 == (b.h2, f2(b.h2)) and b.tension == b.side2[1][0]
 
 
 # a guess's offset from the cold root, in ROOT_XTOL_MM: the root itself, the
@@ -480,7 +550,7 @@ def test_guess_near_the_root_matches_cold_solve(widths, lengths, counts, end_cap
     w1, w2, gauges, _ = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
     assert (w1, w2) == pytest.approx((h1, h2), rel=0.0, abs=ROOT_XTOL_MM)
     fresh = [0.0 if h == x < spec.free_height
-             else _abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
+             else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
              for spec, m, h, x in zip(specs, masses, (w1, w2), free)]
     assert gauges == pytest.approx(fresh, rel=1e-12, abs=1e-11)
     cap = span - MIN_HEIGHT_MM
@@ -525,6 +595,9 @@ def count_calls(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
+COUNTED_SCHEDULE = [(0.0, 10.0, 10.0), (1.0, 40.0, 60.0), (2.0, 80.0, 20.0)]
+
+
 def test_side_force_evaluations_per_step(monkeypatch):
     # a fixed 3-command schedule; the derivative-free brentq balance needs
     # 27.46 side-force evaluations per valve step here, the warm start alone
@@ -533,8 +606,7 @@ def test_side_force_evaluations_per_step(monkeypatch):
     # confirmed by a second evaluation 4.01 of each, and a balance solved on
     # every step, the first hold at rest included, 2.62
     calls = count_calls(monkeypatch, "_side_force_from_mass", "_volume_terms", "valve_mass_flow")
-    sched = [(0.0, 10.0, 10.0), (1.0, 40.0, 60.0), (2.0, 80.0, 20.0)]
-    series = step_simulate(make_rig(), make_valves(), sched, 1e-3, 3.0)
+    series = step_simulate(make_rig(), make_valves(), COUNTED_SCHEDULE, 1e-3, 3.0)
     side_forces, volumes, _ = (n / (len(series) - 1) for n in calls.values())
     # the first hold rests from its first step, which fills its 998 later steps:
     # each of the other 2,002 steps evaluates each valve's flow once (a venting
@@ -548,6 +620,19 @@ def test_side_force_evaluations_per_step(monkeypatch):
     assert volumes < 2.62
     assert volumes < 4.01
     assert volumes < 8.00
+
+
+def test_compliant_side_force_evaluations_per_step(monkeypatch):
+    # the same schedule on a belt of 0.3 mm/N, whose pinned balances also
+    # solve the belt's stretch: 1.9447 side forces and 1.9567 volume
+    # evaluations a step when the side force still called _gas_volume
+    calls = count_calls(monkeypatch, "_side_force_from_mass", "_volume_terms", "valve_mass_flow")
+    rig = dataclasses.replace(make_rig(), belt_compliance=0.3)
+    series = step_simulate(rig, make_valves(), COUNTED_SCHEDULE, 1e-3, 3.0)
+    side_forces, volumes, _ = (n / (len(series) - 1) for n in calls.values())
+    assert calls["valve_mass_flow"] == 4004
+    assert side_forces <= 1.02 * 1.9447
+    assert volumes <= 1.02 * 1.9567
 
 
 def test_settled_step_evaluates_the_balance_once(monkeypatch):
@@ -668,19 +753,83 @@ def test_floor_threshold_matches_cold_free_expansion(w, length, n, end_caps, gau
 
 def test_gas_volume_evaluations_per_deflated_step(monkeypatch):
     # the morphing chamber fills from its deflated residue while the
-    # modulating one stays deflated; evaluating the floor in every
-    # free-expansion call took 7.54 evaluations per step here, cold
-    # free-expansion roots with fresh gauges 4.29, and a secant guess
-    # confirmed by a second evaluation 3.00
-    calls = count_calls(monkeypatch, "_gas_volume")
+    # modulating one stays deflated; each gas volume is a _volume_terms
+    # call.  Evaluating the floor in every free-expansion call took 7.54
+    # evaluations per step here, cold free-expansion roots with fresh gauges
+    # 4.29, and a secant guess confirmed by a second evaluation 3.00
+    calls = count_calls(monkeypatch, "_volume_terms")
     series = step_simulate(make_rig(), make_valves(), [(0.0, 0.0, 0.0), (0.5, 0.0, 90.0)],
                            1e-3, 2.0)
-    assert series[-1, 3] == MIN_HEIGHT_MM
-    per_step = calls["_gas_volume"] / (len(series) - 1)
-    assert per_step <= 1.02 * 0.91
+    assert series[-1, 3] == MIN_HEIGHT_MM and series[-1, 4] > 30.0  # expanded to 32 mm
+    per_step = calls["_volume_terms"] / (len(series) - 1)
+    assert per_step <= 1.02 * 0.914
     assert per_step < 3.00
     assert per_step < 4.29
     assert per_step < 7.54
+    # the other way round, the modulating chamber's root starts from its
+    # prediction: 1.1235 evaluations a step
+    calls["_volume_terms"] = 0
+    series = step_simulate(make_rig(), make_valves(), [(0.0, 0.0, 0.0), (0.5, 90.0, 0.0)],
+                           1e-3, 2.0)
+    assert series[-1, 2] == 0.0 and series[-1, 1] > 80.0  # at 84 kPa
+    assert calls["_volume_terms"] / (len(series) - 1) <= 1.02 * 1.1235
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "m1", "m2", "h1", "h2"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_each_non_finite_state_raises(monkeypatch, name, bad):
+    # a solving step checks each of the six values it made: one of them
+    # non-finite, the others finite, stops the run at that step.  A mass is
+    # made so by its valve's flow, and solved as the last finite masses
+    valves = make_valves()
+    solve, flow = pneumatics._solve_heights, pneumatics.valve_mass_flow
+    finite, solves, flows = [], [], []
+
+    def solved(rig, m1, m2, *args):
+        if math.isfinite(m1) and math.isfinite(m2):
+            finite[:] = m1, m2
+        h1, h2, (g1, g2), free = solve(rig, *finite, *args)
+        state = {"g1": g1, "g2": g2, "h1": h1, "h2": h2}
+        solves.append(m1)
+        if len(solves) == 5 and name in state:  # step 4's, after the start's
+            state[name] = bad
+        return state["h1"], state["h2"], (state["g1"], state["g2"]), free
+
+    def flowed(valve, *args):
+        flows.append(valve)
+        if name in ("m1", "m2") and len(flows) == 7 + (name == "m2"):  # step 4's, each valve's
+            assert valve is valves[name == "m2"]
+            return bad
+        return flow(valve, *args)
+
+    monkeypatch.setattr(pneumatics, "_solve_heights", solved)
+    monkeypatch.setattr(pneumatics, "valve_mass_flow", flowed)
+    with pytest.raises(IntegrationError, match=r"t=0\.0040 s with dt=0\.001 s"):
+        step_simulate(make_rig(), valves, [(0.0, 10.0, 10.0), (0.001, 40.0, 60.0)], 1e-3, 0.05)
+
+
+def test_solve_after_a_filled_hold_predicts_the_rest_state(monkeypatch):
+    # a step-by-step run holds the rest state at each of its last three steps
+    # once a hold has rested two steps, so the first solve after a hold filled
+    # at rest is predicted at that state: here the masses move on steps 1-5
+    # and from step 50, the second command's first, and rest in between
+    solve, solves, flows = pneumatics._solve_heights, [], []
+
+    def solved(rig, m1, m2, fills, floors, guess=None, free_guess=(None, None)):
+        out = solve(rig, m1, m2, fills, floors, guess, free_guess)
+        solves.append((guess, out[1]))
+        return out
+
+    def flowed(valve, *args):
+        flows.append(valve)
+        return 1e-9 if len(flows) <= 10 or len(flows) > 12 else 0.0  # step 6 rests
+
+    monkeypatch.setattr(pneumatics, "_solve_heights", solved)
+    monkeypatch.setattr(pneumatics, "valve_mass_flow", flowed)
+    step_simulate(make_rig(), make_valves(), [(0.0, 10.0, 10.0), (0.05, 10.0, 10.0)], 1e-3, 0.05)
+    assert len(solves) == 7  # the start, steps 1-5 and step 50
+    assert solves[4][1] != solves[5][1]  # the last two steps before the rest moved h2
+    assert solves[6][0] == solves[5][1]
 
 
 def test_runaway_mass_update_raises_integration_error():

@@ -10,6 +10,8 @@ and ``perfbench/workloads.py`` (imported, never edited):
 - the stdout of each demo;
 - every plan of the plan-stream workload on seeds 1-10;
 - every valve-step row of the step-stream workload on seeds 1-10;
+- every valve-step row of the two packaged ``STEP_PROTOCOLS`` runs (fig2d and
+  fig2e at full precision, which their CSVs round to 12 digits);
 - every trial record of ``simulate_session`` on session seeds 1-100, over the
   packaged config's planned states.
 
@@ -17,7 +19,7 @@ Prints, for each artifact and demo, whether it is identical; for a CSV that
 differs, the largest absolute and relative change of each column that moved.
 For the plans it prints how many are bit-identical (``repr``), how many
 changed outcome or reason, and how far the pressures of the rest moved; for
-the step rows, how many schedules are byte-identical and the largest change
+each set of step rows, how many runs are byte-identical and the largest change
 of each column; for the sessions, how many are identical (``repr``), how many
 answers changed and the largest response-time change.  Exits 1 if anything
 differs, else 0.
@@ -79,6 +81,11 @@ def dump(tree: Path, out: Path) -> None:
                                                            steps.dt, x.t_end)
     np.savez(out / "steps.npz", **rows)
     config = load_config(default_config_path())
+    np.savez(out / "protocols.npz", **{
+        stem: pneumatics.step_simulate(config.rig, config.valves,
+                                       [(0.0, *start), (config.step.step_time, *stepped)],
+                                       config.step.dt, config.step.t_end)
+        for stem, start, stepped in drivers.STEP_PROTOCOLS.values()})
     states = drivers.plan_states(config)
     with open(out / "sessions.jsonl", "w") as fh:
         for seed in SESSION_SEEDS:
@@ -154,19 +161,18 @@ def compare_plans(old: Path, new: Path) -> bool:
     return identical == len(pairs)
 
 
-def compare_steps(old: Path, new: Path) -> bool:
+def compare_steps(name: str, old: Path, new: Path) -> bool:
     import numpy as np
 
     with np.load(old) as a, np.load(new) as b:
         keys = sorted(set(a.files) | set(b.files))
         same = [k for k in keys if k in a.files and k in b.files
                 and a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes()]
-        print(f"step-stream seeds {STEP_SEEDS[0]}-{STEP_SEEDS[-1]}: {len(keys)} schedules, "
-              f"{len(same)} byte-identical")
+        print(f"{name}: {len(keys)} runs, {len(same)} byte-identical")
         worst = np.zeros(len(STEP_COLUMNS))
         for k in set(keys) - set(same):
             if k not in a.files or k not in b.files or a[k].shape != b[k].shape:
-                print(f"    schedule {k}: rows differ in number")
+                print(f"    run {k}: rows differ in number")
                 continue
             worst = np.maximum(worst, np.abs(b[k] - a[k]).max(axis=0))
         for name, w in zip(STEP_COLUMNS, worst):
@@ -213,7 +219,9 @@ def main(argv: list[str]) -> int:
         same = [compare_files("artifacts", old / "artifacts", new / "artifacts"),
                 compare_files("demos", old / "demos", new / "demos"),
                 compare_plans(old / "plans.jsonl", new / "plans.jsonl"),
-                compare_steps(old / "steps.npz", new / "steps.npz"),
+                compare_steps(f"step-stream seeds {STEP_SEEDS[0]}-{STEP_SEEDS[-1]}",
+                              old / "steps.npz", new / "steps.npz"),
+                compare_steps("step protocols", old / "protocols.npz", new / "protocols.npz"),
                 compare_sessions(old / "sessions.jsonl", new / "sessions.jsonl")]
     return 0 if all(same) else 1
 
