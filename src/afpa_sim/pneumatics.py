@@ -20,14 +20,18 @@ A solving step calls ``_solve_heights``, ``belt_balance``, ``_rising_root``, the
 balance's residual and the two side forces, each of which calls
 ``pouch._volume_terms`` itself: the gas volume and the gas law are written out in
 the side force and in the gauges, and the balance record is built without its
-constructor's frame.
+constructor's frame.  The balance takes the one law ``_side_force_from_mass`` with
+each stack and its gas mass, so no function is built per side, and
+``_solve_heights`` returns its heights, gauges and free-expansion heights as one
+flat tuple.
 Each command's first step is found once, before the steps, which then walk the
 commands in turn.  A step that moves no gas keeps its balance, a function of the
-masses, and its row; one that also leaves the lagged command unchanged is at rest,
-and every step up to the next command's first step repeats it in one copy.  The loop
-holds each chamber's lagged command, gas mass and gauge, and the last three values
-of h2 and of each free-expansion height, in plain floats, evaluates each valve's flow
-once from constants read once per run, and stores each row through a flat memoryview;
+masses, and its row; one that also leaves the lagged command unchanged is at rest
+(four floats saved at the step's start tell), and every step up to the next
+command's first step repeats it in one copy.  The loop holds each chamber's lagged
+command, gas mass and gauge, and the last three values of h2 and of each
+free-expansion height, in plain floats, evaluates each valve's flow once from
+constants read once per run, and stores each row through a flat memoryview;
 each bound is a conditional expression that picks the operand ``min`` or ``max``
 would, NaN and ties included.  Only a step that solves forms the predictions (a
 free-expansion one only for a chamber below its fill mass, whose root uses it),
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import partial
+from math import inf, sqrt
 from typing import Sequence
 
 from .errors import AfpaSimError
@@ -101,7 +105,7 @@ def valve_mass_flow(
         raise ValueError(f"opening must be in [0, 1], got {opening}")
     if upstream < downstream:  # venting: the same flow from the higher side, sign flipped
         upstream, downstream, opening = downstream, upstream, -opening
-    if not 0.0 < downstream <= upstream < math.inf:  # also a NaN
+    if not 0.0 < downstream <= upstream < inf:  # also a NaN
         raise ValueError(f"pressures must be positive and finite, got {upstream}, {downstream} kPa")
     if opening == 0.0 or upstream == downstream:
         return 0.0
@@ -110,7 +114,7 @@ def valve_mass_flow(
     if r <= b:
         phi = 1.0
     else:
-        phi = math.sqrt(s if (s := 1.0 - ((r - b) / (1.0 - b)) ** 2) > 0.0 else 0.0)
+        phi = sqrt(s if (s := 1.0 - ((r - b) / (1.0 - b)) ** 2) > 0.0 else 0.0)
     return opening * valve.sonic_conductance * RHO_REF * (upstream * 1e3) * phi
 
 
@@ -133,13 +137,13 @@ def _free_expansion_height(spec: PouchStackSpec, mass: float,
     ends at without another evaluation; the root starts from ``guess``.
     """
     target = mass * R_AIR * T_AMBIENT / (P_ATM_KPA * 1e3)  # m^3
+    if (at_floor := (floor[0] - target, floor[1] * 1e-9))[0] >= 0.0:
+        return MIN_HEIGHT_MM
 
     def excess(h: float) -> tuple[float, float]:
         gas, area, _ = _gas_volume(spec, h)
         return gas - target, area * 1e-9
 
-    if (at_floor := (floor[0] - target, floor[1] * 1e-9))[0] >= 0.0:
-        return MIN_HEIGHT_MM
     return _rising_root(excess, MIN_HEIGHT_MM, at_floor, spec.free_height, guess)
 
 
@@ -173,17 +177,20 @@ def _fill_masses(rig: RigSpec) -> list[float]:
 def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
                    floors: Sequence[tuple[float, float, float]], guess: float | None = None,
                    free_guess: Sequence[float | None] = (None, None)) -> tuple:
-    """Quasi-static heights (h1, h2) in mm, gauges (kPa) and free-expansion heights (mm).
+    """Quasi-static (h1, h2, g1, g2, x1, x2): heights and free-expansion heights in mm,
+    gauges in kPa, as one flat tuple.
 
     Each side's force vanishes at its free-expansion height, where its gas
     is at ambient pressure and its gauge reads exactly 0; a chamber never
     drops below its residue height, so neither can take the whole span.
     ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
     ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2) and ``free_guess`` start
-    the roots.  Each gauge reads its gas volume from the balance's last evaluation
-    of its side, carried to its height by its slope, as the balance carries the
-    tension, where that lies within ROOT_XTOL_MM and holds one (below the free
-    height); else from ``_gas_volume`` anew.  Its pressure is the side force's gas law.
+    the roots.  The balance takes ``_side_force_from_mass`` for both sides,
+    with each stack and its gas mass.  Each gauge reads its gas volume from
+    the balance's last evaluation of its side, carried to its height by its
+    slope, as the balance carries the tension, where that lies within
+    ROOT_XTOL_MM and holds one (below the free height); else from
+    ``_gas_volume`` anew.  Its pressure is the side force's gas law.
     """
     spec1, spec2 = rig.modulating, rig.morphing
     x1 = (spec1.free_height if m1 >= fills[0]
@@ -192,9 +199,8 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
           else _free_expansion_height(spec2, m2, floors[1], free_guess[1]))
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _, _, last1, last2 = belt_balance(
-        partial(_side_force_from_mass, spec1, m1), partial(_side_force_from_mass, spec2, m2),
-        cap if cap < x1 else x1, cap if cap < x2 else x2, rig.belt_span, rig.belt_compliance,
-        guess=guess)
+        _side_force_from_mass, spec1, m1, spec2, m2, cap if cap < x1 else x1,
+        cap if cap < x2 else x2, rig.belt_span, rig.belt_compliance, guess=guess)
     g1 = g2 = 0.0  # a chamber resting at its free-expansion height, below its free height
     if not h1 == x1 < spec1.free_height:
         if last1 and len(r := last1[1]) > 3 and -ROOT_XTOL_MM <= h1 - last1[0] <= ROOT_XTOL_MM:
@@ -208,7 +214,7 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
         else:
             gas = _gas_volume(spec2, h2)[0]
         g2 = m2 * R_AIR * T_AMBIENT / gas * 1e-3 - P_ATM_KPA
-    return h1, h2, (g1, g2), (x1, x2)
+    return h1, h2, g1, g2, x1, x2
 
 
 def check_step(dt: float, t_end: float) -> int:
@@ -254,7 +260,7 @@ def step_simulate(
               for spec, cmd, h in zip((rig.modulating, rig.morphing), cmd_eff, (eq.h1, eq.h2))]
     fills = _fill_masses(rig)
     floors = [_gas_volume(spec, MIN_HEIGHT_MM) for spec in (rig.modulating, rig.morphing)]
-    h1, h2, (g1, g2), (x1, x2) = _solve_heights(rig, m1, m2, fills, floors)
+    h1, h2, g1, g2, x1, x2 = _solve_heights(rig, m1, m2, fills, floors)
     fill1, fill2 = fills
     y = y1 = y2 = h2  # h2 and each free-expansion height at the last three steps, latest first
     a = a1 = a2 = x1
@@ -270,7 +276,8 @@ def step_simulate(
 
     for (_, u1, u2), lo, end in zip(schedule, starts, starts[1:] + [n_steps + 1]):
         for i in range(max(lo, 1), end):
-            start = c1, c2, m1, m2
+            e1, e2 = c1, c2  # the lagged commands and masses the step starts from
+            n1, n2 = m1, m2
             c1 += dt * (u1 - c1) / lag1  # a chamber above its command vents: a negative flow
             m1 += valve_mass_flow(v1, sup1 if c1 > g1 else exh1, g1 + P_ATM_KPA,
                                   o if (o := abs(c1 - g1) / OPENING_BAND_KPA) < 1.0 else 1.0) * dt
@@ -279,7 +286,7 @@ def step_simulate(
                                   o if (o := abs(c2 - g2) / OPENING_BAND_KPA) < 1.0 else 1.0) * dt
             if m1 != s1 or m2 != s2:  # else no gas moved: the balance and its row stand
                 # three-point predictions; a free-expansion height only where its root is solved
-                h1, h2, (g1, g2), (x1, x2) = _solve_heights(
+                h1, h2, g1, g2, x1, x2 = _solve_heights(
                     rig, m1, m2, fills, floors, 3.0 * y - 3.0 * y1 + y2,
                     (None if m1 >= fill1 else 3.0 * a - 3.0 * a1 + a2,
                      None if m2 >= fill2 else 3.0 * b - 3.0 * b1 + b2))
@@ -293,7 +300,8 @@ def step_simulate(
             b, b1, b2 = x2, b, b1
             k = 5 * i
             flat[k], flat[k + 1], flat[k + 2], flat[k + 3], flat[k + 4] = i * dt, g1, g2, h1, top
-            if (c1, c2, m1, m2) == start:  # at rest: each later step of the command repeats it
+            # at rest: each later step of the command repeats it
+            if m1 == n1 and m2 == n2 and c1 == e1 and c2 == e2:
                 rows[i + 1:end] = rows[i]
                 rows[i + 1:end, 0] = np.arange(i + 1, end) * dt
                 if end > i + 1:  # a step-by-step run would hold the rest state three times
@@ -321,5 +329,5 @@ def rise_time_90(series: np.ndarray) -> float:
     frac = (y - y0) / (y1 - y0)
     idx = int((frac >= 0.9).argmax())
     if frac[idx] < 0.9:
-        return float("inf")
+        return inf
     return float(t[idx])

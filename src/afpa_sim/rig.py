@@ -4,7 +4,9 @@ The belt constrains h1 + h2 <= belt_span + belt_compliance * tension and
 can only pull.  One force balance, ``belt_balance``, with belt stretch on
 every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
-dynamics.  It returns one record, ``Balance``: heights, tension, branch and
+dynamics.  It takes one side law for both stacks, which it calls with each
+stack and that stack's pressure or gas mass, so no caller builds a function
+per side.  It returns one record, ``Balance``: heights, tension, branch and
 each side's last evaluation, which the valve gauges read back, and the probe
 into its own record, ``Probe``: force, belt tension, h1 and stiffness, which
 ``probe_force``, ``contact_stiffness`` and ``force_displacement_curve`` read.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AfpaSimError
@@ -180,27 +181,30 @@ class Balance(NamedTuple):
     side2: tuple | None
 
 
-def _read(last: tuple | None, x: float, f: Callable[[float], tuple]) -> tuple:
-    """f(x), read back from ``last``, a side's last evaluation, where that was at x."""
-    return last[1] if last and last[0] == x else f(x)
+def _read(last: tuple | None, x: float, side: Callable[..., tuple], spec, q: float) -> tuple:
+    """side(spec, q, x), read back from ``last``, a side's last evaluation, where that was at x."""
+    return last[1] if last and last[0] == x else side(spec, q, x)
 
 
-def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1: float,
+def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float, x1: float,
                  x2: float, span: float, compliance: float, offset: float = 0.0,
                  guess: float | None = None) -> Balance:
     """The ``Balance`` of two sides tied by the belt.
 
-    f1 and f2 give each side's contact force and its slope at its height,
-    and may return more values after them, which the record keeps; x1 and
-    x2 are the heights the sides cannot pass (zero force, or a stop such as
-    a probe holding side 2 down).  ``offset`` is a Coulomb force on side 2,
-    positive while h2 falls.  With the tension taken as f2(h2), the residual
+    ``side`` is one law for both stacks: side(spec, q, h) gives the contact
+    force of stack ``spec`` at height h, holding q (a pressure or a gas
+    mass), and its slope, and may return more values after them, which the
+    record keeps.  Below, f1(h) is side(spec1, q1, h) and f2(h) is
+    side(spec2, q2, h), each called directly.  x1 and x2 are the heights the
+    sides cannot pass (zero force, or a stop such as a probe holding side 2
+    down).  ``offset`` is a Coulomb force on side 2, positive while h2 falls.
+    With the tension taken as f2(h2), the residual
     f1(span + compliance * tension - h2) - tension - offset rises with h2, so
     a bracketed root is unique; its slope is analytic.  Without a sign change
     side 2 is pinned or squashed at an end of its range and side 1 alone
     stretches the belt.  ``guess`` is an h2 to start from, such as the last
-    time step's.  An interior root's tension is f2's last evaluation, carried to h2 by
-    its slope where that lies within ROOT_XTOL_MM, else f2(h2).
+    time step's.  An interior root's tension is f2's last evaluation, carried
+    to h2 by its slope where that lies within ROOT_XTOL_MM, else f2(h2).
     """
     if x1 + x2 < span:  # each record is built as ``Balance`` would, without its frame
         return tuple.__new__(Balance, (x1, x2, 0.0, "slack", None, None))
@@ -208,9 +212,9 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
 
     def residual(h2: float) -> tuple[float, float]:
         nonlocal last1, last2
-        r2 = f2(h2)
+        r2 = side(spec2, q2, h2)
         h1 = span + compliance * r2[0] - h2
-        r1 = f1(h1)
+        r1 = side(spec1, q1, h1)
         last1, last2 = (h1, r1), (h2, r2)
         return r1[0] - r2[0] - offset, r1[1] * (compliance * r2[1] - 1.0) - r2[1]
 
@@ -220,19 +224,19 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
         if -ROOT_XTOL_MM <= h2 - at <= ROOT_XTOL_MM:
             tension = r2[0] + r2[1] * (h2 - at)
         else:  # f2 is evaluated anew, and kept
-            last2 = h2, (r2 := f2(h2))
+            last2 = h2, (r2 := side(spec2, q2, h2))
             tension = r2[0]
         h1 = h if (h := span + compliance * tension - h2) < x1 else x1
         return tuple.__new__(Balance, (h1, h2, tension, "interior", last1, last2))
     h1 = span - h2
     if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
-        last1 = h1, f1(h1)
+        last1 = h1, side(spec1, q1, h1)
     tension, k1 = last1[1][:2]
     if compliance > 0.0 and tension > 0.0:
         def stretch(t: float) -> tuple[float, float]:  # rises from -tension at t = 0
             nonlocal last1
             h = h1 + compliance * t
-            last1 = h, (r := f1(h))
+            last1 = h, (r := side(spec1, q1, h))
             return t - r[0], 1.0 - compliance * r[1]
 
         tension = _rising_root(stretch, 0.0, (-tension, 1.0 - compliance * k1), tension, None)
@@ -244,10 +248,9 @@ def belt_balance(f1: Callable[[float], tuple], f2: Callable[[float], tuple], x1:
 def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,
              guess: float | None = None) -> Balance:
     """``belt_balance`` of the rig's stacks."""
-    return belt_balance(partial(_side_force, rig.modulating, p1),
-                        partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
-                        rig.morphing.free_height, rig.belt_span, rig.belt_compliance, offset,
-                        guess=guess)
+    return belt_balance(_side_force, rig.modulating, p1, rig.morphing, p2,
+                        rig.modulating.free_height, rig.morphing.free_height, rig.belt_span,
+                        rig.belt_compliance, offset, guess=guess)
 
 
 def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
@@ -292,11 +295,11 @@ def _probe(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, h2: float) 
     if not 0.0 < h2 <= eq.h2 + 1e-9:
         raise RigDomainError(f"h2_forced {h2} mm not in the probe contact range "
                              f"(0, {eq.h2:.6g}] mm")
-    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
-    b = belt_balance(f1, f2, rig.modulating.free_height, min(rig.morphing.free_height, h2),
-                     rig.belt_span, rig.belt_compliance)
-    force, slope = _read(b.side2, h2, f2)
-    d = -_read(b.side1, b.h1, f1)[1]
+    spec1, spec2 = rig.modulating, rig.morphing
+    b = belt_balance(_side_force, spec1, p1, spec2, p2, spec1.free_height,
+                     min(spec2.free_height, h2), rig.belt_span, rig.belt_compliance)
+    force, slope = _read(b.side2, h2, _side_force, spec2, p2)
+    d = -_read(b.side1, b.h1, _side_force, spec1, p1)[1]
     return Probe(max(0.0, force - b.tension), b.tension, b.h1,
                  d / (1.0 + rig.belt_compliance * d) - slope)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from functools import partial
 from unittest import mock
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from afpa_sim import pneumatics
+from afpa_sim import pneumatics, rig as rig_mod
 from afpa_sim.config import default_config_path, load_config
 from afpa_sim.pneumatics import (
     P_ATM_KPA,
@@ -361,15 +362,15 @@ def test_fill_mass_gate_matches_cold_free_expansion(widths, lengths, counts, end
     # balance's last evaluation, carried to the returned height to first order
     sides = list(zip(specs, masses))
     free = [cold_free_expansion(spec, m) for spec, m in sides]
-    b = belt_balance(*(partial(_side_force_from_mass, spec, m) for spec, m in sides),
-                     min(free[0], cap), min(free[1], cap), span, compliance)
+    b = belt_balance(_side_force_from_mass, *sides[0], *sides[1], min(free[0], cap),
+                     min(free[1], cap), span, compliance)
     h1, h2 = b.h1, b.h2
     cold_gauges = [0.0 if h == x < spec.free_height
                    else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
                    for (spec, m), h, x in zip(sides, (h1, h2), free)]
     heights = _solve_heights(rig, *masses, _fill_masses(rig), floor_gas(rig))
     assert heights[:2] == (h1, h2)
-    assert heights[2] == pytest.approx(cold_gauges, rel=1e-12)
+    assert heights[2:4] == pytest.approx(cold_gauges, rel=1e-12)
 
 
 # a guess as a fraction of its bracket, in and out of it, an end by name, or none
@@ -420,15 +421,17 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
     cap = span - MIN_HEIGHT_MM
     x1, x2 = (min(cold_free_expansion(spec, m), cap) for spec, m in zip(specs, masses))
     lo, hi = max(1e-9, span - x1), min(x2, span)
-    h1, h2, gauges, free = _solve_heights(
+    h1, h2, g1, g2, *free = _solve_heights(
         rig, *masses, fills, floors, at(guess, lo, hi),
         [at(g, MIN_HEIGHT_MM, spec.free_height) for g, spec in zip(free_guesses, specs)])
+    gauges = g1, g2
     fresh = [0.0 if h == x < spec.free_height
              else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
              for spec, m, h, x in zip(specs, masses, (h1, h2), free)]
     assert gauges == pytest.approx(fresh, rel=1e-12, abs=1e-11)
-    f1, f2 = (partial(_side_force_from_mass, spec, m) for spec, m in zip(specs, masses))
-    b = belt_balance(f1, f2, min(free[0], cap), min(free[1], cap), span, compliance,
+    f2 = partial(_side_force_from_mass, specs[1], masses[1])
+    b = belt_balance(_side_force_from_mass, specs[0], masses[0], specs[1], masses[1],
+                     min(free[0], cap), min(free[1], cap), span, compliance,
                      guess=at(guess, lo, hi))
     b1, b2, tension = b.h1, b.h2, b.tension
     assert (b1, b2) == (h1, h2)
@@ -490,7 +493,7 @@ def test_gauge_carries_only_a_near_record_with_a_volume(monkeypatch, side, recor
     assert b.branch == "interior"
     h, values = out[side], b[4 + side][1]
     gas = values[2] + values[3] * (h - near) if record == "near" else _gas_volume(spec, h)[0]
-    assert out[2][side] == abs_pressure(masses[side], gas) - P_ATM_KPA
+    assert out[2 + side] == abs_pressure(masses[side], gas) - P_ATM_KPA
     assert gas != _gas_volume(spec, h)[0] or record != "near"  # the two readings differ here
 
 
@@ -501,16 +504,19 @@ def test_tension_beyond_the_last_evaluation_is_evaluated_anew():
     rig = make_rig()
     heights = []
 
-    def f2(h):
-        heights.append(h)
-        return _side_force_from_mass(rig.morphing, 3.9630484758598034e-05, h)
+    def side(spec, mass, h):
+        if spec is rig.morphing:
+            heights.append(h)
+        return _side_force_from_mass(spec, mass, h)
 
-    f1 = partial(_side_force_from_mass, rig.modulating, 6.37141951125417e-05)
-    b = belt_balance(f1, f2, 76.39437268410977, 51.077319679916656, 90.0, 0.09050766451524318,
+    m2 = 3.9630484758598034e-05
+    b = belt_balance(side, rig.modulating, 6.37141951125417e-05, rig.morphing, m2,
+                     76.39437268410977, 51.077319679916656, 90.0, 0.09050766451524318,
                      guess=37.60363383597689)
     assert b.branch == "interior"
     assert abs(heights[-2] - b.h2) > ROOT_XTOL_MM and heights[-1] == b.h2
-    assert b.side2 == (b.h2, f2(b.h2)) and b.tension == b.side2[1][0]
+    assert b.side2 == (b.h2, _side_force_from_mass(rig.morphing, m2, b.h2))
+    assert b.tension == b.side2[1][0]
 
 
 # a guess's offset from the cold root, in ROOT_XTOL_MM: the root itself, the
@@ -545,9 +551,9 @@ def test_guess_near_the_root_matches_cold_solve(widths, lengths, counts, end_cap
     masses = [mass_at(spec, g, f * spec.free_height)
               for spec, g, f in zip(specs, gauges, fractions)]
     fills, floors = _fill_masses(rig), floor_gas(rig)
-    h1, h2, _, free = _solve_heights(rig, *masses, fills, floors)
+    h1, h2, _, _, *free = _solve_heights(rig, *masses, fills, floors)
     guess, *free_guess = (x + d * ROOT_XTOL_MM for x, d in zip((h2, *free), offsets))
-    w1, w2, gauges, _ = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
+    w1, w2, *gauges, _, _ = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
     assert (w1, w2) == pytest.approx((h1, h2), rel=0.0, abs=ROOT_XTOL_MM)
     fresh = [0.0 if h == x < spec.free_height
              else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
@@ -633,6 +639,61 @@ def test_compliant_side_force_evaluations_per_step(monkeypatch):
     assert calls["valve_mass_flow"] == 4004
     assert side_forces <= 1.02 * 1.9447
     assert volumes <= 1.02 * 1.9567
+
+
+def test_python_calls_per_solving_step():
+    # every Python-level call of the run (the profiler's "call" events; builtins
+    # and C functions make "c_call"s), per _solve_heights call: 24,769 calls over
+    # 2,002 solves, valve flows and the run's set-up included.  The count does not
+    # depend on the machine, so a call layer added to the valve step fails here
+    rig, valves = make_rig(), make_valves()
+    step_simulate(rig, valves, COUNTED_SCHEDULE, 1e-3, 3.0)  # numpy loaded, as in a run
+    calls = dict.fromkeys(["all", "_solve_heights"], 0)
+
+    def counted(frame, event, arg):
+        if event == "call":
+            calls["all"] += 1
+            calls["_solve_heights"] += frame.f_code is _solve_heights.__code__
+
+    profile = sys.getprofile()
+    sys.setprofile(counted)
+    try:
+        step_simulate(rig, valves, COUNTED_SCHEDULE, 1e-3, 3.0)
+    finally:
+        sys.setprofile(profile)
+    assert calls["_solve_heights"] == 2002
+    assert calls["all"] / calls["_solve_heights"] <= 24_769 / 2_002
+
+
+def test_each_balance_passes_one_module_level_side_law(monkeypatch):
+    # the equilibrium, the probe and the valve step pass belt_balance their
+    # module's side law itself, no function built per side, then each stack
+    # with its own pressure or gas mass, side 1 first
+    rig = make_rig()
+    balance, solve, calls, masses = rig_mod.belt_balance, pneumatics._solve_heights, [], []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[:5])
+        return balance(*args, **kwargs)
+
+    def solved(rig, m1, m2, *args):
+        masses.append((m1, m2))
+        return solve(rig, m1, m2, *args)
+
+    monkeypatch.setattr(rig_mod, "belt_balance", recorded)
+    monkeypatch.setattr(pneumatics, "belt_balance", recorded)
+    monkeypatch.setattr(pneumatics, "_solve_heights", solved)
+    eq = solve_equilibrium(rig, 20.0, 30.0)
+    rig_mod.contact_stiffness(rig, 20.0, 30.0, eq, 0.5 * eq.h2)
+    by_pressure = (rig_mod._side_force, rig.modulating, 20.0, rig.morphing, 30.0)
+    assert calls == [by_pressure, by_pressure]
+    calls.clear()
+    step_simulate(rig, make_valves(), [(0.0, 10.0, 10.0), (0.001, 40.0, 60.0)], 1e-3, 0.005)
+    assert len(masses) == 6 and all(m1 != m2 for m1, m2 in masses)
+    assert calls == [(rig_mod._side_force, rig.modulating, 10.0, rig.morphing, 10.0)] + [
+        (_side_force_from_mass, rig.modulating, m1, rig.morphing, m2) for m1, m2 in masses]
+    assert all(law is rig_mod._side_force or law is pneumatics._side_force_from_mass
+               for law, *_ in calls)
 
 
 def test_settled_step_evaluates_the_balance_once(monkeypatch):
@@ -788,12 +849,12 @@ def test_each_non_finite_state_raises(monkeypatch, name, bad):
     def solved(rig, m1, m2, *args):
         if math.isfinite(m1) and math.isfinite(m2):
             finite[:] = m1, m2
-        h1, h2, (g1, g2), free = solve(rig, *finite, *args)
+        h1, h2, g1, g2, x1, x2 = solve(rig, *finite, *args)
         state = {"g1": g1, "g2": g2, "h1": h1, "h2": h2}
         solves.append(m1)
         if len(solves) == 5 and name in state:  # step 4's, after the start's
             state[name] = bad
-        return state["h1"], state["h2"], (state["g1"], state["g2"]), free
+        return state["h1"], state["h2"], state["g1"], state["g2"], x1, x2
 
     def flowed(valve, *args):
         flows.append(valve)

@@ -1,7 +1,6 @@
 """Coupled-rig equilibrium against a brute-force grid-scan oracle."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -248,7 +247,7 @@ def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, of
     if near is not None:  # a guess next to the root: its Newton point closes the bracket
         guess = want_h2 + near
     b = belt_balance(
-        partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2),
+        _side_force, rig.modulating, p1, rig.morphing, p2,
         free_height(rig.modulating), min(free_height(rig.morphing), stop), c, compliance,
         offset, guess=guess,
     )
@@ -330,9 +329,9 @@ def test_balance_branch_labels_hold(w1, w2, c, compliance, end_caps, p1, p2, off
     # each label names the condition it stands for, and each side's last
     # evaluation is what the side function returns at its height
     rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
-    f1, f2 = partial(_side_force, rig.modulating, p1), partial(_side_force, rig.morphing, p2)
     x1, x2 = free_height(rig.modulating), min(free_height(rig.morphing), stop)
-    b = belt_balance(f1, f2, x1, x2, c, compliance, offset, guess=guess)
+    b = belt_balance(_side_force, rig.modulating, p1, rig.morphing, p2, x1, x2, c, compliance,
+                     offset, guess=guess)
     lo, hi = max(1e-9, c - x1), min(x2, c)
     event(b.branch)
     assert b.branch in ("slack", "interior", "pinned", "squashed")
@@ -343,7 +342,8 @@ def test_balance_branch_labels_hold(w1, w2, c, compliance, end_caps, p1, p2, off
         assert b.branch != "interior" or lo < b.h2 < hi
         assert b.branch != "pinned" or b.h2 == hi
         assert b.branch != "squashed" or b.h2 == lo
-        assert b.side1[1] == f1(b.side1[0]) and b.side2[1] == f2(b.side2[0])
+        assert b.side1[1] == _side_force(rig.modulating, p1, b.side1[0])
+        assert b.side2[1] == _side_force(rig.morphing, p2, b.side2[0])
     eq = solve_equilibrium(rig, p1, p2)
     assert (equilibrium_slopes(rig, p1, p2, eq) == (0.0, 0.0)) == (eq.branch != "interior")
 
@@ -352,15 +352,18 @@ def test_belt_stretch_root_from_an_exact_tie():
     # a linear side 1, force k*(x1 - h), pinned against a stop: with c*k >= 1 it
     # leaves contact within the full stretch c*T, so the stretch root t - f1(h1 + c*t)
     # reads -T at t = 0 and exactly T at t = T, a tie of the ends' sizes.  Newton
-    # from t = 0 on the slope 1 + c*k lands on the root in one step
+    # from t = 0 on the slope 1 + c*k lands on the root in one step.  Side 2
+    # is a constant force of 5 N, the law's other stack
     k, c, x1, span, stop = 1.0, 2.0, 8.0, 10.0, 4.0
     seen = []
 
-    def f1(h):
+    def side(spec, q, h):
+        if spec == "constant":
+            return q, 0.0
         seen.append(h)
-        return (k * (x1 - h), -k) if h < x1 else (0.0, 0.0)
+        return (q * (x1 - h), -q) if h < x1 else (0.0, 0.0)
 
-    b = belt_balance(f1, lambda h: (5.0, 0.0), x1, stop, span, c)
+    b = belt_balance(side, "linear", k, "constant", 5.0, x1, stop, span, c)
     h1 = span - stop
     assert (b.branch, b.h2) == ("pinned", stop)
     assert b.tension == pytest.approx(k * (x1 - h1) / (1.0 + c * k), rel=1e-15)
@@ -395,9 +398,9 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     eq = solve_equilibrium(rig, p1, p2)
     h = frac * eq.h2
     assume(0.0 < h < eq.h2)
-    b = belt_balance(partial(_side_force, rig.modulating, p1),
-                     partial(_side_force, rig.morphing, p2), rig.modulating.free_height,
-                     min(rig.morphing.free_height, h), rig.belt_span, compliance)
+    b = belt_balance(_side_force, rig.modulating, p1, rig.morphing, p2,
+                     rig.modulating.free_height, min(rig.morphing.free_height, h),
+                     rig.belt_span, compliance)
     d = -_side_force(rig.modulating, p1, b.h1)[1]
     fresh_k = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
     fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - b.tension)
