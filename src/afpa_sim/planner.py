@@ -6,14 +6,16 @@ gives the stiffness.  Side forces scale with pressure, so h2 = h* fixes the
 belt tension, and the contour of h* is p1 in closed form in p2 (``_contour``).
 The seed is one bracketed root of the stiffness along it within the box; on
 a rigid belt the contour is a ray, along which the stiffness scales with p2,
-so its ends in the box and the seed are ratios, with no root solve.  The
+so its ends in the box and the seed are ratios of the two side forces at h* and
+C - h*, written out in ``_seed`` with one probe, and no root solve.  The
 contour's ends name an unreachable height or stiffness.  A damped Newton
 iteration refines the seed on the closed-form Jacobian of the forward map
-(``rig.equilibrium_slopes``, ``rig.stiffness_slopes``); a coarse grid is the
-fallback, whose axes, like the drivers' feasibility map, are lists of floats
-(``_linspace``), so the scalar kernels never see a numpy scalar.  Each solve of
-one ``plan_state`` call starts from the h2 of the one before.  Pressure bounds
-are capped by ``rig.PRESSURE_MAX_KPA``.
+(``rig.equilibrium_slopes``, ``rig.stiffness_slopes``); a feasible refinement is
+the plan, and only otherwise is a coarse grid the fallback, whose axes, like the
+drivers' feasibility map, are lists of floats (``_linspace``), so the scalar
+kernels never see a numpy scalar.  Each solve of one ``plan_state`` call starts
+from the h2 of the one before.  Pressure bounds are capped by
+``rig.PRESSURE_MAX_KPA``.
 """
 
 from __future__ import annotations
@@ -150,12 +152,13 @@ def plan_state(rig: RigSpec, target: HapticTarget, bounds: Box = FULL_BOX) -> Pl
 
     seed, reason = _seed(rig, h_star, k_star, depth, bounds)
     plans = [] if seed is None else [_refine(residual, jacobian, *seed, bounds)]
-    if not any(p.feasible for p in plans):
-        p2s = _linspace(*bounds[2:], GRID_N)  # coarse grid fallback for maps the seed misses
-        seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), p1, p2)
-                        for p1 in _linspace(*bounds[:2], GRID_N) for p2 in p2s),
-                       key=lambda s: (s[0], s[1] + s[2]))
-        plans += [_refine(residual, jacobian, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
+    if plans and plans[0].feasible:  # the seed's plan, which _best would pick alone
+        return plans[0]
+    p2s = _linspace(*bounds[2:], GRID_N)  # coarse grid fallback for maps the seed misses
+    seeds = sorted(((math.hypot(*residual(p1, p2)[:2]), p1, p2)
+                    for p1 in _linspace(*bounds[:2], GRID_N) for p2 in p2s),
+                   key=lambda s: (s[0], s[1] + s[2]))
+    plans += [_refine(residual, jacobian, p1, p2, bounds) for _, p1, p2 in seeds[:3]]
     best = _best(plans)
     return best if best.feasible else replace(best, reason=reason or best.reason)
 
@@ -182,15 +185,17 @@ def _best(plans: list[PlanResult]) -> PlanResult:
 
 
 def _clip(a: float, lo: float, hi: float) -> float:
-    return min(max(a, lo), hi)
+    """min(max(a, lo), hi), each bound picking the operand the builtin would: NaN stays NaN."""
+    return hi if hi < (b := lo if lo > a else a) else b
 
 
 def _contour(rig: RigSpec, h_star: float):
     """h2 = h_star on the balance's interior branch, max(0, C - x1) < h_star < min(x2, C):
     side forces are p*a(h), so T = p2*a2(h_star) and p1 = T / a1(C + c*T - h_star) rises
     with p2.  Two functions of p2: ``point``, (p1, dp1/dp2 = (a2/a1)*(1 - c*p1*s1), the
-    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P.  On a
-    rigid belt h1 = C - h_star, so side 1 is evaluated once and ``gap`` is affine in p2."""
+    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P.  Side
+    1 is evaluated once per h1; on a rigid belt h1 = C - h_star, so ``gap`` is affine in p2,
+    and ``_seed`` reads that ray's ratios without these functions."""
     span, c = rig.belt_span, rig.belt_compliance
     a2 = _side_force(rig.morphing, 1.0, h_star)[0]
     memo: dict[float, tuple[float, float]] = {}  # (a1, s1) by h1: one entry if rigid
@@ -229,44 +234,57 @@ def _seed(rig: RigSpec, h_star: float, k_star: float, depth: float,
     """Seed pressures, or None, and why the target is out of reach, or "": the root of
     k_star along h_star's ``_contour`` in the box, whose ends are roots of its ``gap``,
     or at h_star = C < x2, the span plateau (a region, left of that contour), along
-    p1 = p1_lo.  On a rigid belt ``gap`` is affine in p2 and the contour is a ray, along
-    which k scales with p2: the ends and k_star's root on it are ratios (``_line_root``).
-    The end that k_star passes names an unreachable stiffness."""
+    p1 = p1_lo.  On a rigid belt ``gap`` is p2*a2 - p1*a1, with a2 at h_star and a1 at
+    C - h_star, and the contour is a ray, along which k scales with p2: the ends and
+    k_star's root on it are ratios (``_line_root``), and only the probe at its p2_max end
+    takes an ``EquilibriumState``.  The end that k_star passes names an unreachable
+    stiffness."""
     p1_lo, p1_hi, p2_lo, p2_hi = bounds
-    top = min(rig.morphing.free_height, rig.belt_span)
-    if not max(0.0, rig.belt_span - rig.modulating.free_height) < h_star <= top:
+    span, c = rig.belt_span, rig.belt_compliance
+    top = min(rig.morphing.free_height, span)
+    if not max(0.0, span - rig.modulating.free_height) < h_star <= top:
         return None, _diagnose(top - h_star, 0.0)
-    contour, gap = _contour(rig, h_star)
-    if rig.belt_compliance:
-        p2_min, p2_max = (_rising_root(partial(gap, p1=p), p2_lo, None, p2_hi, None)
-                          for p in (p1_lo, p1_hi))
-    else:
-        p2_min, p2_max = (_line_root(*gap(0.0, p), p2_lo, p2_hi) for p in (p1_lo, p1_hi))
-    if (g := gap(p2_max, p1_lo)[0]) < 0.0 or (h_star < top and gap(p2_min, p1_hi)[0] > 0.0):
+    if c:
+        contour, gap = _contour(rig, h_star)
+        p2_min = _rising_root(partial(gap, p1=p1_lo), p2_lo, None, p2_hi, None)
+        p2_max = _rising_root(partial(gap, p1=p1_hi), p2_lo, None, p2_hi, None)
+        passes = ((g := gap(p2_max, p1_lo)[0]) < 0.0
+                  or h_star < top and gap(p2_min, p1_hi)[0] > 0.0)
+    else:  # gap is p2*a2 - p1*a1, with side 1 once at h1 = C - h_star
+        a2 = _side_force(rig.morphing, 1.0, h_star)[0]
+        a1 = _side_force(rig.modulating, 1.0, span - h_star)[0]
+        p2_min = _line_root(-p1_lo * a1, a2, p2_lo, p2_hi)
+        p2_max = _line_root(-p1_hi * a1, a2, p2_lo, p2_hi)
+        passes = ((g := p2_max * a2 - p1_lo * a1) < 0.0
+                  or h_star < top and p2_min * a2 - p1_hi * a1 > 0.0)
+    if passes:
         return None, _diagnose(g, 0.0)  # the contour passes the box on one side
     if h_star == top:  # the span plateau, a region left of the contour
         p2_max = p2_hi
         def path(p2: float) -> tuple[float, float, EquilibriumState]:
             return p1_lo, 0.0, solve_equilibrium(rig, p1_lo, p2, guess=h_star)
-    elif (end := contour(p2_max))[0] == math.inf:  # side 1 free at p1_hi's end of the contour
+    elif not c:  # a ray, along which k scales with p2: p1 = p2*a2 / a1
+        if not a1:  # side 1 free all along the ray
+            return None, ""
+        eq = EquilibriumState(span - h_star, h_star, t := p2_max * a2, "interior")
+        k_max = contact_stiffness(rig, t / a1, p2_max, eq, h_star - depth)
+        p2 = _line_root(-p2_max * k_star, k_max, p2_min, p2_max)  # p2_max times k_star / k_max
+        miss = k_max * p2 / p2_max - k_star if p2 in (p2_min, p2_max) else 0.0  # past that end
+        return (_clip(p2 * a2 / a1, p1_lo, p1_hi), p2), _diagnose(0.0, miss) if miss else ""
+    elif contour(p2_max)[0] == math.inf:  # side 1 free at p1_hi's end of the contour
         return None, ""
     else:
         path = contour
-    if path is contour and not rig.belt_compliance:  # a ray, along which k scales with p2
-        p1, _, eq = end
-        k_max = contact_stiffness(rig, p1, p2_max, eq, h_star - depth)
-        def stiffness(p2: float) -> tuple[float, float]:
-            return k_max * p2 / p2_max - k_star, k_max / p2_max
-        p2 = _line_root(-p2_max * k_star, k_max, p2_min, p2_max)  # p2_max times k_star / k_max
-    else:
-        def stiffness(p2: float) -> tuple[float, float]:
-            """k - k_star along the path at p2, and its slope in p2."""
-            p1, dp1, eq = path(p2)
-            probe = _probe(rig, p1, p2, eq, h_star - depth)
-            dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq),
-                                  probe.h1)
-            return probe.k - k_star, dk[0] * dp1 + dk[1]
-        p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
+
+    def stiffness(p2: float) -> tuple[float, float]:
+        """k - k_star along the path at p2, and its slope in p2."""
+        p1, dp1, eq = path(p2)
+        probe = _probe(rig, p1, p2, eq, h_star - depth)
+        dk = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq),
+                              probe.h1)
+        return probe.k - k_star, dk[0] * dp1 + dk[1]
+
+    p2 = _rising_root(stiffness, p2_min, None, p2_max, None)
     miss = stiffness(p2)[0] if p2 in (p2_min, p2_max) else 0.0  # k_star past that end
     return (_clip(path(p2)[0], p1_lo, p1_hi), p2), _diagnose(0.0, miss) if miss else ""
 

@@ -176,7 +176,7 @@ def _fill_masses(rig: RigSpec) -> list[float]:
 
 def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
                    floors: Sequence[tuple[float, float, float]], guess: float | None = None,
-                   free_guess: Sequence[float | None] = (None, None)) -> tuple:
+                   free1: float | None = None, free2: float | None = None) -> tuple:
     """Quasi-static (h1, h2, g1, g2, x1, x2): heights and free-expansion heights in mm,
     gauges in kPa, as one flat tuple.
 
@@ -184,9 +184,10 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     is at ambient pressure and its gauge reads exactly 0; a chamber never
     drops below its residue height, so neither can take the whole span.
     ``fills`` are the rig's ``_fill_masses``, ``floors`` each chamber's
-    ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2) and ``free_guess`` start
-    the roots.  The balance takes ``_side_force_from_mass`` for both sides,
-    with each stack and its gas mass.  Each gauge reads its gas volume from
+    ``_gas_volume`` at MIN_HEIGHT_MM; ``guess`` (h2), ``free1`` and ``free2``
+    (each free-expansion height) start the roots.  The balance takes
+    ``_side_force_from_mass`` for both sides, with each stack and its gas
+    mass.  Each gauge reads its gas volume from
     the balance's last evaluation of its side, carried to its height by its
     slope, as the balance carries the tension, where that lies within
     ROOT_XTOL_MM and holds one (below the free height); else from
@@ -194,9 +195,9 @@ def _solve_heights(rig: RigSpec, m1: float, m2: float, fills: Sequence[float],
     """
     spec1, spec2 = rig.modulating, rig.morphing
     x1 = (spec1.free_height if m1 >= fills[0]
-          else _free_expansion_height(spec1, m1, floors[0], free_guess[0]))
+          else _free_expansion_height(spec1, m1, floors[0], free1))
     x2 = (spec2.free_height if m2 >= fills[1]
-          else _free_expansion_height(spec2, m2, floors[1], free_guess[1]))
+          else _free_expansion_height(spec2, m2, floors[1], free2))
     cap = rig.belt_span - MIN_HEIGHT_MM
     h1, h2, _, _, last1, last2 = belt_balance(
         _side_force_from_mass, spec1, m1, spec2, m2, cap if cap < x1 else x1,
@@ -288,8 +289,8 @@ def step_simulate(
                 # three-point predictions; a free-expansion height only where its root is solved
                 h1, h2, g1, g2, x1, x2 = _solve_heights(
                     rig, m1, m2, fills, floors, 3.0 * y - 3.0 * y1 + y2,
-                    (None if m1 >= fill1 else 3.0 * a - 3.0 * a1 + a2,
-                     None if m2 >= fill2 else 3.0 * b - 3.0 * b1 + b2))
+                    None if m1 >= fill1 else 3.0 * a - 3.0 * a1 + a2,
+                    None if m2 >= fill2 else 3.0 * b - 3.0 * b1 + b2)
                 s1, s2 = m1, m2
                 # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
                 if (g1 - g1) + (g2 - g2) + (m1 - m1) + (m2 - m2) + (h1 - h1) + (h2 - h2) != 0.0:
@@ -299,7 +300,11 @@ def step_simulate(
             a, a1, a2 = x1, a, a1
             b, b1, b2 = x2, b, b1
             k = 5 * i
-            flat[k], flat[k + 1], flat[k + 2], flat[k + 3], flat[k + 4] = i * dt, g1, g2, h1, top
+            flat[k] = i * dt  # five stores, no tuple built and unpacked
+            flat[k + 1] = g1
+            flat[k + 2] = g2
+            flat[k + 3] = h1
+            flat[k + 4] = top
             # at rest: each later step of the command repeats it
             if m1 == n1 and m2 == n2 and c1 == e1 and c2 == e2:
                 rows[i + 1:end] = rows[i]

@@ -10,6 +10,10 @@ per side.  It returns one record, ``Balance``: heights, tension, branch and
 each side's last evaluation, which the valve gauges read back, and the probe
 into its own record, ``Probe``: force, belt tension, h1 and stiffness, which
 ``probe_force``, ``contact_stiffness`` and ``force_displacement_curve`` read.
+The probe reads each side's force and slope back from the balance record where
+it was made at the probe height and at h1, else evaluates them anew, and builds
+its record without its constructor's frame; its bounds and the side force's
+height floor pick the operand the builtin ``min`` or ``max`` would, written out.
 Probe stiffness and the slopes in pressure of the height
 (``equilibrium_slopes``) and of the stiffness (``stiffness_slopes``) are
 closed-form implicit derivatives of the balance.  The balance's roots (the
@@ -91,7 +95,7 @@ def _side_force(spec: PouchStackSpec, pressure: float, height: float) -> tuple[f
     """Contact force (N) of one side and its slope (N/mm), 0 outside the compressed range."""
     if height >= spec.free_height:
         return 0.0, 0.0
-    _, area, curvature = _volume_terms(spec, max(height, 1e-9))
+    _, area, curvature = _volume_terms(spec, 1e-9 if 1e-9 > height else height)
     force = pressure * area * KPA_MM2_TO_N
     if force < _FORCE_MIN and force:  # a subnormal force counts as none
         return 0.0, 0.0
@@ -181,11 +185,6 @@ class Balance(NamedTuple):
     side2: tuple | None
 
 
-def _read(last: tuple | None, x: float, side: Callable[..., tuple], spec, q: float) -> tuple:
-    """side(spec, q, x), read back from ``last``, a side's last evaluation, where that was at x."""
-    return last[1] if last and last[0] == x else side(spec, q, x)
-
-
 def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float, x1: float,
                  x2: float, span: float, compliance: float, offset: float = 0.0,
                  guess: float | None = None) -> Balance:
@@ -205,6 +204,10 @@ def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float,
     stretches the belt.  ``guess`` is an h2 to start from, such as the last
     time step's.  An interior root's tension is f2's last evaluation, carried
     to h2 by its slope where that lies within ROOT_XTOL_MM, else f2(h2).
+    On every taut branch h1 is span + compliance * tension - h2, or x1 where
+    that lies past x1: side 1 is then out of contact, and on the interior
+    branch the offset alone carries the tension, with h1 + h2 short of
+    span + compliance * tension.
     """
     if x1 + x2 < span:  # each record is built as ``Balance`` would, without its frame
         return tuple.__new__(Balance, (x1, x2, 0.0, "slack", None, None))
@@ -291,17 +294,20 @@ def _probe(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, h2: float) 
     at (p1, p2), else a RigDomainError naming h2 h2_forced, as ``probe_force``.  The modulating side
     re-equilibrates against the belt, which goes slack once that side is free.  F = f2(h2) - T
     with the belt closing at h1 = C + c*T - h2, so dF/d(depth) = -f2'(h2) + d / (1 + c*d),
-    d = -f1'(h1) (0 if slack), both slopes read back where the probe balance evaluated them."""
+    d = -f1'(h1) (0 if slack), both slopes read back where the probe balance evaluated them,
+    else evaluated anew.  The record is built as ``Probe`` would, without its frame."""
     if not 0.0 < h2 <= eq.h2 + 1e-9:
         raise RigDomainError(f"h2_forced {h2} mm not in the probe contact range "
                              f"(0, {eq.h2:.6g}] mm")
-    spec1, spec2 = rig.modulating, rig.morphing
-    b = belt_balance(_side_force, spec1, p1, spec2, p2, spec1.free_height,
-                     min(spec2.free_height, h2), rig.belt_span, rig.belt_compliance)
-    force, slope = _read(b.side2, h2, _side_force, spec2, p2)
-    d = -_read(b.side1, b.h1, _side_force, spec1, p1)[1]
-    return Probe(max(0.0, force - b.tension), b.tension, b.h1,
-                 d / (1.0 + rig.belt_compliance * d) - slope)
+    spec1, spec2, c = rig.modulating, rig.morphing, rig.belt_compliance
+    h1, _, tension, _, last1, last2 = belt_balance(_side_force, spec1, p1, spec2, p2,
+                                                   spec1.free_height,
+                                                   h2 if h2 < (x2 := spec2.free_height) else x2,
+                                                   rig.belt_span, c)
+    force, slope = last2[1] if last2 and last2[0] == h2 else _side_force(spec2, p2, h2)
+    d = -(last1[1] if last1 and last1[0] == h1 else _side_force(spec1, p1, h1))[1]
+    return tuple.__new__(Probe, (f if (f := force - tension) > 0.0 else 0.0, tension, h1,
+                                 d / (1.0 + c * d) - slope))
 
 
 def probe_force(rig: RigSpec, p1: float, p2: float,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -78,15 +79,16 @@ def test_contour_passing_the_box_names_the_height(rig, bounds, side):
 def test_seed_exits_where_the_contour_leaves_side_1_free(k_star):
     # one ulp above the lowest reachable height, C - h* rounds back to x1 on a
     # rigid rig: side 1 is free all along h*'s contour, which holds no p1, so
-    # the seed gives none and the grid's plan says why the target is out of reach
-    rig = toy_rig()
-    h_star = math.nextafter(rig.belt_span - rig.modulating.free_height, math.inf)
-    assert rig.belt_span - h_star == rig.modulating.free_height
-    point, _ = _contour(rig, h_star)
-    assert point(0.0)[:2] == (math.inf, math.inf)
-    assert planner_mod._seed(rig, h_star, k_star, 5.0, planner_mod.FULL_BOX) == (None, "")
-    plan = plan_state(rig, HapticTarget(target_height=h_star, target_stiffness=k_star))
-    assert not plan.feasible and plan.reason
+    # the seed gives none and the grid's plan says why the target is out of reach.
+    # A compliant belt's contour ends at p2 = 0 there, with side 1 as free
+    for rig in (toy_rig(), dataclasses.replace(toy_rig(), belt_compliance=0.3)):
+        h_star = math.nextafter(rig.belt_span - rig.modulating.free_height, math.inf)
+        assert rig.belt_span - h_star == rig.modulating.free_height
+        point, _ = _contour(rig, h_star)
+        assert point(0.0)[:2] == (math.inf, math.inf)
+        assert planner_mod._seed(rig, h_star, k_star, 5.0, planner_mod.FULL_BOX) == (None, "")
+        plan = plan_state(rig, HapticTarget(target_height=h_star, target_stiffness=k_star))
+        assert not plan.feasible and plan.reason
 
 
 def test_stiffness_slopes_vanish_out_of_contact_range(rig):
@@ -455,6 +457,42 @@ def test_rigid_seed_solves_no_root(rig, monkeypatch):
             calls = 0
             assert plan_state(r, HapticTarget(target_height=h, target_stiffness=k)).feasible
             assert calls == roots, (r.belt_compliance, p1, p2)
+
+
+def test_python_calls_per_reachable_plan(rig):
+    # every Python-level call (the profiler's "call" events; builtins and C
+    # functions make "c_call"s) of the nine rigid plans of
+    # test_side_force_evaluations_per_plan, each target built in the count:
+    # 423, 47 a plan, 16 of them the eight side forces and their pouch terms.
+    # Side 1's memo, the contour's gap and point, the probe's record reads and
+    # the pick among one plan made 666.  The count does not depend on the
+    # machine, so a call layer added to the reachable path fails here
+    targets = [forward_map(rig, p1, p2, 5.0) for p1 in (10.0, 40.0, 80.0)
+               for p2 in (15.0, 50.0, 100.0)]
+    calls, plans = 0, []
+
+    def counted(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    profile = sys.getprofile()
+    sys.setprofile(counted)
+    try:
+        for h, k in targets:
+            plans.append(plan_state(rig, HapticTarget(target_height=h, target_stiffness=k)))
+    finally:
+        sys.setprofile(profile)
+    assert all(plan.feasible for plan in plans)
+    assert calls <= 423
+
+
+@pytest.mark.parametrize("a, lo, hi", [
+    (math.nan, 0.0, 1.0), (0.5, math.nan, 1.0), (0.5, 0.0, math.nan), (0.0, 0.0, 1.0),
+    (1.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (0.0, -1.0, -0.0), (-0.0, -1.0, 0.0),
+    (2.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])
+def test_clip_picks_as_min_of_max(a, lo, hi):
+    # each written-out bound picks the builtin's operand: NaN, equal and signed zeros
+    assert repr(planner_mod._clip(a, lo, hi)) == repr(min(max(a, lo), hi))
 
 
 def test_compliant_plan_solves_each_probe_balance_once(rig, monkeypatch):

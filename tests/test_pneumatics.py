@@ -423,7 +423,7 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
     lo, hi = max(1e-9, span - x1), min(x2, span)
     h1, h2, g1, g2, *free = _solve_heights(
         rig, *masses, fills, floors, at(guess, lo, hi),
-        [at(g, MIN_HEIGHT_MM, spec.free_height) for g, spec in zip(free_guesses, specs)])
+        *[at(g, MIN_HEIGHT_MM, spec.free_height) for g, spec in zip(free_guesses, specs)])
     gauges = g1, g2
     fresh = [0.0 if h == x < spec.free_height
              else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
@@ -553,7 +553,7 @@ def test_guess_near_the_root_matches_cold_solve(widths, lengths, counts, end_cap
     fills, floors = _fill_masses(rig), floor_gas(rig)
     h1, h2, _, _, *free = _solve_heights(rig, *masses, fills, floors)
     guess, *free_guess = (x + d * ROOT_XTOL_MM for x, d in zip((h2, *free), offsets))
-    w1, w2, *gauges, _, _ = _solve_heights(rig, *masses, fills, floors, guess, free_guess)
+    w1, w2, *gauges, _, _ = _solve_heights(rig, *masses, fills, floors, guess, *free_guess)
     assert (w1, w2) == pytest.approx((h1, h2), rel=0.0, abs=ROOT_XTOL_MM)
     fresh = [0.0 if h == x < spec.free_height
              else abs_pressure(m, _gas_volume(spec, h)[0]) - P_ATM_KPA
@@ -876,8 +876,8 @@ def test_solve_after_a_filled_hold_predicts_the_rest_state(monkeypatch):
     # and from step 50, the second command's first, and rest in between
     solve, solves, flows = pneumatics._solve_heights, [], []
 
-    def solved(rig, m1, m2, fills, floors, guess=None, free_guess=(None, None)):
-        out = solve(rig, m1, m2, fills, floors, guess, free_guess)
+    def solved(rig, m1, m2, fills, floors, guess=None, free1=None, free2=None):
+        out = solve(rig, m1, m2, fills, floors, guess, free1, free2)
         solves.append((guess, out[1]))
         return out
 

@@ -1,6 +1,7 @@
 """Coupled-rig equilibrium against a brute-force grid-scan oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def brentq_balance(rig: RigSpec, p1: float, p2: float, h2_stop: float, offset: f
             t = brentq(lambda t: f1(h1 + c * t) - t, 0.0, t, xtol=1e-12)
         return min(x1, h1 + c * t), h2
     h2 = brentq(residual, lo, hi, xtol=1e-12)
-    return span + c * f2(h2) - h2, h2
+    return min(x1, span + c * f2(h2) - h2), h2  # side 1 out of contact stands at x1
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,6 +241,10 @@ def brentq_balance(rig: RigSpec, p1: float, p2: float, h2_stop: float, offset: f
          stop=120.0, guess=30.0, near=None)  # no force anywhere: the warm start rides the belt too
 @example(w1=20.0, w2=40.0, c=60.0, compliance=0.0, end_caps=False, p1=5e-324, p2=5e-324,
          offset=0.0, stop=49.0, guess=None, near=None)  # subnormal forces: 0 over wide spans
+# p1 = 0: the offset alone carries an interior root's 2 N tension, the belt closing 0.95 mm
+# past side 1's free height, where h1 stands
+@example(w1=21.0, w2=42.0, c=101.0, compliance=0.5, end_caps=True, p1=0.0, p2=109.0,
+         offset=-2.0, stop=61.0, guess=None, near=None)
 def test_belt_balance_matches_brentq(w1, w2, c, compliance, end_caps, p1, p2, offset, stop,
                                      guess, near):
     rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
@@ -408,6 +413,73 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
     assert _probe(rig, p1, p2, eq, h) == (fresh_force, b.tension, b.h1, fresh_k)
     assert contact_stiffness(rig, p1, p2, eq, h) == fresh_k
     assert probe_force(rig, p1, p2, h) == (fresh_force, b.tension, b.h1)
+
+
+# each pair of operands of a bound written out as a conditional: NaN either side, equal,
+# and signed zeros, where the builtin's pick shows in the repr
+BOUND_OPERANDS = [(math.nan, 1.0), (1.0, math.nan), (1.0, 1.0), (0.0, -0.0), (-0.0, 0.0),
+                  (1.0, 2.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("height", [math.nan, 1e-9, 0.0, -0.0, 5e-10, 1.0])
+def test_side_force_floor_picks_as_max(monkeypatch, height):
+    # the pouch sees max(height, 1e-9): a NaN height stays NaN, for the pouch to reject
+    seen = []
+    monkeypatch.setattr(rig_mod, "_volume_terms", lambda spec, h: seen.append(h) or (0.0, 1.0, 1.0))
+    _side_force(make_rig().morphing, 1.0, height)
+    assert repr(seen) == repr([max(height, 1e-9)])
+
+
+def stub_probe(monkeypatch, free: float, h2: float, force: float, tension: float):
+    """``_probe`` at h2 on a rig whose morphing free height is ``free``, over a balance stub
+    that records the stop it is given and returns ``tension``, with side 2's ``force``
+    recorded at h2; and the stops."""
+    stops = []
+
+    def balance(side, spec1, q1, spec2, q2, x1, x2, *args):
+        stops.append(x2)
+        return rig_mod.Balance(40.0, h2, tension, "interior", (40.0, (1.0, -0.1)),
+                               (h2, (force, -0.2)))
+
+    monkeypatch.setattr(rig_mod, "belt_balance", balance)
+    rig = SimpleNamespace(modulating=make_rig().modulating,
+                          morphing=SimpleNamespace(free_height=free), belt_span=90.0,
+                          belt_compliance=0.0)
+    eq = rig_mod.EquilibriumState(40.0, 50.0, 1.0, "interior")
+    return _probe(rig, 10.0, 10.0, eq, h2), stops
+
+
+@pytest.mark.parametrize("free, h2", [(x, h) for x, h in BOUND_OPERANDS
+                                      if 0.0 < h and not math.isnan(h)])
+def test_probe_stop_picks_as_min(monkeypatch, free, h2):
+    # the probe balance's stop is min(x2, h2), x2 first
+    _, stops = stub_probe(monkeypatch, free, h2, 2.0, 1.0)
+    assert repr(stops) == repr([min(free, h2)])
+
+
+@pytest.mark.parametrize("force, tension", BOUND_OPERANDS + [(math.inf, math.inf)])
+def test_probe_force_picks_as_max(monkeypatch, force, tension):
+    # the probe force is max(0.0, f2(h2) - T): 0.0 for a NaN or negative zero difference
+    probe, _ = stub_probe(monkeypatch, 60.0, 1.0, force, tension)
+    assert repr(probe.force) == repr(max(0.0, force - tension))
+    assert type(probe) is rig_mod.Probe
+
+
+def test_probe_reads_back_only_records_at_its_heights(monkeypatch):
+    # side records moved off the probe height and off h1, holding NaN, are not
+    # read back: the probe evaluates both sides anew there, to the same record
+    rig = make_rig()
+    eq = solve_equilibrium(rig, 20.0, 30.0)
+    want = _probe(rig, 20.0, 30.0, eq, 0.5 * eq.h2)
+    balance = rig_mod.belt_balance
+
+    def moved(*args):
+        b = balance(*args)
+        return b._replace(side1=(b.side1[0] + 1.0, (math.nan, math.nan)),
+                          side2=(b.side2[0] + 1.0, (math.nan, math.nan)))
+
+    monkeypatch.setattr(rig_mod, "belt_balance", moved)
+    assert _probe(rig, 20.0, 30.0, eq, 0.5 * eq.h2) == want
 
 
 def test_contact_stiffness_side_force_evaluations(monkeypatch):
