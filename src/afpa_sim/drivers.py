@@ -88,7 +88,7 @@ def _stiffness_levels(config: RunConfig) -> list[float]:
 
 
 def run_characterize_stiffness(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Probe force, loading and unloading against friction, and ``contact_stiffness`` vs
+    """Probe force, loading and unloading against friction, and ``stiffness`` vs
     compression depth at each p2 level, both read from one ``_probe`` per depth."""
     sweep, f = config.sweep, config.rig.friction_force
     depth_step = sweep.probe_rate / sweep.sample_rate
@@ -98,7 +98,7 @@ def run_characterize_stiffness(config: RunConfig, seed: int, out: Path) -> list[
         n = round(min(sweep.compression_depth, max(depth_step, eq.h2 - 1.0)) / depth_step)
         for d, probe in _probe_curve(config.rig, 0.0, p2, n * depth_step, depth_step, eq):
             force_rows.append((p2, d, max(0.0, probe.force + f), max(0.0, probe.force - f)))
-            if eq.h2 - d < eq.h2:  # contact_stiffness's range; the probe height is positive
+            if eq.h2 - d < eq.h2:  # stiffness's range; the probe height is positive
                 stiff_rows.append((p2, d, probe.k))
     return [
         _write_csv(

@@ -6,10 +6,11 @@ every path, serves the equilibrium, the Coulomb branches of the size
 sweeps, the probe (a stop holding the morphing side down) and the valve
 dynamics.  It takes one side law for both stacks, which it calls with each
 stack and that stack's pressure or gas mass, so no caller builds a function
-per side.  It returns one record, ``Balance``: heights, tension, branch and
-each side's last evaluation, which the valve gauges read back, and the probe
-into its own record, ``Probe``: force, belt tension, h1 and stiffness, which
-``probe_force``, ``contact_stiffness`` and ``force_displacement_curve`` read.
+per side.  It returns one record, ``EquilibriumState``: heights, tension,
+branch and each side's last evaluation, which the valve gauges read back and
+``solve_equilibrium`` returns as it is, and the probe into its own record,
+``Probe``: force, belt tension, h1 and stiffness, which ``probe_force``,
+``stiffness`` and ``force_displacement_curve`` read.
 The probe reads each side's force and slope back from the balance record where
 it was made at the probe height and at h1, else evaluates them anew, and builds
 its record without its constructor's frame; its bounds and the side force's
@@ -73,12 +74,18 @@ class RigSpec:
             raise ValueError("deflated_floor must be >= 0")
 
 
-@dataclass(frozen=True)
-class EquilibriumState:
+class EquilibriumState(NamedTuple):
+    """What ``belt_balance`` solved.  branch: 'slack' (x1 + x2 < span), 'interior' (a root
+    inside h2's bracket), 'pinned' (h2 at its top: the span or the stop x2) or 'squashed'
+    (h2 at its bottom, span - x1); side1, side2: each side's last evaluation, (height,
+    what the side function returned there), or None when slack or not given."""
+
     h1: float  # mm
     h2: float  # mm
     belt_tension: float  # N
-    branch: str  # the ``Balance`` branch: slack, interior, pinned or squashed
+    branch: str
+    side1: tuple | None = None
+    side2: tuple | None = None
 
     @property
     def taut(self) -> bool:  # the belt pulls: any branch but slack
@@ -171,24 +178,10 @@ def _rising_root(f: Callable[[float], tuple[float, float]], lo: float,
     raise EquilibriumError(f"root finding did not converge in {ROOT_MAX_ITER} steps")
 
 
-class Balance(NamedTuple):
-    """What ``belt_balance`` solved.  branch: 'slack' (x1 + x2 < span), 'interior' (a root
-    inside h2's bracket), 'pinned' (h2 at its top: the span or the stop x2) or 'squashed'
-    (h2 at its bottom, span - x1); side1, side2: each side's last evaluation, (height,
-    what the side function returned there), or None when slack."""
-
-    h1: float  # mm
-    h2: float  # mm
-    tension: float  # N
-    branch: str
-    side1: tuple | None
-    side2: tuple | None
-
-
 def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float, x1: float,
                  x2: float, span: float, compliance: float, offset: float = 0.0,
-                 guess: float | None = None) -> Balance:
-    """The ``Balance`` of two sides tied by the belt.
+                 guess: float | None = None) -> EquilibriumState:
+    """The ``EquilibriumState`` of two sides tied by the belt.
 
     ``side`` is one law for both stacks: side(spec, q, h) gives the contact
     force of stack ``spec`` at height h, holding q (a pressure or a gas
@@ -209,8 +202,8 @@ def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float,
     branch the offset alone carries the tension, with h1 + h2 short of
     span + compliance * tension.
     """
-    if x1 + x2 < span:  # each record is built as ``Balance`` would, without its frame
-        return tuple.__new__(Balance, (x1, x2, 0.0, "slack", None, None))
+    if x1 + x2 < span:  # each record is built as its class would, without its frame
+        return tuple.__new__(EquilibriumState, (x1, x2, 0.0, "slack", None, None))
     last1 = last2 = None
 
     def residual(h2: float) -> tuple[float, float]:
@@ -230,7 +223,7 @@ def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float,
             last2 = h2, (r2 := side(spec2, q2, h2))
             tension = r2[0]
         h1 = h if (h := span + compliance * tension - h2) < x1 else x1
-        return tuple.__new__(Balance, (h1, h2, tension, "interior", last1, last2))
+        return tuple.__new__(EquilibriumState, (h1, h2, tension, "interior", last1, last2))
     h1 = span - h2
     if last1[0] != h1:  # else a rigid belt's residual has evaluated f1 there
         last1 = h1, side(spec1, q1, h1)
@@ -244,12 +237,12 @@ def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float,
 
         tension = _rising_root(stretch, 0.0, (-tension, 1.0 - compliance * k1), tension, None)
         h1 += compliance * tension
-    return tuple.__new__(Balance, (min(x1, h1), h2, tension,
+    return tuple.__new__(EquilibriumState, (min(x1, h1), h2, tension,
                                    "pinned" if h2 == hi else "squashed", last1, last2))
 
 
 def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,
-             guess: float | None = None) -> Balance:
+             guess: float | None = None) -> EquilibriumState:
     """``belt_balance`` of the rig's stacks."""
     return belt_balance(_side_force, rig.modulating, p1, rig.morphing, p2,
                         rig.modulating.free_height, rig.morphing.free_height, rig.belt_span,
@@ -258,9 +251,8 @@ def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,
 
 def solve_equilibrium(rig: RigSpec, p1: float, p2: float, *,
                       guess: float | None = None) -> EquilibriumState:
-    """Equilibrium heights and belt tension at the given gauge pressures, from ``guess`` (h2)."""
-    b = _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"), guess=guess)
-    return EquilibriumState(b.h1, b.h2, b.tension, b.branch)
+    """The ``belt_balance`` at the given gauge pressures, solved from ``guess`` (h2)."""
+    return _balance(rig, _check_pressure(p1, "p1"), _check_pressure(p2, "p2"), guess=guess)
 
 
 def equilibrium_slopes(rig: RigSpec, p1: float, p2: float,
@@ -344,13 +336,9 @@ def force_displacement_curve(rig: RigSpec, p1: float, p2: float, max_depth: floa
 
 
 def stiffness(rig: RigSpec, p1: float, p2: float, h2: float) -> float:
-    """Probe stiffness dF/d(depth) at height h2 (N/mm), in closed form."""
-    return contact_stiffness(rig, p1, p2, solve_equilibrium(rig, p1, p2), h2)
-
-
-def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
-                      h2: float) -> float:
-    """``stiffness`` below an equilibrium already solved at (p1, p2): the ``_probe``'s k."""
+    """Probe stiffness dF/d(depth) at height h2 below the equilibrium at (p1, p2) (N/mm), in
+    closed form: the ``_probe``'s k."""
+    eq = solve_equilibrium(rig, p1, p2)
     if not 0.0 < h2 < eq.h2:
         raise RigDomainError(f"h2 {h2} mm not in the probe contact range (0, {eq.h2:.6g}) mm")
     return _probe(rig, p1, p2, eq, h2).k
@@ -358,7 +346,7 @@ def contact_stiffness(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState,
 
 def stiffness_slopes(rig: RigSpec, p1: float, p2: float, eq: EquilibriumState, depth: float,
                      dh: tuple[float, float], y: float | None) -> tuple[float, float]:
-    """(dk/dp1, dk/dp2) in N/mm/kPa of the ``contact_stiffness`` k at ``depth`` below eq.h2:
+    """(dk/dp1, dk/dp2) in N/mm/kPa of the ``_probe``'s k at ``depth`` below eq.h2:
     k = -p2*s2(x) + d/D at x = h2 - depth, with d = -p1*s1(y), D = 1 + c*d and the probe
     balance at y = C - x + c*p1*a1(y), or slack (a1 = s1 = 0); a, s, t: a side's force and
     slopes per kPa.  x moves by dh, eq's ``equilibrium_slopes``; y is the ``Probe``'s h1,

@@ -15,9 +15,10 @@ computes the states' perceptual coordinates and pre-jitter latencies once,
 and ``simulate_session`` is its one-session case.  ``box_stats`` takes
 numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
 floats, bit for bit, and a 0/1 accuracy is a count over a length.  The
-confusion counts, ``segment_analysis`` and the means and standard deviations
-that ``study-analyze`` writes are plain floats too, equal to numpy's bit for
-bit (``_mean``, ``_std``), so reading a study's logs loads no numpy.
+confusion counts, ``segment_analysis``, the means and standard deviations
+that ``study-analyze`` writes and the t-test's sample moments are plain floats
+too, equal to numpy's bit for bit (``_mean``, ``_var``), so reading a study's
+logs loads no numpy; the t-test's p does, through ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -313,10 +314,16 @@ def _mean(xs: Sequence[float]) -> float:
     return (0.0 + _pairwise_sum(xs)) / len(xs)
 
 
-def _std(xs: Sequence[float]) -> float:
-    """``np.std``, bit for bit: the square root of the mean of the squared deviations."""
+def _var(xs: Sequence[float], ddof: int = 0) -> float:
+    """``np.var(xs, ddof=ddof)`` of more than ddof floats, bit for bit: the pairwise sum of
+    the squared deviations, none of them -0.0, over len(xs) - ddof."""
     m = _mean(xs)
-    return math.sqrt(_mean([(x - m) * (x - m) for x in xs]))
+    return _pairwise_sum([(x - m) * (x - m) for x in xs]) / (len(xs) - ddof)
+
+
+def _std(xs: Sequence[float]) -> float:
+    """``np.std``, bit for bit: the square root of ``_var``."""
+    return math.sqrt(_var(xs))
 
 
 def _quantile(xs: list[float], q: float) -> float:
@@ -348,29 +355,27 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
 def t_test_independent(
     a: Sequence[float], b: Sequence[float], equal_variance: bool = True
 ) -> TTestResult:
-    """Two-sample t-test: pooled (Student) or Welch, two-sided p."""
-    import numpy as np
-    x, y = (np.asarray(v, dtype=float) for v in (a, b))
-    if x.size < 2 or y.size < 2:
+    """Two-sample t-test: pooled (Student) or Welch, two-sided p, from the moments of the
+    samples as lists of floats (``_mean``, ``_var``)."""
+    x, y = list(map(float, a)), list(map(float, b))
+    nx, ny = len(x), len(y)
+    if nx < 2 or ny < 2:
         raise StatisticsError("each group needs at least 2 samples")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
         raise StatisticsError("samples must be finite")
-    vx, vy = (float(np.var(v, ddof=1)) for v in (x, y))
-    mx, my = (float(np.mean(v)) for v in (x, y))
+    vx, vy, mx, my = _var(x, 1), _var(y, 1), _mean(x), _mean(y)
     if vx == 0.0 and vy == 0.0:
         if mx == my:
             raise StatisticsError("degenerate: zero variance and equal means")
-        return TTestResult(t=math.copysign(math.inf, mx - my), dof=float(x.size + y.size - 2), p_two_sided=0.0)
+        return TTestResult(t=math.copysign(math.inf, mx - my), dof=float(nx + ny - 2), p_two_sided=0.0)
     if equal_variance:
-        dof = float(x.size + y.size - 2)
-        pooled = ((x.size - 1) * vx + (y.size - 1) * vy) / dof
-        se = math.sqrt(pooled * (1.0 / x.size + 1.0 / y.size))
+        dof = float(nx + ny - 2)
+        pooled = ((nx - 1) * vx + (ny - 1) * vy) / dof
+        se = math.sqrt(pooled * (1.0 / nx + 1.0 / ny))
     else:
-        sx, sy = vx / x.size, vy / y.size
+        sx, sy = vx / nx, vy / ny
         se = math.sqrt(sx + sy)
-        dof = (sx + sy) ** 2 / (
-            sx * sx / (x.size - 1) + sy * sy / (y.size - 1)
-        )
+        dof = (sx + sy) ** 2 / (sx * sx / (nx - 1) + sy * sy / (ny - 1))
     t = (mx - my) / se
     from scipy import special  # scipy loads on the first t-test
 

@@ -319,7 +319,7 @@ def test_cli_stiffness_solves_each_level_once(tmp_path, capsys, monkeypatch):
 
 def public_view_stiffness_rows(config: RunConfig) -> tuple[list, list]:
     """fig3a's and fig3b's rows built from ``force_displacement_curve``, one call per level,
-    and ``contact_stiffness``, one call per row, where it accepts the depth."""
+    and ``stiffness``, one call per row, where it accepts the depth."""
     sweep = config.sweep
     depth_step = sweep.probe_rate / sweep.sample_rate
     force_rows, stiff_rows = [], []
@@ -331,8 +331,7 @@ def public_view_stiffness_rows(config: RunConfig) -> tuple[list, list]:
         for (d, f_load), (_, f_unload) in zip(curve[: n + 1], curve[n + 1:][::-1]):
             force_rows.append((p2, d, f_load, f_unload))
             try:
-                stiff_rows.append((p2, d, rig.contact_stiffness(config.rig, 0.0, p2, eq,
-                                                                eq.h2 - d)))
+                stiff_rows.append((p2, d, rig.stiffness(config.rig, 0.0, p2, eq.h2 - d)))
             except rig.RigDomainError:
                 pass
     return force_rows, stiff_rows

@@ -433,7 +433,7 @@ def test_reads_from_last_evaluation_match_fresh(widths, lengths, counts, end_cap
     b = belt_balance(_side_force_from_mass, specs[0], masses[0], specs[1], masses[1],
                      min(free[0], cap), min(free[1], cap), span, compliance,
                      guess=at(guess, lo, hi))
-    b1, b2, tension = b.h1, b.h2, b.tension
+    b1, b2, tension = b.h1, b.h2, b.belt_tension
     assert (b1, b2) == (h1, h2)
     # bit for bit, each gauge is the gas law at its side's last evaluated gas
     # volume carried to its height, where that lies within ROOT_XTOL_MM and
@@ -516,7 +516,7 @@ def test_tension_beyond_the_last_evaluation_is_evaluated_anew():
     assert b.branch == "interior"
     assert abs(heights[-2] - b.h2) > ROOT_XTOL_MM and heights[-1] == b.h2
     assert b.side2 == (b.h2, _side_force_from_mass(rig.morphing, m2, b.h2))
-    assert b.tension == b.side2[1][0]
+    assert b.belt_tension == b.side2[1][0]
 
 
 # a guess's offset from the cold root, in ROOT_XTOL_MM: the root itself, the
@@ -684,7 +684,7 @@ def test_each_balance_passes_one_module_level_side_law(monkeypatch):
     monkeypatch.setattr(pneumatics, "belt_balance", recorded)
     monkeypatch.setattr(pneumatics, "_solve_heights", solved)
     eq = solve_equilibrium(rig, 20.0, 30.0)
-    rig_mod.contact_stiffness(rig, 20.0, 30.0, eq, 0.5 * eq.h2)
+    rig_mod._probe(rig, 20.0, 30.0, eq, 0.5 * eq.h2)
     by_pressure = (rig_mod._side_force, rig.modulating, 20.0, rig.morphing, 30.0)
     assert calls == [by_pressure, by_pressure]
     calls.clear()

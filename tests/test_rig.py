@@ -19,7 +19,6 @@ from afpa_sim.rig import (
     _rising_root,
     _side_force,
     belt_balance,
-    contact_stiffness,
     equilibrium_slopes,
     force_displacement_curve,
     probe_force,
@@ -306,7 +305,7 @@ def test_stiffness_slopes_match_central_difference(w1, w2, c, compliance, end_ca
     # the equilibrium branches and the probe balance going slack are kinks of k
     assume(all(lo < eq.h2 < hi and eq.h2 > depth for eq in eqs))
     assume(len({x1 + eq.h2 - depth < c for eq in eqs}) == 1)
-    k = [contact_stiffness(rig, q1, q2, eq, eq.h2 - depth) for (q1, q2), eq in zip(stencil, eqs)]
+    k = [_probe(rig, q1, q2, eq, eq.h2 - depth).k for (q1, q2), eq in zip(stencil, eqs)]
     eq = solve_equilibrium(rig, p1, p2)
     y = _probe(rig, p1, p2, eq, eq.h2 - depth).h1
     slopes = stiffness_slopes(rig, p1, p2, eq, depth, equilibrium_slopes(rig, p1, p2, eq), y)
@@ -341,7 +340,7 @@ def test_balance_branch_labels_hold(w1, w2, c, compliance, end_caps, p1, p2, off
     event(b.branch)
     assert b.branch in ("slack", "interior", "pinned", "squashed")
     if b.branch == "slack":
-        assert x1 + x2 < c and b.tension == 0.0
+        assert x1 + x2 < c and b.belt_tension == 0.0
         assert b.side1 is None and b.side2 is None
     else:
         assert b.branch != "interior" or lo < b.h2 < hi
@@ -371,10 +370,50 @@ def test_belt_stretch_root_from_an_exact_tie():
     b = belt_balance(side, "linear", k, "constant", 5.0, x1, stop, span, c)
     h1 = span - stop
     assert (b.branch, b.h2) == ("pinned", stop)
-    assert b.tension == pytest.approx(k * (x1 - h1) / (1.0 + c * k), rel=1e-15)
-    assert b.h1 == h1 + c * b.tension
+    assert b.belt_tension == pytest.approx(k * (x1 - h1) / (1.0 + c * k), rel=1e-15)
+    assert b.h1 == h1 + c * b.belt_tension
     # the residual at the stop, f1 at h1, then the stretch at t = T and at the root
     assert seen[1:3] == [h1, h1 + c * k * (x1 - h1)] and len(seen) == 4
+
+
+def test_solve_equilibrium_returns_the_balance_record(monkeypatch):
+    # the balance's own record, side evaluations included, with no copy
+    rig, built = make_rig(), []
+    balance = rig_mod._balance
+    monkeypatch.setattr(rig_mod, "_balance", lambda *a, **kw: built.append(balance(*a, **kw))
+                        or built[-1])
+    eq = solve_equilibrium(rig, 50.0, 50.0)
+    assert eq is built[0] and type(eq) is rig_mod.EquilibriumState
+    assert eq == belt_balance(_side_force, rig.modulating, 50.0, rig.morphing, 50.0,
+                              rig.modulating.free_height, rig.morphing.free_height, 90.0, 0.0)
+    assert eq.side1[1] == _side_force(rig.modulating, 50.0, eq.side1[0])
+    assert eq.side2[1] == _side_force(rig.morphing, 50.0, eq.side2[0])
+
+
+@pytest.mark.parametrize("c, p1, p2, branch", [(300.0, 50.0, 50.0, "slack"),
+                                               (90.0, 50.0, 50.0, "interior"),
+                                               (90.0, 0.0, 30.0, "pinned"),
+                                               (90.0, 50.0, 0.0, "squashed")])
+def test_taut_on_each_branch(c, p1, p2, branch):
+    eq = solve_equilibrium(make_rig(c=c), p1, p2)
+    assert eq.branch == branch
+    assert eq.taut is (branch != "slack")
+
+
+def test_four_field_equilibrium_state_has_no_side_records():
+    eq = rig_mod.EquilibriumState(40.0, 50.0, 1.0, "interior")
+    assert eq.side1 is eq.side2 is None
+    assert eq.taut and eq == (40.0, 50.0, 1.0, "interior", None, None)
+
+
+def test_stiffness_range_is_open_at_the_equilibrium_height():
+    rig = make_rig()
+    eq = solve_equilibrium(rig, 20.0, 30.0)
+    for h2 in (eq.h2, 0.0, -1.0, math.nan):
+        with pytest.raises(RigDomainError, match="probe contact range"):
+            stiffness(rig, 20.0, 30.0, h2)
+    h2 = math.nextafter(eq.h2, 0.0)
+    assert stiffness(rig, 20.0, 30.0, h2) == _probe(rig, 20.0, 30.0, eq, h2).k
 
 
 def test_equilibrium_slopes_vanish_at_the_belt_span():
@@ -395,8 +434,7 @@ def test_equilibrium_slopes_vanish_at_the_belt_span():
     p2=st.floats(0.5, 150.0),
     frac=st.floats(0.0, 1.0),
 )
-def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_caps, p1, p2,
-                                                     frac):
+def test_probe_matches_fresh_side_forces(w1, w2, c, compliance, end_caps, p1, p2, frac):
     # the slopes read back from the probe balance are those of its
     # evaluations at exactly the same heights, so the result is bit for bit
     rig = make_rig(w1=w1, w2=w2, c=c, end_caps=end_caps, belt_compliance=compliance)
@@ -408,11 +446,11 @@ def test_contact_stiffness_matches_fresh_side_forces(w1, w2, c, compliance, end_
                      rig.belt_span, compliance)
     d = -_side_force(rig.modulating, p1, b.h1)[1]
     fresh_k = -_side_force(rig.morphing, p2, h)[1] + d / (1.0 + compliance * d)
-    fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - b.tension)
+    fresh_force = max(0.0, _side_force(rig.morphing, p2, h)[0] - b.belt_tension)
     # one probe record holds all four, h1 the one stiffness_slopes takes
-    assert _probe(rig, p1, p2, eq, h) == (fresh_force, b.tension, b.h1, fresh_k)
-    assert contact_stiffness(rig, p1, p2, eq, h) == fresh_k
-    assert probe_force(rig, p1, p2, h) == (fresh_force, b.tension, b.h1)
+    assert _probe(rig, p1, p2, eq, h) == (fresh_force, b.belt_tension, b.h1, fresh_k)
+    assert stiffness(rig, p1, p2, h) == fresh_k
+    assert probe_force(rig, p1, p2, h) == (fresh_force, b.belt_tension, b.h1)
 
 
 # each pair of operands of a bound written out as a conditional: NaN either side, equal,
@@ -438,7 +476,7 @@ def stub_probe(monkeypatch, free: float, h2: float, force: float, tension: float
 
     def balance(side, spec1, q1, spec2, q2, x1, x2, *args):
         stops.append(x2)
-        return rig_mod.Balance(40.0, h2, tension, "interior", (40.0, (1.0, -0.1)),
+        return rig_mod.EquilibriumState(40.0, h2, tension, "interior", (40.0, (1.0, -0.1)),
                                (h2, (force, -0.2)))
 
     monkeypatch.setattr(rig_mod, "belt_balance", balance)
@@ -482,7 +520,7 @@ def test_probe_reads_back_only_records_at_its_heights(monkeypatch):
     assert _probe(rig, 20.0, 30.0, eq, 0.5 * eq.h2) == want
 
 
-def test_contact_stiffness_side_force_evaluations(monkeypatch):
+def test_probe_side_force_evaluations(monkeypatch):
     # the probe balance evaluates side 2 at the probe height and side 1 at
     # h1, the latter twice on this riding branch (its residual at the stop,
     # then the tension); evaluating each height anew took 5 side forces here
@@ -497,7 +535,7 @@ def test_contact_stiffness_side_force_evaluations(monkeypatch):
         return side_force(*args)
 
     monkeypatch.setattr(rig_mod, "_side_force", counted)
-    contact_stiffness(cfg.rig, 20.0, 30.0, eq, eq.h2 - cfg.probe_depth)
+    _probe(cfg.rig, 20.0, 30.0, eq, eq.h2 - cfg.probe_depth)
     assert calls == 2
 
 

@@ -21,6 +21,7 @@ from afpa_sim.study import (
     _add,
     _mean,
     _std,
+    _var,
     accuracy_stats,
     box_stats,
     confusion_matrix,
@@ -348,6 +349,34 @@ def test_t_test_matches_oracle_50_random_pairs():
         assert abs(mine.p_two_sided - oracle.pvalue) <= 1e-6
 
 
+def numpy_t_and_dof(a, b, equal_variance):
+    """(t, dof) from numpy's moments, as ``t_test_independent`` once computed them."""
+    x, y = (np.asarray(v, dtype=float) for v in (a, b))
+    vx, vy = (float(np.var(v, ddof=1)) for v in (x, y))
+    mx, my = (float(np.mean(v)) for v in (x, y))
+    if equal_variance:
+        dof = float(x.size + y.size - 2)
+        pooled = ((x.size - 1) * vx + (y.size - 1) * vy) / dof
+        se = math.sqrt(pooled * (1.0 / x.size + 1.0 / y.size))
+    else:
+        sx, sy = vx / x.size, vy / y.size
+        se = math.sqrt(sx + sy)
+        dof = (sx + sy) ** 2 / (sx * sx / (x.size - 1) + sy * sy / (y.size - 1))
+    return (mx - my) / se, dof
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 300), m=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       equal_variance=st.booleans())
+@example(n=7, m=8, seed=1, equal_variance=True)
+@example(n=128, m=129, seed=2, equal_variance=False)
+def test_t_test_moments_match_numpy(n, m, seed, equal_variance):
+    # the float moments give the t and dof of numpy's, bit for bit
+    a, b = seeded_floats(n, seed), [x + 0.5 for x in seeded_floats(m, seed + 1)]
+    r = t_test_independent(a, b, equal_variance)
+    assert repr((r.t, r.dof)) == repr(numpy_t_and_dof(a, b, equal_variance))
+
+
 def test_t_test_welch_equals_pooled_for_balanced_equal_variance():
     a = [1.0, 2.0, 3.0, 4.0]
     b = [3.0, 4.0, 5.0, 6.0]
@@ -502,6 +531,20 @@ def test_float_mean_matches_numpy(n, seed, head):
 def test_float_std_matches_numpy(n, seed, head):
     xs = head_of(n, seed, head)
     assert repr(_std(xs)) == repr(float(np.std(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.lists(st.floats(-1e150, 1e150), max_size=8), ddof=st.sampled_from([0, 1]),
+       n=st.integers(2, 900), seed=st.integers(0, 2**32 - 1))
+@example(n=2, seed=0, head=[-0.0, 0.0], ddof=1)
+@example(n=7, seed=1, head=[], ddof=1)  # in order
+@example(n=8, seed=2, head=[], ddof=0)  # eight partial sums
+@example(n=128, seed=3, head=[], ddof=1)
+@example(n=129, seed=4, head=[], ddof=0)  # two halves
+@example(n=900, seed=6, head=[1e150, -1e150, 5e-324], ddof=1)
+def test_float_var_matches_numpy(head, ddof, n, seed):
+    xs = head_of(n, seed, head)
+    assert repr(_var(xs, ddof)) == repr(float(np.var(xs, ddof=ddof)))
 
 
 @settings(max_examples=100, deadline=None)
