@@ -326,7 +326,7 @@ def resample_16hz(series: np.ndarray) -> np.ndarray:
 
 
 def rise_time_90(series: np.ndarray) -> float:
-    """Time from the command step to 90% of h2's initial-to-final change."""
+    """Time from the command step, the first sample, to 90% of h2's initial-to-final change."""
     t, y = series[:, 0], series[:, 4]
     y0, y1 = y[0], y[-1]
     if y1 == y0:
@@ -335,4 +335,4 @@ def rise_time_90(series: np.ndarray) -> float:
     idx = int((frac >= 0.9).argmax())
     if frac[idx] < 0.9:
         return inf
-    return float(t[idx])
+    return float(t[idx] - t[0])

@@ -938,6 +938,17 @@ def test_rise_time_of_exponential():
     assert rise_time_90(series) == pytest.approx(expected, abs=0.01)
 
 
+def test_rise_time_counts_from_the_first_sample():
+    # a series cut at its step, t0 = 0.5 s, rises as fast as one that starts at 0
+    t = np.linspace(0.0, 10.0, 10001)
+    y = 1.0 - np.exp(-t)
+    series = np.column_stack([t, np.zeros((10001, 3)), y])
+    late = series.copy()
+    late[:, 0] += 0.5
+    assert rise_time_90(late) == pytest.approx(rise_time_90(series), abs=1e-12)
+    assert rise_time_90(series) == pytest.approx(2.302, abs=1e-3)
+
+
 def test_rise_time_of_flat_series_is_zero():
     # no change of h2, so no 90% point: 0, not the first sample's time
     t = np.linspace(0.5, 2.0, 7)
