@@ -238,7 +238,7 @@ def belt_balance(side: Callable[..., tuple], spec1, q1: float, spec2, q2: float,
         tension = _rising_root(stretch, 0.0, (-tension, 1.0 - compliance * k1), tension, None)
         h1 += compliance * tension
     return tuple.__new__(EquilibriumState, (min(x1, h1), h2, tension,
-                                   "pinned" if h2 == hi else "squashed", last1, last2))
+                                            "pinned" if h2 == hi else "squashed", last1, last2))
 
 
 def _balance(rig: RigSpec, p1: float, p2: float, offset: float = 0.0, *,

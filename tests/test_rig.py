@@ -380,8 +380,12 @@ def test_solve_equilibrium_returns_the_balance_record(monkeypatch):
     # the balance's own record, side evaluations included, with no copy
     rig, built = make_rig(), []
     balance = rig_mod._balance
-    monkeypatch.setattr(rig_mod, "_balance", lambda *a, **kw: built.append(balance(*a, **kw))
-                        or built[-1])
+
+    def recorded(*args, **kwargs):
+        built.append(balance(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rig_mod, "_balance", recorded)
     eq = solve_equilibrium(rig, 50.0, 50.0)
     assert eq is built[0] and type(eq) is rig_mod.EquilibriumState
     assert eq == belt_balance(_side_force, rig.modulating, 50.0, rig.morphing, 50.0,
