@@ -1,16 +1,16 @@
 """Experiment drivers: run each protocol and emit plot-ready data files.
 
 Each ``run_*`` takes the CLI's (config, seed, out).  Outputs are keyed by the
-figure they reproduce (fig2c.csv, fig3a.csv, ...).  CSVs are UTF-8 with LF line
-endings, `.` decimal separator and unit-suffixed column names; numbers take
-``"%.12g"``, 12 significant digits, which does not round-trip every float but is
-fixed, so identical runs are byte-identical.
+figure they reproduce (fig2c.csv, fig3a.csv, ...).  Every file is written by
+``_write``, as UTF-8 with LF line endings.  CSVs have a `.` decimal separator and
+unit-suffixed column names; numbers take ``"%.12g"``, 12 significant digits, which
+does not round-trip every float but is fixed, so identical runs are byte-identical.
 
 ``run_study_analyze`` takes each configured session's log, which must hold
 trials 1..9*reps in order, and builds fig5c-g from each session's confusion
-matrix, segment trends and hit rate, and the pooled records' latency boxes, which
-``accuracy_stats`` also builds, all on plain floats that equal numpy's bit for bit,
-so it loads no numpy.
+matrix, segment trends and hit rate (``_hit_rate``), and the pooled records' latency
+boxes, which ``accuracy_stats`` also builds, all on plain floats that equal numpy's bit
+for bit, so it loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import RunConfig
-from .planner import StateDef, _feasibility_rows, _linspace, state_table
+from .planner import StateDef, _linspace, feasibility_map, state_table
 from .pneumatics import resample_16hz, step_simulate
 from .rig import _probe_curve, size_pressure_sweep, solve_equilibrium
 from .study import (
@@ -29,6 +29,7 @@ from .study import (
     TrialRecord,
     _add,
     _confusion_rows,
+    _hit_rate,
     _latency_boxes,
     _mean,
     _std,
@@ -45,6 +46,13 @@ STEP_PROTOCOLS = {
 FEASIBILITY_GRID_N = 25  # pressures per axis of the figs4b map
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write text to path as UTF-8, with its line endings as given (LF)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """The header and one comma-joined line per row, from one ``%`` operation: a column is
     text in every row or in none, and the first row's cells give ``%s`` for text and
@@ -55,15 +63,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
         rows = list(rows)
         cells, first = tuple([v for row in rows for v in row]), rows[0] if rows else ()
     line = ",".join(["%s" if isinstance(v, str) else "%.12g" for v in first])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
-    return path
+    return _write(path, ",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
 
 
 def _write_json(path: Path, doc) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def run_characterize_size(config: RunConfig, seed: int, out: Path) -> list[Path]:
@@ -157,11 +161,11 @@ def _write_plan(states: Sequence[StateDef], out: Path) -> list[Path]:
 
 
 def run_feasibility(config: RunConfig, seed: int, out: Path) -> list[Path]:
-    """Forward-model map over the pressure box, FEASIBILITY_GRID_N pressures per axis, from
-    ``feasibility_map``'s rows as floats, without numpy."""
+    """Forward-model map over the pressure box, FEASIBILITY_GRID_N pressures per axis:
+    ``feasibility_map``'s float rows, written without numpy."""
     b, n = config.bounds, FEASIBILITY_GRID_N
-    rows = _feasibility_rows(config.rig, _linspace(*b[:2], n), _linspace(*b[2:], n),
-                             config.probe_depth)
+    rows = feasibility_map(config.rig, _linspace(*b[:2], n), _linspace(*b[2:], n),
+                           config.probe_depth)
     return [
         _write_csv(out / "figs4b.csv", ("p1_kPa", "p2_kPa", "h2_mm", "k_N_per_mm"), rows)
     ]
@@ -183,11 +187,9 @@ def run_study(config: RunConfig, seed: int, out: Path) -> list[Path]:
                 for s in range(config.study.sessions))
     runs = simulate_sessions(config.rig, states, sessions, config.study.responder,
                              config.probe_depth)
-    for s, records in enumerate(runs):
-        log = out / f"trials_s{s:02d}.jsonl"
-        with open(log, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(_records_to_lines(records, seed + s)) + "\n")
-        paths.append(log)
+    paths += [_write(out / f"trials_s{s:02d}.jsonl",
+                     "\n".join(_records_to_lines(records, seed + s)) + "\n")
+              for s, records in enumerate(runs)]
     return paths
 
 
@@ -226,7 +228,7 @@ def run_study_analyze(config: RunConfig, seed: int, out: Path) -> list[Path]:
     pooled = [r for recs in per_session for r in recs]
     confusions = [_confusion_rows(recs) for recs in per_session]
     segments = [segment_analysis(recs, segment_size) for recs in per_session]
-    overall = [sum(r.responded == r.presented for r in recs) / len(recs) for recs in per_session]
+    overall = [_hit_rate(recs) for recs in per_session]
 
     n = len(confusions)  # np.mean over axis 0 adds the matrices in order
     conf_rows = [[i + 1] + [_add(c[i][j] for c in confusions) / n for j in range(9)]

@@ -12,9 +12,9 @@ contour's ends name an unreachable height or stiffness.  A damped Newton
 iteration refines the seed on the closed-form Jacobian of the forward map
 (``rig.equilibrium_slopes``, ``rig.stiffness_slopes``); a feasible refinement is
 the plan, and only otherwise is a coarse grid the fallback, whose axes, like the
-drivers' feasibility map, are lists of floats (``_linspace``), so the scalar
-kernels never see a numpy scalar.  Each solve of one ``plan_state`` call starts
-from the h2 of the one before.  Pressure bounds are capped by
+drivers' ``feasibility_map`` axes, are lists of floats (``_linspace``), so the scalar
+kernels and the map's (p1, p2, h2, k) rows hold only Python floats.  Each solve of one
+``plan_state`` call starts from the h2 of the one before.  Pressure bounds are capped by
 ``rig.PRESSURE_MAX_KPA``.
 """
 
@@ -164,7 +164,7 @@ def plan_state(rig: RigSpec, target: HapticTarget, bounds: Box = FULL_BOX) -> Pl
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for bit: start + i*step
-    with the last point stop, and numpy's start + (i / (num - 1))*width where the step is 0;
+    with the last point stop, and its start + (i / (num - 1))*width where the step is 0;
     floats, from integer ends too."""
     div, width = num - 1, stop - start
     if step := width / div:
@@ -330,20 +330,10 @@ def _diagnose(r1: float, r2: float) -> str:
     return f"height unreachable (achievable height too {side})"
 
 
-def feasibility_map(
-    rig: RigSpec,
-    p1_values: Sequence[float],
-    p2_values: Sequence[float],
-    probe_depth: float = DEFAULT_PROBE_DEPTH_MM,
-) -> np.ndarray:
-    """Forward-model grid: an array of rows (p1, p2, h2, k), one per pressure pair."""
-    import numpy as np
-    return np.array(_feasibility_rows(rig, p1_values, p2_values, probe_depth), dtype=float)
-
-
-def _feasibility_rows(rig: RigSpec, p1_values: Sequence[float], p2_values: Sequence[float],
-                      probe_depth: float) -> list[tuple]:
-    """``feasibility_map``'s rows as tuples, each cell solved from the h2 of the one before."""
+def feasibility_map(rig: RigSpec, p1_values: Sequence[float], p2_values: Sequence[float],
+                    probe_depth: float = DEFAULT_PROBE_DEPTH_MM) -> list[tuple]:
+    """Forward-model grid: one (p1, p2, h2, k) tuple per pressure pair, each cell solved from
+    the h2 of the one before."""
     if min(len(p1_values), len(p2_values)) < 2:
         raise PlannerDomainError("grid must have at least 2x2 cells")
     rows, h = [], None

@@ -131,11 +131,6 @@ def volume_gradient(spec: PouchStackSpec, height: float) -> float:
     return _volume_terms(spec, height)[1]
 
 
-def volume_curvature(spec: PouchStackSpec, height: float) -> float:
-    """d2V/dH2 at the given height, mm (analytic in both modes, never positive)."""
-    return _volume_terms(spec, height)[2]
-
-
 def cross_section(spec: PouchStackSpec, height: float) -> CrossSection:
     """Inflation geometry at the given stack height."""
     v = volume(spec, height)

@@ -14,7 +14,7 @@ The sessions of a study share their per-run terms: ``simulate_sessions``
 computes the states' perceptual coordinates and pre-jitter latencies once,
 and ``simulate_session`` is its one-session case.  ``box_stats`` takes
 numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
-floats, bit for bit, and a 0/1 accuracy is a count over a length.  The
+floats, bit for bit, and a 0/1 accuracy is a count over a length (``_hit_rate``).  The
 confusion counts, ``segment_analysis``, the means and standard deviations
 that ``study-analyze`` writes and the t-test's sample moments are plain floats
 too, equal to numpy's bit for bit (``_mean``, ``_var``), so reading a study's
@@ -257,8 +257,12 @@ def accuracy_stats(records: Sequence[TrialRecord]
     for r in records:
         hits.setdefault(r.presented, []).append(r.responded == r.presented)
     per_state = {sid: sum(h) / len(h) for sid, h in sorted(hits.items())}
-    overall = sum(r.responded == r.presented for r in records) / len(records)
-    return overall, per_state, _latency_boxes(records)
+    return _hit_rate(records), per_state, _latency_boxes(records)
+
+
+def _hit_rate(records: Sequence[TrialRecord]) -> float:
+    """The share of records answered with the state presented: an exact count over a length."""
+    return sum(r.responded == r.presented for r in records) / len(records)
 
 
 def _latency_boxes(records: Sequence[TrialRecord]) -> dict[int, BoxStats]:
@@ -281,8 +285,7 @@ def segment_analysis(records: Sequence[TrialRecord],
                                f"size {segment_size}")
     ordered = sorted(records, key=lambda r: r.trial_index)
     blocks = (ordered[i : i + segment_size] for i in range(0, len(ordered), segment_size))
-    return [(sum(r.responded == r.presented for r in block) / segment_size,
-             _mean([r.response_time for r in block])) for block in blocks]
+    return [(_hit_rate(block), _mean([r.response_time for r in block])) for block in blocks]
 
 
 def _add(xs: Iterable[float], total: float = 0.0) -> float:

@@ -207,10 +207,19 @@ def test_planner_deterministic(rig):
 
 def test_feasibility_map_shape_and_content():
     rig = toy_rig()
-    grid = feasibility_map(rig, [0.0, 50.0, 100.0], [0.0, 50.0, 100.0])
+    grid = np.array(feasibility_map(rig, [0.0, 50.0, 100.0], [0.0, 50.0, 100.0]))
     assert grid.shape == (9, 4)
     zero = grid[(grid[:, 0] == 0.0) & (grid[:, 1] == 0.0)][0]
     assert zero[3] == 0.0  # no pressure, no stiffness
+
+
+def test_feasibility_map_rows_are_float_tuples():
+    # the rows the feasibility subcommand writes, as Python floats, not an array
+    rows = feasibility_map(toy_rig(), [0.0, 50.0, 100.0], [0.0, 25.0])
+    assert type(rows) is list and len(rows) == 6
+    assert all(type(row) is tuple and len(row) == 4 for row in rows)
+    assert all(type(v) is float for row in rows for v in row)
+    assert [row[:2] for row in rows] == [(p1, p2) for p1 in (0.0, 50.0, 100.0) for p2 in (0.0, 25.0)]
 
 
 def test_feasibility_map_grid_too_small():
@@ -223,8 +232,8 @@ def test_feasibility_map_grid_too_small():
 
 def test_feasibility_map_refinement_consistent():
     rig = toy_rig()
-    coarse = feasibility_map(rig, [0.0, 100.0], [0.0, 100.0])
-    fine = feasibility_map(rig, [0.0, 50.0, 100.0], [0.0, 50.0, 100.0])
+    coarse = np.array(feasibility_map(rig, [0.0, 100.0], [0.0, 100.0]))
+    fine = np.array(feasibility_map(rig, [0.0, 50.0, 100.0], [0.0, 50.0, 100.0]))
     for row in coarse:
         match = fine[(fine[:, 0] == row[0]) & (fine[:, 1] == row[1])][0]
         assert np.array_equal(row, match)

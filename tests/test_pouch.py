@@ -13,13 +13,18 @@ from afpa_sim.pouch import (
     PouchDomainError,
     PouchStackSpec,
     _curvature_slope,
+    _volume_terms,
     contact_force,
     cross_section,
     free_height,
     volume,
-    volume_curvature,
     volume_gradient,
 )
+
+
+def volume_curvature(spec, height):
+    """d2V/dH2 at the given height, mm: the closed form's third term."""
+    return _volume_terms(spec, height)[2]
 
 
 def spec_strategy(end_cap=None):
