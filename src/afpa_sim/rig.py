@@ -72,6 +72,7 @@ class RigSpec:
             raise ValueError("friction_force must be >= 0")
         if not 0.0 <= self.deflated_floor < math.inf:
             raise ValueError("deflated_floor must be >= 0")
+        object.__setattr__(self, "belt_span", float(self.belt_span))  # an int would give int heights
 
 
 class EquilibriumState(NamedTuple):

@@ -1,5 +1,6 @@
 """Coupled-rig equilibrium against a brute-force grid-scan oracle."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -402,6 +403,16 @@ def test_taut_on_each_branch(c, p1, p2, branch):
     eq = solve_equilibrium(make_rig(c=c), p1, p2)
     assert eq.branch == branch
     assert eq.taut is (branch != "slack")
+
+
+def test_an_int_belt_span_gives_float_heights():
+    # the pinned branch kept an int span through its bracket end: h1 = 0, h2 = 103
+    rig = dataclasses.replace(load_config(default_config_path()).rig, belt_span=103)
+    assert type(rig.belt_span) is float
+    eq = solve_equilibrium(rig, 0.0, 30.0)
+    assert eq.branch == "pinned" and (eq.h1, eq.h2) == (0.0, 103.0)
+    assert all(type(v) is float for v in (eq.h1, eq.h2, eq.belt_tension))
+    assert all(type(h) is float for _, h in size_pressure_sweep(rig, 30.0, [0.0, 10.0]))
 
 
 def test_four_field_equilibrium_state_has_no_side_records():
