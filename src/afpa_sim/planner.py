@@ -332,8 +332,8 @@ def _diagnose(r1: float, r2: float) -> str:
 
 def feasibility_map(rig: RigSpec, p1_values: Sequence[float], p2_values: Sequence[float],
                     probe_depth: float = DEFAULT_PROBE_DEPTH_MM) -> list[tuple]:
-    """Forward-model grid: one (p1, p2, h2, k) tuple per pressure pair, each cell solved from
-    the h2 of the one before."""
+    """Forward-model grid: one (p1, p2, h2, k) tuple per pressure pair, p1 and p2 as the axes
+    give them, each cell solved from the h2 of the one before."""
     if min(len(p1_values), len(p2_values)) < 2:
         raise PlannerDomainError("grid must have at least 2x2 cells")
     rows, h = [], None
