@@ -192,28 +192,21 @@ def _contour(rig: RigSpec, h_star: float):
     """h2 = h_star on the balance's interior branch, max(0, C - x1) < h_star < min(x2, C):
     side forces are p*a(h), so T = p2*a2(h_star) and p1 = T / a1(C + c*T - h_star) rises
     with p2.  Two functions of p2: ``point``, (p1, dp1/dp2 = (a2/a1)*(1 - c*p1*s1), the
-    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P.  Side
-    1 is evaluated once per h1; on a rigid belt h1 = C - h_star, so ``gap`` is affine in p2,
-    and ``_seed`` reads that ray's ratios without these functions."""
+    equilibrium), and ``gap``, T - P*a1 and its slope, rising through 0 where p1 = P.  Each
+    call evaluates side 1 at its h1.  On a rigid belt h1 = C - h_star, so ``gap`` is affine
+    in p2, and ``_seed`` reads that ray's ratios without these functions."""
     span, c = rig.belt_span, rig.belt_compliance
     a2 = _side_force(rig.morphing, 1.0, h_star)[0]
-    # (a1, s1) by h1; only a compliant belt gets here, where the gap roots, the box-end
-    # checks and the stiffness root revisit p2s: on plan-stream seed 1's 110 compliant
-    # targets a plan makes 65.9 side forces with the memo and 72.4 without it
-    memo: dict[float, tuple[float, float]] = {}
-
-    def side1(h1: float) -> tuple[float, float]:
-        return memo.get(h1) or memo.setdefault(h1, _side_force(rig.modulating, 1.0, h1))
 
     def point(p2: float) -> tuple[float, float, EquilibriumState]:
-        a1, s1 = side1(h1 := span + c * (t := p2 * a2) - h_star)
+        a1, s1 = _side_force(rig.modulating, 1.0, h1 := span + c * (t := p2 * a2) - h_star)
         eq = EquilibriumState(h1, h_star, t, "interior")
         if not a1:  # side 1 free: no p1 holds h_star
             return math.inf, math.inf, eq
         return t / a1, a2 / a1 * (1.0 - c * t / a1 * s1), eq
 
     def gap(p2: float, p1: float) -> tuple[float, float]:
-        a1, s1 = side1(span + c * (t := p2 * a2) - h_star)
+        a1, s1 = _side_force(rig.modulating, 1.0, span + c * (t := p2 * a2) - h_star)
         return t - p1 * a1, a2 * (1.0 - c * p1 * s1)
 
     return point, gap

@@ -14,8 +14,9 @@ The sessions of a study share their per-run terms: ``simulate_sessions``
 computes the states' perceptual coordinates and pre-jitter latencies once,
 and ``simulate_session`` is its one-session case.  ``box_stats`` takes
 numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
-floats, bit for bit, and a 0/1 accuracy is a count over a length (``_hit_rate``).  The
-confusion counts, ``segment_analysis``, the means and standard deviations
+floats, bit for bit, and a 0/1 accuracy is a count over a length (``_hit_rate``).
+``accuracy_stats`` groups the records by presented state once, and takes each state's
+accuracy and latency box from its group.  The confusion counts, ``segment_analysis``, the means and standard deviations
 that ``study-analyze`` writes and the t-test's sample moments are plain floats
 too, equal to numpy's bit for bit (``_mean``, ``_var``), so reading a study's
 logs loads no numpy; the t-test's p does, through ``scipy.special``.
@@ -249,29 +250,22 @@ def _confusion_rows(records: Sequence[TrialRecord]) -> list[list[float]]:
 
 def accuracy_stats(records: Sequence[TrialRecord]
                    ) -> tuple[float, dict[int, float], dict[int, BoxStats]]:
-    """(overall accuracy, per-state accuracy, per-state latency box stats); a 0/1 mean is
-    its count over its length, which is exact."""
+    """(overall accuracy, per-state accuracy, per-state latency box stats), each per-state
+    value from the records presented that state, by state id: its ``_hit_rate`` and the
+    ``box_stats`` of its response times."""
     if not records:
         raise StudyDomainError("records must not be empty")
-    hits: dict[int, list[bool]] = {}
+    groups: dict[int, list[TrialRecord]] = {}
     for r in records:
-        hits.setdefault(r.presented, []).append(r.responded == r.presented)
-    per_state = {sid: sum(h) / len(h) for sid, h in sorted(hits.items())}
-    return _hit_rate(records), per_state, _latency_boxes(records)
+        groups.setdefault(r.presented, []).append(r)
+    by_state = sorted(groups.items())
+    return (_hit_rate(records), {sid: _hit_rate(g) for sid, g in by_state},
+            {sid: box_stats([r.response_time for r in g]) for sid, g in by_state})
 
 
 def _hit_rate(records: Sequence[TrialRecord]) -> float:
     """The share of records answered with the state presented: an exact count over a length."""
     return sum(r.responded == r.presented for r in records) / len(records)
-
-
-def _latency_boxes(records: Sequence[TrialRecord]) -> dict[int, BoxStats]:
-    """Each presented state's response-time ``box_stats``, by state id, from its times in
-    record order."""
-    times: dict[int, list[float]] = {}
-    for r in records:
-        times.setdefault(r.presented, []).append(r.response_time)
-    return {sid: box_stats(ts) for sid, ts in sorted(times.items())}
 
 
 def segment_analysis(records: Sequence[TrialRecord],

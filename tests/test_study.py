@@ -19,6 +19,7 @@ from afpa_sim.study import (
     StudyDomainError,
     TrialRecord,
     _add,
+    _hit_rate,
     _mean,
     _std,
     _var,
@@ -172,6 +173,22 @@ def test_accuracy_one_wrong():
     pairs = [(p, p) for p in range(1, 9)] + [(9, 1)]
     overall, _, _ = accuracy_stats(make_records(pairs))
     assert overall == pytest.approx(8.0 / 9.0)
+
+
+def test_accuracy_stats_per_state_from_each_state_records():
+    # presented out of id order, with unequal hit rates and unsorted times per state
+    pairs = [(7, 7), (2, 2), (5, 1), (7, 3), (5, 5), (2, 2), (5, 9), (2, 2), (5, 4)]
+    times = [6.0, 3.5, 9.0, 2.5, 4.0, 7.5, 3.0, 5.0, 8.0]
+    records = make_records(pairs, times)
+    overall, per_state, boxes = accuracy_stats(records)
+    assert overall == 5 / 9
+    assert list(per_state) == list(boxes) == [2, 5, 7]
+    assert per_state == {2: 1.0, 5: 0.25, 7: 0.5}
+    for sid in (2, 5, 7):
+        group = [r for r in records if r.presented == sid]
+        assert per_state[sid] == _hit_rate(group)
+        assert boxes[sid] == box_stats([r.response_time for r in group])
+    assert boxes[5].median == 6.0  # of 3.0, 4.0, 8.0 and 9.0
 
 
 # --- segments --------------------------------------------------------------
