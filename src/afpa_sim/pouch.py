@@ -53,8 +53,12 @@ class PouchStackSpec:
             raise ValueError(f"flat_width must be positive, got {self.flat_width}")
         if not (self.flat_length > 0 and math.isfinite(self.flat_length)):
             raise ValueError(f"flat_length must be positive, got {self.flat_length}")
-        if int(self.pouch_count) != self.pouch_count or self.pouch_count < 1:
-            raise ValueError(f"pouch_count must be a positive integer, got {self.pouch_count}")
+        # an int, not a bool, with 2nW/pi a finite float (float(n) is finite up to 2**1023);
+        # the message leaves out n, whose digits may be too many to print
+        n = self.pouch_count
+        if type(n) is not int or not 1 <= n <= 2**1023 or not math.isfinite(self.free_height):
+            raise ValueError("pouch_count must be a positive int, not a bool, with a finite "
+                             "free height")
 
     @cached_property
     def free_height(self) -> float:

@@ -641,6 +641,15 @@ def assert_user_error(args, capsys) -> str:
     return err
 
 
+def test_cli_pouch_count_beyond_the_float_range_exit_2(tmp_path, capsys):
+    doc = json.loads(default_config_path().read_text())
+    doc["rig"]["morphing"]["pouch_count"] = 10**400
+    cfg = tmp_path / "pouches.json"
+    cfg.write_text(json.dumps(doc))
+    err = assert_user_error(["plan", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert "rig.morphing: pouch_count" in err
+
+
 @pytest.mark.parametrize("seed", [2**64, -1])
 def test_cli_seed_outside_u64_exit_2(seed, tmp_path, capsys):
     out = tmp_path / "out"

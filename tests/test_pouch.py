@@ -199,3 +199,14 @@ def test_negative_pressure_rejected():
 def test_invalid_spec_rejected(kwargs):
     with pytest.raises(ValueError):
         PouchStackSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "count, width",
+    [(True, 50.0), (3.0, 50.0), (math.inf, 50.0), (10**400, 50.0), (2**1023, 1.0),
+     (2, 1e308)],  # the last two: an int count whose 2nW/pi overflows
+    ids=["bool", "float", "inf", "10**400", "2**1023", "2-at-width-1e308"],
+)
+def test_pouch_count_is_an_int_with_a_finite_free_height(count, width):
+    with pytest.raises(ValueError, match="pouch_count"):
+        PouchStackSpec(flat_width=width, flat_length=100.0, pouch_count=count)
