@@ -16,10 +16,10 @@ and ``simulate_session`` is its one-session case.  ``box_stats`` takes
 numpy's ``linear`` quartiles (Hyndman & Fan type 7) from a sorted list of
 floats, bit for bit, and a 0/1 accuracy is a count over a length (``_hit_rate``).
 ``accuracy_stats`` groups the records by presented state once, and takes each state's
-accuracy and latency box from its group.  The confusion counts, ``segment_analysis``, the means and standard deviations
-that ``study-analyze`` writes and the t-test's sample moments are plain floats
-too, equal to numpy's bit for bit (``_mean``, ``_var``), so reading a study's
-logs loads no numpy; the t-test's p does, through ``scipy.special``.
+accuracy and latency box from its group.  The confusion counts, ``segment_analysis``,
+the means and standard deviations that ``study-analyze`` writes and the t-test's sample
+moments are plain floats too, equal to numpy's bit for bit (``_mean``, ``_var``), so
+reading a study's logs loads no numpy; the t-test's p does, through ``scipy.special``.
 """
 
 from __future__ import annotations
